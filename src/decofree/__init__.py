@@ -12,7 +12,6 @@ from .operators import (
     eye,
     is_hermitian,
     is_psd,
-    liouville_inner,
     sandwich_superop,
     tensor_product,
     unvec,

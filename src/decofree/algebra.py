@@ -57,11 +57,9 @@ def nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL, scale: float = 1.0)
     condition matrices so that a genuine constraint has unit magnitude.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    _, s, vh = np.linalg.svd(mat)
-    if s.size == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * max(s[0], scale)))
+    # economy SVD: only a wide matrix needs the full right factor for its kernel
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s > rtol * max(s[0], scale))) if s.size else 0
     return vh[rank:].conj().T
 
 
@@ -185,18 +183,6 @@ class MatrixAlgebra:
     def equals(self, other: "MatrixAlgebra", tol: float = ANGLE_TOL) -> bool:
         return subspaces_equal(list(self.basis), list(other.basis), tol)
 
-    def hermitian_basis(self) -> list[np.ndarray]:
-        """Basis of hermitian elements, orthonormal over the reals."""
-        cands = []
-        for b in self.basis:
-            cands.append(hermitian_part(b))
-            cands.append(hermitian_part(1j * b))
-        n = self.matrix_dim
-        rows = np.stack([np.concatenate([vec(m).real, vec(m).imag]) for m in cands])
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        keep = s > NULLSPACE_RTOL * s[0]
-        return [unvec(v[: n * n] + 1j * v[n * n:], n) for v in vh[keep]]
-
 
 def full_algebra(n: int) -> MatrixAlgebra:
     return MatrixAlgebra(tuple(matrix_unit(n, i, j) for i in range(n) for j in range(n)))
@@ -266,11 +252,6 @@ def generated_algebra(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RT
         ]
         basis = enriched
     return MatrixAlgebra(tuple(basis))
-
-
-def double_commutant(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
-    inner = commutant(ops, dim, rtol=rtol)
-    return commutant(list(inner.basis), dim, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +384,15 @@ def block_decompose(
     if alg.dim == n * n:
         return BlockDecomposition(blocks=((n, 1),), conjugator=eye(n))
     rng = np.random.default_rng(seed)
-    center = intersect_spans(list(alg.basis), list(commutant(list(alg.basis)).basis))
+    # center: X = sum_j c_j b_j with [X, b_i] = 0 for every basis element,
+    # solved over the algebra's own dim coordinates
+    cols = _basis_columns(alg.basis)
+    rows = np.vstack([commutator_superop(b) @ cols for b in alg.basis])
+    center = [unvec(v, n) for v in (cols @ nullspace(rows)).T]
     m_blocks = len(center)
 
     for _ in range(attempts):
-        z = sum(
-            c * m for c, m in zip(rng.normal(size=m_blocks), [hermitian_part(b) for b in center])
-        )
-        extra = sum(
-            c * m
-            for c, m in zip(rng.normal(size=m_blocks), [hermitian_part(1j * b) for b in center])
-        )
-        z = z + extra
-        z = z / max(np.linalg.norm(z), 1e-300)
-        evals, evecs = np.linalg.eigh(z)
+        evals, evecs = np.linalg.eigh(_random_hermitian_element(center, rng))
         groups = _cluster_eigenvalues(evals, gap)
         if len(groups) != m_blocks:
             continue

@@ -374,9 +374,6 @@ class BornErrorMap:
     def dim(self) -> int:
         return self.k_operator.shape[0]
 
-    def phi_heisenberg(self) -> np.ndarray:
-        return dag(self.phi_schrodinger)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.phi_schrodinger @ vec(np.asarray(rho, dtype=complex)), self.dim)
 

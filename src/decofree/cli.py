@@ -72,8 +72,6 @@ def cmd_analyze_channel(args) -> dict:
         ),
         "fixed_point_dimension": fixed.dim,
         "faithful_stationary_state": fixed.faithful,
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
     }
     return report
 
@@ -97,8 +95,6 @@ def cmd_analyze_semigroup(args) -> dict:
         "n_lindblad": len(gen.lindblad_ops),
         "generator_unitality_defect": unit_defect,
         "dissipativity_min_eigenvalue": worst_diss,
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
     }
     if gibbs is not None:
         metric = gibbs.metric()
@@ -137,19 +133,17 @@ def cmd_df(args) -> dict:
             res = algebra.df_algebra_semigroup(loaded, metric)
         report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
         report.update({"command": "df", "commuting_parts": res.commuting_parts})
-    report["tolerances"] = {"tol": args.tol}
-    report["seed"] = args.seed
     return report
 
 
 def cmd_blocks(args) -> dict:
     obj = jsonio.load_json(args.ops)
+    if not isinstance(obj, dict) or "ops" not in obj:
+        raise ValidationError("ops object must have an 'ops' field")
     mats = [jsonio.matrix_from_json(m) for m in obj["ops"]]
     alg = algebra.generated_algebra(mats)
     report = _algebra_report(alg, seed=args.seed, certificate="exact")
     report.update({"command": "blocks", "n_generators": len(mats)})
-    report["tolerances"] = {"tol": args.tol}
-    report["seed"] = args.seed
     return report
 
 
@@ -182,13 +176,12 @@ def cmd_invariance(args) -> dict:
         "local_residual": local.residual,
         "locally_invariant": local.invariant,
         "group_algebra_inside_commutant": local.containment_holds,
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
     }
     return report
 
 
 def _born_inputs(args):
+    """Loaded model plus the report fields born-error and scan share."""
     traj = jsonio.trajectory_from_json(jsonio.load_json(args.traj))
     coupling = jsonio.coupling_from_json(jsonio.load_json(args.coupling))
     psi = jsonio.pure_state_from_json(jsonio.load_json(args.psi))
@@ -197,13 +190,7 @@ def _born_inputs(args):
     grid = born.FrequencyGrid.for_trajectory(
         traj, n_points=args.grid_points, omega_max=args.grid_omega_max
     )
-    return traj, coupling, psi, grid
-
-
-def cmd_born_error(args) -> dict:
-    traj, coupling, psi, grid = _born_inputs(args)
-    report = {
-        "command": "born-error",
+    shared = {
         "dim": traj.dim,
         "tau": traj.tau,
         "grids": {
@@ -211,9 +198,13 @@ def cmd_born_error(args) -> dict:
             "omega_max": grid.omega_max,
             "omega_points": grid.n_points,
         },
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
     }
+    return traj, coupling, psi, grid, shared
+
+
+def cmd_born_error(args) -> dict:
+    traj, coupling, psi, grid, shared = _born_inputs(args)
+    report = {"command": "born-error", **shared}
     if coupling.bath.correlation is not None:
         report["epsilon_time"] = born.error_time_domain(
             traj, coupling, psi, n_time=args.time_points
@@ -229,7 +220,7 @@ def cmd_born_error(args) -> dict:
 
 
 def cmd_scan(args) -> dict:
-    traj, coupling, psi, grid = _born_inputs(args)
+    traj, coupling, psi, grid, shared = _born_inputs(args)
     lambdas = [float(x) for x in args.lambdas.split(",") if x]
     if not lambdas or any(x <= 0 for x in lambdas):
         raise ValidationError("scan needs a comma-separated list of positive factors")
@@ -238,32 +229,19 @@ def cmd_scan(args) -> dict:
     )
     return {
         "command": "scan",
-        "dim": traj.dim,
-        "tau": traj.tau,
+        **shared,
         "points": [
             {"lambda": p.lam, "epsilon": p.epsilon, "boundary_warning": p.boundary_warning}
             for p in result.points
         ],
         "monotone_decreasing": result.monotone_decreasing,
         "monotone_increasing": result.monotone_increasing,
-        "grids": {
-            "time_points": args.time_points,
-            "omega_max": grid.omega_max,
-            "omega_points": grid.n_points,
-        },
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
     }
 
 
 def cmd_evolve(args) -> dict:
     state = jsonio.state_from_json(jsonio.load_json(args.state))
-    report = {
-        "command": "evolve",
-        "tolerances": {"tol": args.tol},
-        "seed": args.seed,
-        "states": [],
-    }
+    report = {"command": "evolve", "states": []}
     if bool(args.channel) == bool(args.generator):
         raise ValidationError("evolve needs exactly one of --channel or --generator")
     if args.channel:
@@ -393,6 +371,7 @@ def main(argv=None) -> int:
     except Exception:
         sys.stderr.write(traceback.format_exc())
         return 1
+    report.update(tolerances={"tol": args.tol}, seed=args.seed)
     _emit(report, args.out)
     return 0
 

@@ -189,11 +189,11 @@ def detailed_balance_check(
     s_h = gen.hamiltonian_matrix()
     s_d = gen.dissipator_matrix()
     scale = max(np.linalg.norm(s_h, 2) * np.linalg.norm(s_d, 2), 1.0)
-    comm_res = float(np.linalg.norm(s_h @ s_d - s_d @ s_h, 2)) / scale
+    comm_res = float(np.linalg.norm(s_h @ s_d - s_d @ s_h, 2) / scale)
 
     g = metric.gram_superop()
     herm_scale = max(np.linalg.norm(s_d, 2), 1.0)
-    herm_res = float(np.max(np.abs(g @ s_d - dag(s_d) @ g))) / herm_scale
+    herm_res = float(np.max(np.abs(g @ s_d - dag(s_d) @ g)) / herm_scale)
 
     return DetailedBalanceReport(
         stationary=(stat_res <= tol and ham_res <= tol),

@@ -38,12 +38,6 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def ket(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
     m[i, j] = 1.0
@@ -63,11 +57,6 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
         if n * n != v.size:
             raise ValueError(f"vector of size {v.size} is not a square matrix")
     return v.reshape((n, n), order="F").copy()
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a† b)."""
-    return complex(np.sum(np.asarray(a).conj() * np.asarray(b)))
 
 
 def tensor_product(*ops: np.ndarray) -> np.ndarray:
@@ -172,10 +161,6 @@ class LiouvilleMetric:
     def gram_superop(self) -> np.ndarray:
         """Matrix G with vec(A)† G vec(B) = <A, B>_sigma."""
         return np.kron(self.sigma.T, eye(self.dim))
-
-
-def liouville_inner(metric: LiouvilleMetric, a: np.ndarray, b: np.ndarray) -> complex:
-    return metric.inner(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ generate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -66,13 +65,6 @@ class PermutationRep:
 
     def group_algebra(self) -> MatrixAlgebra:
         return generated_algebra(list(self.generators), self.dim)
-
-    def elements(self):
-        """All R(pi); only sensible for small N."""
-        if self.n_sites > 6:
-            raise ValueError("full group enumeration capped at N = 6")
-        for perm in permutations(range(self.n_sites)):
-            yield permutation_matrix(perm, self.site_dim)
 
 
 def build_permutation_rep(n_sites: int, site_dim: int = 2, *, cap: int = SIZE_CAP) -> PermutationRep:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import decofree
 from decofree.algebra import (
     MatrixAlgebra,
     block_decompose,
@@ -18,6 +23,7 @@ from decofree.algebra import (
     implementing_unitary,
     intersect_spans,
     multiplicative_domain,
+    nullspace,
     principal_angles,
     relaxation_trace,
     subspace_contains,
@@ -55,6 +61,15 @@ def gibbs_channel(gibbs_qubit):
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+class TestNullspace:
+    def test_wide_matrix_keeps_full_kernel(self):
+        row = np.array([[1.0, 2.0, 0.0, -1.0]])
+        null = nullspace(row)
+        assert null.shape == (4, 3)
+        assert np.allclose(dag(null) @ null, eye(3))
+        assert np.allclose(row @ null, 0.0)
 
 
 class TestCommutant:
@@ -142,6 +157,22 @@ class TestBlockDecompose:
         d2 = block_decompose(alg, seed=3)
         assert d1.blocks == d2.blocks
         assert np.array_equal(d1.conjugator, d2.conjugator)
+
+    def test_collective_spin_four_qubits_within_one_gib(self):
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from decofree.algebra import block_decompose, generated_algebra\n"
+            "from decofree.symmetry import collective_spin\n"
+            "print(block_decompose(generated_algebra(list(collective_spin(4)))).blocks)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "((5, 1), (3, 3), (1, 2))"
 
     def test_multiplicity_space_conjugation(self):
         # commutant of su(2) on two qubits: 1 (x) M_1 + singlet, transposed shape

@@ -156,6 +156,33 @@ def test_blocks_command(workdir, tmp_path, capsys):
     assert report["blocks"] == [[1, 1], [1, 1]]
 
 
+def test_blocks_without_ops_is_validation_error(tmp_path, capsys):
+    ops_path = tmp_path / "ops.json"
+    dump_json({"dim": 2}, str(ops_path))
+    code = main(["blocks", "--ops", str(ops_path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+def test_analyze_semigroup_thermal_qutrit(tmp_path, capsys):
+    # superoperator norms above 1 put the detailed-balance residuals through
+    # a numpy scale; the report must still serialize
+    lower = np.zeros((3, 3), dtype=complex)
+    lower[1, 0] = 1.0
+    upper = np.zeros((3, 3), dtype=complex)
+    upper[2, 1] = 1.3
+    gen_path = tmp_path / "thermal.json"
+    dump_json({"H": matrix_to_json(np.diag([2.0, 1.0, 0.0])),
+               "V": [matrix_to_json(lower), matrix_to_json(upper)], "T": 1.0}, str(gen_path))
+    code = main(["analyze-semigroup", "--generator", str(gen_path)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["detailed_balance"]["stationary"] is True
+    assert report["detailed_balance"]["commuting_parts"] is True
+    assert report["detailed_balance"]["hermitian_dissipator"] is True
+
+
 def test_invariance_command(tmp_path, capsys):
     gen_path = tmp_path / "sr.json"
     dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}, str(gen_path))

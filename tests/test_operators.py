@@ -9,7 +9,6 @@ from decofree.operators import (
     eye,
     is_hermitian,
     is_psd,
-    liouville_inner,
     random_density,
     random_hermitian,
     sandwich_superop,
@@ -107,16 +106,16 @@ class TestSandwich:
 class TestLiouvilleInner:
     def test_normalization(self):
         metric = LiouvilleMetric(eye(3) / 3)
-        assert liouville_inner(metric, eye(3), eye(3)) == pytest.approx(1.0)
+        assert metric.inner(eye(3), eye(3)) == pytest.approx(1.0)
 
     def test_sz_norm(self):
         metric = LiouvilleMetric(np.diag([0.6, 0.4]).astype(complex))
-        assert liouville_inner(metric, sz, sz) == pytest.approx(1.0)
+        assert metric.inner(sz, sz) == pytest.approx(1.0)
 
     def test_pauli_cross_term(self):
         # Tr(sigma sx sy) = Tr(sigma i sz) = 0.5 i for sigma = diag(3/4, 1/4)
         metric = LiouvilleMetric(np.diag([0.75, 0.25]).astype(complex))
-        assert liouville_inner(metric, sx, sy) == pytest.approx(0.5j)
+        assert metric.inner(sx, sy) == pytest.approx(0.5j)
 
     def test_positivity_and_sesquilinearity(self, rng):
         metric = LiouvilleMetric(random_density(3, rng))
