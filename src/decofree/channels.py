@@ -16,7 +16,6 @@ from .operators import (
     DEFAULT_TOL,
     dag,
     eye,
-    matrix_unit,
     sandwich_superop,
     unvec,
     vec,
@@ -123,17 +122,12 @@ def choi_matrix(channel) -> np.ndarray:
     Accepts a KrausMap or a raw Schrodinger-picture superoperator matrix.
     """
     if isinstance(channel, KrausMap):
-        n = channel.dim
-        apply = channel.apply_dual
+        s = channel.schrodinger_matrix()
     else:
         s = np.asarray(channel, dtype=complex)
-        n = int(round(np.sqrt(s.shape[0])))
-        apply = lambda x: unvec(s @ vec(x), n)  # noqa: E731
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c += np.kron(matrix_unit(n, i, j), apply(matrix_unit(n, i, j)))
-    return c
+    n = int(round(np.sqrt(s.shape[0])))
+    # column stacking: S[(q, p), (j, i)] = Phi*(E_ij)[p, q], which is C[(i, p), (j, q)]
+    return s.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -212,17 +206,18 @@ def dissipation_function(channel: KrausMap, a: np.ndarray, b: np.ndarray) -> np.
 # Composition
 
 
-def compose(g1: KrausMap, g2: KrausMap, *, reduce: bool = True) -> KrausMap:
+def compose(g1: KrausMap, g2: KrausMap) -> KrausMap:
     """Heisenberg composition (g1 o g2)(A) = g1(g2(A)).
 
     The Kraus list of the composition is {W2_a W1_b}; for unitary channels
-    compose(U-channel, V-channel) is the channel of the product V U.
+    compose(U-channel, V-channel) is the channel of the product V U.  Lists
+    longer than dim**2 are reduced through the Choi spectrum.
     """
     if g1.dim != g2.dim:
         raise ValueError("channel dimensions do not match")
     ops = [w2 @ w1 for w2 in g2.kraus_ops for w1 in g1.kraus_ops]
     out = KrausMap(ops, tol=1e-7)
-    if reduce and len(ops) > g1.dim ** 2:
+    if len(ops) > g1.dim ** 2:
         out = reduce_kraus(out)
     return out
 

@@ -311,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel")
     p.add_argument("--generator")
     p.add_argument("--metric", help="faithful state JSON enabling the exact detailed-balance path")
-    p.add_argument("--max-k", type=int, default=25, dest="max_k")
+    p.add_argument("--max-k", type=int, default=25, dest="max_k",
+                   help="cap on recursion steps for --channel: the domains of "
+                        "Gamma^k are followed up to k = MAX_K")
     p.set_defaults(func=cmd_df)
 
     p = sub.add_parser("blocks", parents=[common],

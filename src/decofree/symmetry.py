@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import MatrixAlgebra, commutant, generated_algebra
 from .channels import KrausMap
 from .lindblad import GKLSGenerator
-from .operators import conjugation_superop, dag, eye, sm, sx, sy, sz
+from .operators import conjugation_superop, dag, eye, sm, sx, sy, sz, tensor_product
 
 SIZE_CAP = 64  # largest product dimension d**N handled by default
 
@@ -87,10 +87,7 @@ def embed_at_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     d = op.shape[0]
     factors = [eye(d)] * n_sites
     factors[site] = op
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    return tensor_product(*factors)
 
 
 def collective_op(op: np.ndarray, n_sites: int) -> np.ndarray:

@@ -30,6 +30,8 @@ from decofree.algebra import (
     subspaces_equal,
 )
 from decofree.channels import (
+    KrausMap,
+    channel_from_superop,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -46,7 +48,7 @@ from decofree.operators import (
     sx,
     sz,
 )
-from decofree.symmetry import build_superradiance_generator, collective_spin
+from decofree.symmetry import build_superradiance_generator, collective_op, collective_spin
 from oracles import commutant_dimension, definitional_df_subalgebra
 
 
@@ -58,6 +60,27 @@ def gibbs_qubit():
 @pytest.fixture
 def gibbs_channel(gibbs_qubit):
     return detailed_balance_channel_from_gibbs(gibbs_qubit, 1.0)
+
+
+def _superradiance_channel(n_sites):
+    return channel_from_superop(
+        expm(build_superradiance_generator(n_sites, 1.0, 1.0).heisenberg_matrix())
+    )
+
+
+def _collective_dephasing_channel(n_sites):
+    jz = 0.5 * collective_op(sz, n_sites)
+    return KrausMap([np.sqrt(w) * expm(-1j * a * jz)
+                     for w, a in zip((0.5, 0.3, 0.2), (0.7, 1.9, 2.6))])
+
+
+def _rotated_dephasing_channel():
+    # qutrit dephasing after a rotation of levels 0 and 1: the domain (the
+    # rotated diagonals, dim 3) is not invariant and shrinks to span{1, E_22}
+    c, s = np.cos(0.4), np.sin(0.4)
+    v = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=complex)
+    phase = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    return KrausMap([np.sqrt(0.6) * v, np.sqrt(0.4) * v @ phase])
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -290,7 +313,7 @@ class TestDiscreteDF:
     def test_dephasing_stable_at_one(self):
         res = df_algebra_discrete(dephasing_channel(0.25), max_k=10)
         assert res.algebra.dim == 2
-        assert res.certificate == "heuristic"
+        assert res.certificate == "exact"
         assert res.algebra.contains(sz)
 
     def test_gibbs_channel_ergodic(self, gibbs_channel):
@@ -299,15 +322,25 @@ class TestDiscreteDF:
         assert res.algebra.dim == 1
         assert res.certificate == "exact"
 
-    def test_matches_iterated_oracle(self):
-        chan = dephasing_channel(0.25)
+    @pytest.mark.parametrize("make_channel", [
+        lambda: dephasing_channel(0.25),
+        lambda: _superradiance_channel(2),
+        lambda: _superradiance_channel(3),
+        lambda: _collective_dephasing_channel(2),
+        lambda: random_unital_channel(3, 2, np.random.default_rng(5)),
+        _rotated_dephasing_channel,
+    ], ids=["dephasing", "superradiance-N2", "superradiance-N3",
+            "collective-dephasing-N2", "random-unital-n3", "rotated-dephasing-n3"])
+    def test_matches_iterated_oracle(self, make_channel):
         from decofree.channels import power
 
+        chan = make_channel()
         cumulative = None
-        for k in range(1, 6):
+        for k in range(1, 4):
             brute = definitional_df_subalgebra(power(chan, k))
             cumulative = brute if cumulative is None else intersect_spans(cumulative, brute)
         res = df_algebra_discrete(chan, max_k=10)
+        assert res.certificate == "exact"
         assert subspaces_equal(list(res.algebra.basis), cumulative, tol=1e-7)
 
 

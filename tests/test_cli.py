@@ -1,21 +1,26 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
-from decofree.channels import dephasing_channel
+from decofree.channels import channel_from_superop, dephasing_channel
 from decofree.cli import main
 from decofree.jsonio import (
     channel_to_json,
     dump_json,
     generator_to_json,
+    matrix_from_json,
     matrix_to_json,
     trajectory_to_json,
     vector_to_json,
 )
 from decofree.lindblad import GKLSGenerator
 from decofree.operators import eye, sm, sx, sz
+from decofree.symmetry import build_superradiance_generator, permutation_matrix
 
 
 @pytest.fixture
@@ -63,6 +68,23 @@ def test_df_dephasing(workdir, capsys):
     assert report["dimension"] == 2
     assert report["blocks"] == [[1, 1], [1, 1]]
     assert len(report["basis"]) == 2
+
+
+def test_df_superradiance_three_sites(tmp_path, capsys):
+    # the one-step channel of N=3 collective decay: its DF algebra is the
+    # group algebra of S_3, blocks (2,2) and (1,4)
+    gen = build_superradiance_generator(3, 1.0, 1.0)
+    chan_path = tmp_path / "sr3.json"
+    dump_json(channel_to_json(channel_from_superop(expm(gen.heisenberg_matrix()))),
+              str(chan_path))
+    code = main(["df", "--channel", str(chan_path)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dimension"] == 5
+    assert sorted(map(tuple, report["blocks"])) == [(1, 4), (2, 2)]
+    alg = MatrixAlgebra(tuple(matrix_from_json(b) for b in report["basis"]))
+    for perm in itertools.permutations(range(3)):
+        assert alg.contains(permutation_matrix(perm, 2))
 
 
 def test_analyze_channel_validation_failure(workdir, capsys):
