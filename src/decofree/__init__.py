@@ -81,7 +81,6 @@ from .born import (
     error_frequency_domain,
     error_map,
     error_time_domain,
-    filter_operator,
     filter_operators,
     flat_bath,
     gate_speed_scan,

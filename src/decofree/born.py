@@ -142,20 +142,26 @@ def constant_trajectory(hamiltonian: np.ndarray, tau: float) -> ControlTrajector
 class Bath:
     """Stationary bath seen through its correlation matrix and/or spectral density.
 
-    `spectral(w)` returns the hermitian PSD matrix [R_ab(w)]; `correlation(t)`
-    returns [C_ab(t)] with C_ab(-t) = conj(C_ba(t)).  Analytic families carry
-    both as exact Fourier pairs; tabulated baths may carry only the spectrum.
+    `spectral(w)` maps a frequency array of any shape to the hermitian PSD
+    matrices [R_ab(w)], shape (..., n_ops, n_ops); a result that broadcasts to
+    that shape, such as one constant matrix, is accepted.  `correlation(t)`
+    stays scalar-in: one time t to [C_ab(t)], with C_ab(-t) = conj(C_ba(t)).
+    Analytic families carry both as exact Fourier pairs; tabulated baths may
+    carry only the spectrum.
     """
 
     n_ops: int
     label: str
-    spectral: object = None     # callable w -> (n_ops, n_ops)
-    correlation: object = None  # callable t -> (n_ops, n_ops)
+    spectral: object = None     # callable w (array) -> (..., n_ops, n_ops)
+    correlation: object = None  # callable t (scalar) -> (n_ops, n_ops)
 
-    def spectral_matrix(self, omega: float) -> np.ndarray:
+    def spectral_matrix(self, omega) -> np.ndarray:
+        """[R_ab(w)] at a frequency or an array of them, shape (..., n_ops, n_ops)."""
         if self.spectral is None:
             raise ValueError(f"bath '{self.label}' has no spectral density")
-        return np.atleast_2d(np.asarray(self.spectral(omega), dtype=complex))
+        omega = np.asarray(omega, dtype=float)
+        return np.broadcast_to(np.asarray(self.spectral(omega), dtype=complex),
+                               omega.shape + (self.n_ops, self.n_ops))
 
     def correlation_matrix(self, t: float) -> np.ndarray:
         if self.correlation is None:
@@ -174,6 +180,11 @@ def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
     return m
 
 
+def _times(m: np.ndarray, profile) -> np.ndarray:
+    """The coupling matrix m scaled by a scalar profile at every frequency."""
+    return m * np.asarray(profile)[..., None, None]
+
+
 def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
     """R(w) = amplitude * exp(-w^2 / 2 width^2); C(t) = amplitude * width sqrt(2 pi) exp(-width^2 t^2 / 2)."""
     m = _coupling_matrix(amplitude, n_ops)
@@ -181,7 +192,7 @@ def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
     return Bath(
         n_ops=n_ops,
         label="gaussian",
-        spectral=lambda omega: m * np.exp(-omega ** 2 / (2.0 * w ** 2)),
+        spectral=lambda omega: _times(m, np.exp(-omega ** 2 / (2.0 * w ** 2))),
         correlation=lambda t: m * (w * np.sqrt(2.0 * np.pi) * np.exp(-0.5 * (w * t) ** 2)),
     )
 
@@ -199,7 +210,7 @@ def flat_bath(level=1.0, cutoff: float = 50.0, n_ops: int = 1) -> Bath:
     return Bath(
         n_ops=n_ops,
         label="flat",
-        spectral=lambda omega: m * (1.0 if abs(omega) <= wc else 0.0),
+        spectral=lambda omega: _times(m, np.where(np.abs(omega) <= wc, 1.0, 0.0)),
         correlation=corr,
     )
 
@@ -218,9 +229,9 @@ def ohmic_bath(coupling: float = 1.0, exponent: float = 1.0, cutoff: float = 1.0
     m = _coupling_matrix(1.0, n_ops)
 
     def spec(omega):
-        if omega <= 0.0:
-            return m * 0.0
-        return m * (g2 * omega ** k * np.exp(-omega / wc))
+        positive = omega > 0.0
+        w = np.where(positive, omega, 1.0)  # no power of a negative base
+        return _times(m, np.where(positive, g2 * w ** k * np.exp(-w / wc), 0.0))
 
     pref = g2 * gamma_function(k + 1.0) * wc ** (k + 1.0)
 
@@ -249,7 +260,7 @@ def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int 
     return Bath(
         n_ops=n_ops,
         label="quartic-gaussian",
-        spectral=lambda omega: m * (g2 * omega ** 4 * np.exp(-(omega / w) ** 2)),
+        spectral=lambda omega: _times(m, g2 * omega ** 4 * np.exp(-(omega / w) ** 2)),
         correlation=corr,
     )
 
@@ -261,23 +272,20 @@ def tabulated_bath(omegas, values) -> Bath:
     if values.ndim == 1:
         values = values[:, None, None]
     n_ops = values.shape[1]
-    for k in range(omegas.size):
-        mat = values[k]
-        if np.max(np.abs(mat - dag(mat))) > 1e-10:
-            raise ValueError("tabulated spectral matrices must be hermitian")
-        if np.linalg.eigvalsh(hermitian_part(mat)).min() < -1e-10:
-            raise ValueError("tabulated spectral matrices must be PSD")
+    adjoint = values.conj().transpose(0, 2, 1)
+    if np.max(np.abs(values - adjoint)) > 1e-10:
+        raise ValueError("tabulated spectral matrices must be hermitian")
+    if np.linalg.eigvalsh(0.5 * (values + adjoint)).min() < -1e-10:
+        raise ValueError("tabulated spectral matrices must be PSD")
+    entries = values.reshape(values.shape[0], n_ops * n_ops)
 
     def spec(omega):
-        if omega < omegas[0] or omega > omegas[-1]:
-            return np.zeros((n_ops, n_ops), dtype=complex)
-        out = np.empty((n_ops, n_ops), dtype=complex)
-        for a in range(n_ops):
-            for b in range(n_ops):
-                out[a, b] = np.interp(omega, omegas, values[:, a, b].real) + 1j * np.interp(
-                    omega, omegas, values[:, a, b].imag
-                )
-        return out
+        out = np.empty(np.shape(omega) + (n_ops * n_ops,), dtype=complex)
+        for e in range(n_ops * n_ops):
+            out[..., e] = (np.interp(omega, omegas, entries[:, e].real, left=0.0, right=0.0)
+                           + 1j * np.interp(omega, omegas, entries[:, e].imag,
+                                            left=0.0, right=0.0))
+        return out.reshape(np.shape(omega) + (n_ops, n_ops))
 
     return Bath(n_ops=n_ops, label="tabulated", spectral=spec, correlation=None)
 
@@ -318,7 +326,7 @@ class Coupling:
 
 
 # ---------------------------------------------------------------------------
-# Time grid and interaction picture
+# Time grid, interaction picture and the state
 
 
 def _simpson_grid(tau: float, n_points: int):
@@ -334,27 +342,44 @@ def _simpson_grid(tau: float, n_points: int):
 
 def interaction_ops(traj: ControlTrajectory, coupling: Coupling,
                     n_time: int = DEFAULT_TIME_POINTS):
-    """Grid, Simpson weights, and S_a(s_i) = U(s_i,-tau)† S_a U(s_i,-tau)."""
+    """Grid, Simpson weights, and S_a(s_i) = U(s_i,-tau)† S_a U(s_i,-tau).
+
+    Each segment Hamiltonian is diagonalized once, H_k = V diag(e) V†, so with
+    t_k the start of the segment U(s,-tau) = V diag(e^{-ie(s - t_k)}) V† U(t_k,-tau)
+    for all of its grid points at once; a point on a boundary opens the later
+    segment.
+    """
     if coupling.dim != traj.dim:
         raise ValueError("coupling dimension does not match the trajectory")
     s_grid, weights = _simpson_grid(traj.tau, n_time)
-    n = traj.dim
-    ops = np.empty((coupling.n_ops, n_time, n, n), dtype=complex)
-    u = eye(n)
-    prev = s_grid[0]
-    for i, s in enumerate(s_grid):
-        if i > 0:
-            u = traj.propagator(prev, s) @ u
-            prev = s
-        for a, s_op in enumerate(coupling.system_ops):
-            ops[a, i] = dag(u) @ s_op @ u
+    bounds = traj._bounds
+    last = len(traj.segments) - 1
+    segment_of = np.minimum(np.searchsorted(bounds, s_grid, side="right") - 1, last)
+    s_ops = np.stack(coupling.system_ops)
+    ops = np.empty((coupling.n_ops, n_time, traj.dim, traj.dim), dtype=complex)
+    start = eye(traj.dim)  # U(t_k, -tau)
+    for k, seg in enumerate(traj.segments):
+        energies, basis = np.linalg.eigh(seg.hamiltonian)
+        rotated = dag(basis) @ start
+        idx = np.flatnonzero(segment_of == k)
+        # V† U(s_i, -tau) for every grid point of the segment, shape (m, n, n)
+        u = np.exp(-1j * np.outer(s_grid[idx] - bounds[k], energies))[:, :, None] * rotated
+        ops[:, idx] = u.conj().transpose(0, 2, 1) @ (dag(basis) @ s_ops @ basis)[:, None] @ u
+        start = basis @ (np.exp(-1j * energies * (bounds[k + 1] - bounds[k]))[:, None] * rotated)
     return s_grid, weights, ops
 
 
-def interaction_op(traj: ControlTrajectory, op: np.ndarray, s: float) -> np.ndarray:
-    """Single interaction-picture operator anchored at -tau."""
-    u = traj.propagator(-traj.tau, s)
-    return dag(u) @ np.asarray(op, dtype=complex) @ u
+def _unit_state(psi) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex).ravel()
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        raise ValueError("psi must be normalized")
+    return psi
+
+
+def _centered(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """c_a(s_i) = (S_a(s_i) - <psi|S_a(s_i)|psi>) psi, shape (n_ops, n_time, n)."""
+    vecs = ops @ psi
+    return vecs - (vecs @ psi.conj())[..., None] * psi
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +403,21 @@ class BornErrorMap:
         return unvec(self.phi_schrodinger @ vec(np.asarray(rho, dtype=complex)), self.dim)
 
 
+def _correlation_kernel(coupling: Coupling, tau: float, s_grid: np.ndarray) -> np.ndarray:
+    """C[a, b, i, j] = C_ab(s_i - s_j), after checking C(-t) = C(t)†.
+
+    The grid is uniform, so only the 2g - 1 distinct lags need a bath
+    evaluation.
+    """
+    coupling.validate_correlations([0.0, 0.37 * tau, tau])
+    g = s_grid.size
+    h = s_grid[1] - s_grid[0]
+    lags = np.arange(-(g - 1), g) * h
+    lag_vals = np.stack([coupling.bath.correlation_matrix(t) for t in lags])
+    lag_index = np.arange(g)[:, None] - np.arange(g)[None, :] + (g - 1)
+    return lag_vals[lag_index].transpose(2, 3, 0, 1)
+
+
 def error_map(traj: ControlTrajectory, coupling: Coupling,
               *, n_time: int = DEFAULT_TIME_POINTS) -> BornErrorMap:
     """Double time quadrature of the Born error map.
@@ -387,20 +427,10 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     discrete map is completely positive up to rounding.
     """
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    coupling.validate_correlations(
-        [0.0, 0.37 * traj.tau, traj.tau] if traj.tau > 0 else [0.0]
-    )
+    kernel = _correlation_kernel(coupling, traj.tau, s_grid)
     n = traj.dim
     r = coupling.n_ops
     g = n_time
-
-    # correlation kernel C[a, b, i, j] = C_ab(s_i - u_j); the grid is uniform,
-    # so only the 2g - 1 distinct lags need a bath evaluation
-    h = s_grid[1] - s_grid[0]
-    lags = np.arange(-(g - 1), g) * h
-    lag_vals = np.stack([coupling.bath.correlation_matrix(t) for t in lags])
-    lag_index = np.arange(g)[:, None] - np.arange(g)[None, :] + (g - 1)
-    kernel = lag_vals[lag_index].transpose(2, 3, 0, 1)
 
     weighted = ops * weights[None, :, None, None]
     phi = np.zeros((n * n, n * n), dtype=complex)
@@ -435,14 +465,24 @@ def born_state(traj: ControlTrajectory, coupling: Coupling, rho: np.ndarray,
 def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
                       *, n_time: int = DEFAULT_TIME_POINTS,
                       emap: BornErrorMap | None = None) -> float:
-    """eps = <psi|K|psi> - <psi|Phi*(|psi><psi|)|psi> for a unit vector psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("psi must be normalized")
-    emap = error_map(traj, coupling, n_time=n_time) if emap is None else emap
-    rho = np.outer(psi, psi.conj())
-    val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
-    return float(val.real)
+    """eps = <psi|K|psi> - <psi|Phi*(|psi><psi|)|psi> for a unit vector psi.
+
+    Without `emap` the same number is the Gram sum over the centered vectors,
+    eps = sum_ab sum_ij w_i w_j C_ab(s_i - s_j) <c_a(s_j)|c_b(s_i)>, which
+    never builds the n^2 x n^2 error map.
+    """
+    psi = _unit_state(psi)
+    if emap is not None:
+        rho = np.outer(psi, psi.conj())
+        val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
+        return float(val.real)
+    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
+    kernel = _correlation_kernel(coupling, traj.tau, s_grid)
+    x = _centered(ops, psi) * weights[:, None]
+    r, g, n = x.shape
+    flat = x.reshape(r * g, n)
+    gram = (flat.conj() @ flat.T).reshape(r, g, r, g)  # [a, j, b, i] = <x_a(j)|x_b(i)>
+    return float(np.einsum("abij,ajbi->", kernel, gram).real)
 
 
 # ---------------------------------------------------------------------------
@@ -476,44 +516,74 @@ class FrequencyGrid:
 
 
 def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
-                     *, n_time: int = DEFAULT_TIME_POINTS,
-                     precomputed=None) -> np.ndarray:
+                     *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
     """Windowed Fourier transforms Y_a(w) = integral S_a(s) e^{-iws} ds.
 
-    Returns an array of shape (n_ops, len(omegas), n, n).  For hermitian
-    couplings Y_a(w)† equals the transform with e^{+iws}.
+    Returns the full operators, shape (n_ops, len(omegas), n, n); the error
+    needs only Y_a(w)|psi>, which `device_correlator` forms without them.
+    For hermitian couplings Y_a(w)† equals the transform with e^{+iws}.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    s_grid, weights, ops = (
-        interaction_ops(traj, coupling, n_time) if precomputed is None else precomputed
-    )
+    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
     phases = np.exp(-1j * omegas[:, None] * s_grid[None, :]) * weights[None, :]
     return np.einsum("wi,aicd->awcd", phases, ops)
 
 
-def filter_operator(traj: ControlTrajectory, coupling: Coupling, alpha: int, omega: float,
-                    *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
-    return filter_operators(traj, coupling, [omega], n_time=n_time)[alpha, 0]
+def _transform(s_grid: np.ndarray, weights: np.ndarray, vecs: np.ndarray,
+               omegas: np.ndarray) -> np.ndarray:
+    """sum_i w_i e^{-iws_i} vecs[a, i] at every w, shape (n_ops, len(omegas), n).
+
+    The grid is uniform, s_{cC+j} = s_0 + (cC + j) h, so the phase factors as
+    e^{-iw(s_0 + cCh)} e^{-iwjh}: with C ~ sqrt(g) that is W (C + g/C) phases,
+    one GEMM over j and one small sum over c, and never the W x g phase
+    matrix.  Any set of frequencies works.
+    """
+    r, g, n = vecs.shape
+    h = (s_grid[-1] - s_grid[0]) / (g - 1)
+    size = int(np.ceil(np.sqrt(g)))
+    blocks = -(-g // size)
+    x = np.zeros((blocks * size, r * n), dtype=complex)
+    x[:g] = (vecs * weights[:, None]).transpose(1, 0, 2).reshape(g, r * n)
+    x = x.reshape(blocks, size, r * n).transpose(1, 0, 2).reshape(size, blocks * r * n)
+    z = (_phases(omegas, 0.0, h, size).T @ x).reshape(omegas.size, blocks, r * n)
+    outer = _phases(omegas, s_grid[0], size * h, blocks).T
+    out = (outer[:, None, :] @ z)[:, 0]
+    return out.reshape(omegas.size, r, n).transpose(1, 0, 2)
+
+
+def _phases(omegas: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """e^{-iw(start + k step)} for k < count, shape (count, len(omegas)).
+
+    Two exponentials per frequency and a recurrence in k, whose rounding
+    (about k ulp) is of the order of that of the exponent w s itself.
+    """
+    out = np.empty((count, omegas.size), dtype=complex)
+    out[0] = np.exp(-1j * start * omegas)
+    factor = np.exp(-1j * step * omegas)
+    for k in range(1, count):
+        np.multiply(out[k - 1], factor, out=out[k])
+    return out
+
+
+def _correlator(s_grid, weights, centered, omegas, tau: float) -> np.ndarray:
+    """S_ab(w) = <v_a(w)|v_b(w)> / (2 tau) with v_a(w) the transform of c_a(s)."""
+    v = _transform(s_grid, weights, centered, omegas)
+    return np.einsum("awc,bwc->wab", v.conj(), v) / (2.0 * tau)
 
 
 def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, omegas,
-                      *, n_time: int = DEFAULT_TIME_POINTS,
-                      filters: np.ndarray | None = None) -> np.ndarray:
+                      *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
     """State covariance of the filter operators, shape (len(omegas), n_ops, n_ops).
 
     S_ab(w) = [<psi|Y_a†Y_b|psi> - <psi|Y_a†|psi><psi|Y_b|psi>] / (2 tau);
-    a PSD Gram matrix at every frequency.
+    a PSD Gram matrix at every frequency.  The centered vectors
+    (Y_a(w) - <Y_a(w)>) psi are the transforms of c_a(s), so psi is
+    contracted before the transform.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("psi must be normalized")
-    y = filter_operators(traj, coupling, omegas, n_time=n_time) if filters is None else filters
-    # centered vectors v_a = (Y_a - <Y_a>) |psi>
-    ypsi = np.einsum("awcd,d->awc", y, psi)
-    means = np.einsum("c,awc->aw", psi.conj(), ypsi)
-    centered = ypsi - means[:, :, None] * psi[None, None, :]
-    s = np.einsum("awc,bwc->wab", centered.conj(), centered) / (2.0 * traj.tau)
-    return s
+    psi = _unit_state(psi)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
+    return _correlator(s_grid, weights, _centered(ops, psi), omegas, traj.tau)
 
 
 @dataclass(frozen=True)
@@ -523,6 +593,35 @@ class SpectralError:
     overlap: np.ndarray          # sum_ab R_ab(w) S_ab(w) at each grid point
     boundary_fraction: float
     boundary_warning: bool
+
+
+def _support_mask(omegas: np.ndarray, support) -> np.ndarray:
+    """A sub-band (w_lo, w_hi) or a boolean mask over the grid, as a mask."""
+    if isinstance(support, tuple):
+        return (omegas >= support[0]) & (omegas <= support[1])
+    return np.asarray(support, dtype=bool)
+
+
+def _spectral_error(tau: float, omegas, r_bath, s_dev, mask=None) -> SpectralError:
+    """eps = 2 tau * trapezoid of sum_ab R_ab S_ab, optionally masked."""
+    overlap = np.einsum("wab,wab->w", r_bath, s_dev)
+    imag_mass = float(np.max(np.abs(overlap.imag))) if overlap.size else 0.0
+    if imag_mass > 1e-8 * max(float(np.max(np.abs(overlap.real))), 1e-300):
+        warnings.warn("spectral overlap has a nonnegligible imaginary part")
+    values = overlap.real if mask is None else np.where(mask, overlap.real, 0.0)
+
+    eps = 2.0 * tau * float(np.trapezoid(values, omegas))
+    # integrand still at >1% of its peak at the window edge means the grid is
+    # probably truncating real support
+    peak = float(np.max(np.abs(values))) + 1e-300
+    boundary = float(max(np.abs(values[0]), np.abs(values[-1]))) / peak
+    return SpectralError(
+        epsilon=eps,
+        omegas=omegas,
+        overlap=overlap,
+        boundary_fraction=boundary,
+        boundary_warning=boundary > 0.01,
+    )
 
 
 def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
@@ -536,32 +635,9 @@ def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.
     """
     omegas = grid.points
     s_dev = device_correlator(traj, coupling, psi, omegas, n_time=n_time)
-    r_bath = np.stack([coupling.bath.spectral_matrix(w) for w in omegas])
-    overlap = np.einsum("wab,wab->w", r_bath, s_dev)
-    imag_mass = float(np.max(np.abs(overlap.imag))) if overlap.size else 0.0
-    if imag_mass > 1e-8 * max(float(np.max(np.abs(overlap.real))), 1e-300):
-        warnings.warn("spectral overlap has a nonnegligible imaginary part")
-    values = overlap.real.copy()
-
-    if support is not None:
-        if isinstance(support, tuple):
-            mask = (omegas >= support[0]) & (omegas <= support[1])
-        else:
-            mask = np.asarray(support, dtype=bool)
-        values = np.where(mask, values, 0.0)
-
-    eps = 2.0 * traj.tau * float(np.trapezoid(values, omegas))
-    # integrand still at >1% of its peak at the window edge means the grid is
-    # probably truncating real support
-    peak = float(np.max(np.abs(values))) + 1e-300
-    boundary = float(max(np.abs(values[0]), np.abs(values[-1]))) / peak
-    return SpectralError(
-        epsilon=eps,
-        omegas=omegas,
-        overlap=overlap,
-        boundary_fraction=boundary,
-        boundary_warning=boundary > 0.01,
-    )
+    mask = None if support is None else _support_mask(omegas, support)
+    return _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev,
+                           mask)
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +661,13 @@ def df_state_check(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
     of the component of Y_a(w) psi orthogonal to psi, and the error integral
     restricted to that band as a cross-check (zero when the criterion holds).
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
     omegas = grid.points
-    if isinstance(support, tuple):
-        mask = (omegas >= support[0]) & (omegas <= support[1])
-    else:
-        mask = np.asarray(support, dtype=bool)
-    y = filter_operators(traj, coupling, omegas[mask], n_time=n_time)
-    ypsi = np.einsum("awcd,d->awc", y, psi)
-    coeff = np.einsum("c,awc->aw", psi.conj(), ypsi)
-    orth = ypsi - coeff[:, :, None] * psi[None, None, :]
-    residual = float(np.max(np.linalg.norm(orth, axis=2))) if orth.size else 0.0
-    eps = error_frequency_domain(traj, coupling, psi, grid, n_time=n_time, support=mask)
+    mask = _support_mask(omegas, support)
+    s_dev = device_correlator(traj, coupling, psi, omegas, n_time=n_time)
+    # |(Y_a - <Y_a>) psi|^2 = 2 tau S_aa(w)
+    orth_sq = 2.0 * traj.tau * np.diagonal(s_dev[mask], axis1=1, axis2=2).real
+    residual = float(np.sqrt(np.max(orth_sq))) if orth_sq.size else 0.0
+    eps = _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev, mask)
     return DFStateReport(
         max_residual=residual,
         predicted_df=residual <= tol,
@@ -632,14 +703,26 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     grows linearly in lam; for spectra vanishing faster than linearly at the
     origin, slowing down wins.  One shared frequency grid keeps the points
     comparable.
+
+    `traj.rescaled(lam)` satisfies S^lam(lam s) = S(s) exactly, so its grid is
+    lam * s_i with weights lam * w_i and the same operators: one
+    interaction-picture pass and one bath evaluation serve every lambda.
     """
     if grid is None:
         grid = FrequencyGrid.for_trajectory(traj)
+    psi = _unit_state(psi)
+    omegas = grid.points
+    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
+    centered = _centered(ops, psi)
+    r_bath = coupling.bath.spectral_matrix(omegas)
     pts = []
-    for lam in lambdas:
-        scaled = traj.rescaled(float(lam))
-        res = error_frequency_domain(scaled, coupling, psi, grid, n_time=n_time)
-        pts.append(ScanPoint(lam=float(lam), epsilon=res.epsilon,
+    for lam in map(float, lambdas):
+        if lam <= 0:
+            raise ValueError("rescaling factor must be positive")
+        tau = lam * traj.tau
+        s_dev = _correlator(lam * s_grid, lam * weights, centered, omegas, tau)
+        res = _spectral_error(tau, omegas, r_bath, s_dev)
+        pts.append(ScanPoint(lam=lam, epsilon=res.epsilon,
                              boundary_warning=res.boundary_warning))
     eps = [p.epsilon for p in pts]
     dec = all(b < a for a, b in zip(eps, eps[1:]))

@@ -42,12 +42,14 @@ def definitional_df_subalgebra(channel, rtol=1e-9):
     """
     n = channel.dim
     basis = hermitian_basis(n)
-    m = len(basis)
-    images = [channel(h) for h in basis]
-    b = np.empty((m, m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            b[k, l] = np.trace(channel(basis[k] @ basis[l]) - images[k] @ images[l])
+    stack = np.stack(basis)
+    kraus = np.stack(channel.kraus_ops)
+    images = np.einsum("wba,kbc,wcd->kad", kraus.conj(), stack, kraus, optimize=True)
+    products = np.einsum("kab,lbc->klac", stack, stack)
+    # b[k, l] = Tr(Gamma(B_k B_l) - Gamma(B_k) Gamma(B_l)), the Kraus sum
+    # applied to all m^2 products at once
+    b = (np.einsum("wba,klbc,wca->kl", kraus.conj(), products, kraus, optimize=True)
+         - np.einsum("kab,lba->kl", images, images))
     q = 0.5 * np.real(b + b.T)
     evals, evecs = np.linalg.eigh(q)
     # unit-scale floor: the form of a fully dissipative channel has O(1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,12 +16,11 @@ from decofree.born import (
     error_frequency_domain,
     error_map,
     error_time_domain,
-    filter_operator,
     filter_operators,
     flat_bath,
     gate_speed_scan,
     gaussian_bath,
-    interaction_op,
+    interaction_ops,
     ohmic_bath,
     quartic_gaussian_bath,
     stationary_correlator_estimate,
@@ -95,26 +96,51 @@ class TestPropagator:
             ControlTrajectory(1.0, [(2.0, sm)])
 
 
+def interaction_at(traj, op, n_time=21):
+    """Grid and S(s_i) on it for one coupling operator."""
+    coupling = Coupling(system_ops=(op,), bath=gaussian_bath(1.0, 1.0))
+    s_grid, _, ops = interaction_ops(traj, coupling, n_time)
+    return s_grid, ops[0]
+
+
 class TestInteractionOps:
     def test_free_case_is_constant(self):
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)
-        assert np.allclose(interaction_op(traj, sx, 0.37), sx)
+        _, ops = interaction_at(traj, sx)
+        assert np.allclose(ops, sx)
 
     def test_qubit_rotation_closed_form(self):
         omega = 1.7
         traj = constant_trajectory(0.5 * omega * sz, 1.0)
-        for s in (-0.6, 0.0, 0.9):
-            expected = qubit_rotation_interaction_op(omega, s, 1.0)
-            assert np.max(np.abs(interaction_op(traj, sx, s) - expected)) < 1e-12
+        s_grid, ops = interaction_at(traj, sx)
+        for i in (4, 10, 19):  # s = -0.6, 0.0, 0.9
+            expected = qubit_rotation_interaction_op(omega, s_grid[i], 1.0)
+            assert np.max(np.abs(ops[i] - expected)) < 1e-12
 
     def test_commuting_coupling_is_unmoved(self):
         traj = constant_trajectory(0.8 * sz, 1.0)
-        assert np.allclose(interaction_op(traj, sz, 0.5), sz)
+        _, ops = interaction_at(traj, sz)
+        assert np.allclose(ops, sz)
 
     def test_hermiticity(self):
         traj = ControlTrajectory(1.0, [(1.2, sx), (0.8, sy)])
-        op = interaction_op(traj, sz, 0.3)
-        assert np.max(np.abs(op - dag(op))) < 1e-12
+        _, ops = interaction_at(traj, sz)
+        assert np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))) < 1e-12
+
+    def test_matches_propagator_reference(self, rng):
+        # the grid of 9 points (h = 0.25) puts s = -0.5 and s = 0.5 on the
+        # segment boundaries
+        traj = ControlTrajectory(1.0, [(0.5, random_hermitian(3, rng)),
+                                       (1.0, random_hermitian(3, rng)),
+                                       (0.5, random_hermitian(3, rng))])
+        coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
+                            bath=gaussian_bath(1.0, 1.0, n_ops=2))
+        s_grid, _, ops = interaction_ops(traj, coupling, 9)
+        assert {-0.5, 0.5} <= set(s_grid.tolist())
+        for i, s in enumerate(s_grid):
+            u = traj.propagator(-1.0, s)
+            for a, s_op in enumerate(coupling.system_ops):
+                assert np.max(np.abs(ops[a, i] - dag(u) @ s_op @ u)) < 1e-12
 
 
 class TestErrorMap:
@@ -238,7 +264,7 @@ class TestFilterOperators:
     def test_zero_frequency_free_case(self):
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
-        assert np.max(np.abs(filter_operator(traj, coupling, 0, 0.0) - 2.0 * sz)) < 1e-12
+        assert np.max(np.abs(filter_operators(traj, coupling, [0.0])[0, 0] - 2.0 * sz)) < 1e-12
 
     def test_sinc_profile(self):
         tau = 1.0
@@ -246,7 +272,7 @@ class TestFilterOperators:
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
         for w in (0.7, 2.0, 5.3):
             expected = 2 * tau * np.sin(w * tau) / (w * tau) * sz
-            assert np.max(np.abs(filter_operator(traj, coupling, 0, w) - expected)) < 1e-8
+            assert np.max(np.abs(filter_operators(traj, coupling, [w])[0, 0] - expected)) < 1e-8
 
     def test_commuting_control_keeps_sinc(self):
         tau = 1.0
@@ -254,16 +280,14 @@ class TestFilterOperators:
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
         w = 2.0
         expected = 2 * tau * np.sin(w * tau) / (w * tau) * sz
-        assert np.max(np.abs(filter_operator(traj, coupling, 0, w) - expected)) < 1e-8
+        assert np.max(np.abs(filter_operators(traj, coupling, [w])[0, 0] - expected)) < 1e-8
 
     def test_adjoint_is_reversed_phase_transform(self):
         traj = ControlTrajectory(1.0, [(1.1, 0.6 * sx), (0.9, 0.4 * sy)])
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
-        from decofree.born import interaction_ops
-
         s_grid, weights, ops = interaction_ops(traj, coupling, 401)
         for w in (0.0, 1.7):
-            y = filter_operator(traj, coupling, 0, w)
+            y = filter_operators(traj, coupling, [w])[0, 0]
             reversed_phase = np.einsum(
                 "i,icd->cd", weights * np.exp(1j * w * s_grid), ops[0]
             )
@@ -307,6 +331,21 @@ class TestDeviceCorrelator:
         for mat in s:
             assert np.max(np.abs(mat - dag(mat))) < 1e-12
             assert np.linalg.eigvalsh(mat).min() > -1e-12
+
+    def test_non_uniform_omegas_match_dense_filters(self, rng):
+        traj = ControlTrajectory(1.0, [(0.6, random_hermitian(3, rng)),
+                                       (1.4, random_hermitian(3, rng))])
+        coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
+                            bath=gaussian_bath(1.0, 1.0, n_ops=2))
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        omegas = np.array([-7.3, -0.41, 0.0, 0.05, 2.2, 2.25, 19.0])
+        y = filter_operators(traj, coupling, omegas)
+        ypsi = y @ psi
+        centered = ypsi - (ypsi @ psi.conj())[..., None] * psi
+        dense = np.einsum("awc,bwc->wab", centered.conj(), centered) / 2.0
+        s = device_correlator(traj, coupling, psi, omegas)
+        assert np.max(np.abs(s - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestFrequencyDomainError:
@@ -447,6 +486,35 @@ class TestGateSpeedScan:
                               PLUS, [1.0, 2.0, 4.0], grid=FrequencyGrid(10.0, 201))
         assert all(p.epsilon == 0.0 for p in res.points)
 
+    def test_matches_rescaled_frequency_route(self, rng, monkeypatch):
+        import decofree.born as born_module
+
+        traj = ControlTrajectory(1.0, [(0.5, random_hermitian(3, rng)),
+                                       (0.9, random_hermitian(3, rng)),
+                                       (0.6, random_hermitian(3, rng))])
+        coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
+                            bath=gaussian_bath(0.01 * np.array([[1.0, 0.4], [0.4, 0.9]]),
+                                               2.0, n_ops=2))
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        grid = FrequencyGrid.for_trajectory(traj)
+        lambdas = [1.0, 2.0, 3.0, 0.5]
+        calls = []
+        original = born_module.interaction_ops
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(born_module, "interaction_ops", counting)
+        res = gate_speed_scan(traj, coupling, psi, lambdas, grid=grid)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for lam, point in zip(lambdas, res.points):
+            ref = error_frequency_domain(traj.rescaled(lam), coupling, psi, grid)
+            assert abs(point.epsilon - ref.epsilon) <= 1e-12 * abs(ref.epsilon)
+            assert point.boundary_warning == ref.boundary_warning
+
     def test_rescaled_trajectory_keeps_unitary(self):
         traj = ControlTrajectory(1.0, [(1.0, 0.7 * sx), (1.0, 0.2 * sz)])
         scaled = traj.rescaled(3.0)
@@ -470,3 +538,45 @@ class TestStationaryCorrelatorDiagnostic:
         bin_width = omegas[1] - omegas[0]
         assert abs(peak_dev - peak_est) <= bin_width + 1e-12
         assert abs(abs(peak_dev) - omega0) <= 0.2
+
+
+class TestBathArrays:
+    FAMILIES = (
+        gaussian_bath(np.array([[1.0, 0.3], [0.3, 0.5]]), 1.3, n_ops=2),
+        flat_bath(0.2, cutoff=2.0),
+        ohmic_bath(0.5, -0.5, 1.5),
+        ohmic_bath(0.5, 1.5, 1.5, n_ops=2),
+        quartic_gaussian_bath(0.4, 1.1),
+        tabulated_bath(np.linspace(-3.0, 3.0, 61), np.exp(-np.linspace(-3.0, 3.0, 61) ** 2)),
+    )
+
+    @pytest.mark.parametrize("bath", FAMILIES, ids=lambda b: f"{b.label}-{b.n_ops}")
+    def test_array_equals_scalar_evaluation(self, bath):
+        omegas = np.array([-4.0, -2.0, -0.7, 0.0, 1e-3, 0.9, 2.0, 3.0, 5.5])
+        batch = bath.spectral_matrix(omegas)
+        assert batch.shape == (omegas.size, bath.n_ops, bath.n_ops)
+        for w, mat in zip(omegas, batch):
+            single = bath.spectral_matrix(w)
+            assert single.shape == (bath.n_ops, bath.n_ops)
+            assert np.allclose(mat, single, rtol=1e-14, atol=0.0)
+
+    def test_ohmic_sub_ohmic_is_silent_at_nonpositive_frequencies(self):
+        bath = ohmic_bath(0.5, -0.5, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = bath.spectral_matrix(np.array([-2.0, -1e-9, 0.0, 0.5]))
+        assert np.all(values[:3] == 0.0)
+        assert values[3, 0, 0].real > 0.0
+
+    def test_tabulated_validation(self):
+        omegas = np.linspace(-1.0, 1.0, 5)
+        good = np.tile(np.array([[1.0, 0.5j], [-0.5j, 1.0]]), (5, 1, 1))
+        tabulated_bath(omegas, good)
+        skew = good.copy()
+        skew[2, 0, 1] = 0.1
+        with pytest.raises(ValueError, match="hermitian"):
+            tabulated_bath(omegas, skew)
+        indefinite = good.copy()
+        indefinite[3] = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="PSD"):
+            tabulated_bath(omegas, indefinite)
