@@ -3,9 +3,9 @@
 Computes commutants, generated algebras and Wedderburn block structure of
 unital *-closed operator subspaces, and from those the decoherence-free
 subalgebras of channels and semigroups: the multiplicative domain of a single
-map, its largest invariant subspace (the domain of every iterate), the kernel
-of a detailed-balance dissipator, fixed-point spaces, and the relaxation
-profile onto the decoherence-free part.
+map, its largest invariant subspace (the domain of every iterate), the
+largest generator-invariant part of the Lindblad operators' commutant,
+fixed-point spaces, and the relaxation profile onto the decoherence-free part.
 
 All subspaces of M_n live as Frobenius-orthonormal matrix bases.  Rank
 decisions use a single scale-invariant rule: singular values below
@@ -21,14 +21,14 @@ import numpy as np
 from scipy.linalg import polar, subspace_angles
 
 from .channels import KrausMap, reduce_kraus
-from .lindblad import GKLSGenerator
+from .lindblad import GKLSGenerator, detailed_balance_check
 from .operators import (
     LiouvilleMetric,
-    commutator_superop,
     conjugation_superop,
     dag,
     eye,
     hermitian_part,
+    is_hermitian,
     left_mult_superop,
     matrix_unit,
     right_mult_superop,
@@ -53,7 +53,10 @@ def nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL, scale: float = 1.0)
     condition matrices so that a genuine constraint has unit magnitude.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    # economy SVD: only a wide matrix needs the full right factor for its kernel
+    if mat.shape[0] > mat.shape[1]:
+        # a tall matrix has the singular values and right factor of its R
+        mat = np.linalg.qr(mat, mode="r")
+    # only a wide matrix needs the full right factor for its kernel
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s > rtol * max(s[0], scale))) if s.size else 0
     return vh[rank:].conj().T
@@ -187,66 +190,106 @@ def full_algebra(n: int) -> MatrixAlgebra:
 # Commutants and generated algebras
 
 
+def _columns_algebra(q: np.ndarray, n: int) -> MatrixAlgebra:
+    return MatrixAlgebra(tuple(unvec(q[:, k], n) for k in range(q.shape[1])))
+
+
+def _commuting_part(q: np.ndarray, ops, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """Orthonormal columns spanning the largest subspace of span(q) commuting with every op.
+
+    q holds vectorized matrices X_j as orthonormal columns and the ops have
+    unit Frobenius norm.  The constraints X a - a X of each op, n x n products
+    over all X_j at once, are folded into the R factor of the QR of all
+    constraints stacked, so memory stays at one n^2 x dim q block; one
+    nullspace rank decision over every constraint is taken at the end.
+    """
+    m = q.shape[1]
+    n = ops[0].shape[0]
+    mats = q.T.reshape(m, n, n).transpose(0, 2, 1)  # mats[j] = unvec(q[:, j])
+    r = np.zeros((0, m), dtype=complex)
+    for a in ops:
+        rows = mats @ a
+        rows -= a @ mats
+        r = np.linalg.qr(np.vstack([r, rows.reshape(m, n * n).T]), mode="r")
+    return q @ nullspace(r, rtol)
+
+
+def _cluster_eigenvalues(evals: np.ndarray, gap: float):
+    """Split sorted eigenvalues into clusters separated by more than gap."""
+    order = np.argsort(evals)
+    groups = [[order[0]]]
+    for idx in order[1:]:
+        if evals[idx] - evals[groups[-1][-1]] > gap:
+            groups.append([idx])
+        else:
+            groups[-1].append(idx)
+    return groups
+
+
+def _random_hermitian_element(basis, rng) -> np.ndarray:
+    # real combinations of hermitian parts stay hermitian AND inside the
+    # (*-closed) span; a complex re-orthonormalization would break hermiticity
+    herm = []
+    for b in basis:
+        herm.append(hermitian_part(b))
+        herm.append(hermitian_part(1j * b))
+    coeffs = rng.normal(size=len(herm))
+    h = sum(c * m for c, m in zip(coeffs, herm))
+    return h / max(np.linalg.norm(h), 1e-300)
+
+
+def _commutant_of_closed(ops, rtol: float) -> MatrixAlgebra:
+    """Commutant of a *-closed set of unit-norm matrices.
+
+    Every X in it commutes with a hermitian element h of the set's span, so X
+    is block-diagonal in the eigenspaces of h (Murota, Kanno, Kojima & Kojima,
+    JJIAM 27, 2010).  With a generic h the search starts from those blocks:
+    sum_j m_j^2 unknowns for eigenspaces of dimension m_j instead of n^2.
+    Eigenvalues of the unit-norm h closer than 1e-5 are merged: a merge only
+    adds unknowns, and the gap keeps the computed eigenspaces within about
+    1e-16/gap of the true ones, far inside the nullspace floor.
+    """
+    n = ops[0].shape[0]
+    evals, evecs = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
+    # vec(v_i v_j†) = conj(v_j) kron v_i over each eigenspace's columns v
+    q = np.hstack([np.kron(evecs[:, g].conj(), evecs[:, g])
+                   for g in _cluster_eigenvalues(evals, 1e-5)])
+    return _columns_algebra(_commuting_part(q, ops, rtol), n)
+
+
 def commutant(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
     """Commutant of a set of matrices (adjoints adjoined, so the result is a *-algebra).
 
-    Solves the joint nullspace of X -> [X, A_i] by SVD of the stacked
-    commutator superoperators.
+    One commuting-subspace solve over the operators block-diagonal in the
+    eigenspaces of a seeded random hermitian element of the set.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
-    # numerically-zero operators impose no constraint; normalizing them would
-    # amplify rounding dirt into fake ones
+    # unit scale so the rank floor is meaningful; numerically-zero operators
+    # impose no constraint, and normalizing them would amplify rounding dirt
     if ops:
         top = max(np.linalg.norm(a) for a in ops)
-        ops = [a for a in ops if np.linalg.norm(a) > rtol * top]
+        ops = [a / np.linalg.norm(a) for a in ops if np.linalg.norm(a) > rtol * top]
     if not ops:
         if dim is None:
             raise ValueError("dim required for the commutant of the empty set")
         return full_algebra(dim)
-    n = ops[0].shape[0]
-    closed = []
-    for a in ops:
-        a = a / np.linalg.norm(a)  # unit scale so the rank floor is meaningful
-        closed.append(a)
-        closed.append(dag(a))
-    stacked = np.vstack([commutator_superop(a) for a in closed])
-    null = nullspace(stacked, rtol)
-    basis = [unvec(null[:, k], n) for k in range(null.shape[1])]
-    return MatrixAlgebra(tuple(basis))
+    closed = ops + [dag(a) for a in ops if not is_hermitian(a)]
+    return _commutant_of_closed(closed, rtol)
 
 
 def generated_algebra(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
     """Smallest unital *-algebra containing the given matrices.
 
-    Span enrichment by pairwise products, iterated until the dimension
-    stabilizes (at most n**2 rounds).
+    The double commutant (von Neumann's bicommutant theorem); the commutant's
+    basis spans a *-closed set, so no adjoints are adjoined to it.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     if not ops:
         if dim is None:
             raise ValueError("dim required for the algebra generated by nothing")
         return MatrixAlgebra((eye(dim) / np.sqrt(dim),))
-    n = ops[0].shape[0]
-    seed = [eye(n)]
-    for a in ops:
-        seed.append(a)
-        seed.append(dag(a))
-    basis = orthonormal_matrix_basis(seed, rtol)
-    frontier = list(basis)
-    while frontier:
-        products = [a @ b for a in frontier for b in basis]
-        products += [b @ a for a in frontier for b in basis]
-        enriched = orthonormal_matrix_basis(basis + products, rtol)
-        if len(enriched) == len(basis):
-            break
-        # new directions only, for the next product round
-        old = _basis_columns(basis)
-        frontier = [
-            b for b in enriched
-            if np.linalg.norm(vec(b) - old @ (old.conj().T @ vec(b))) > 0.5
-        ]
-        basis = enriched
-    return MatrixAlgebra(tuple(basis))
+    inner = commutant(ops, ops[0].shape[0], rtol=rtol)
+    return _commutant_of_closed(list(inner.basis), rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,30 +333,6 @@ class BlockDecomposition:
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(t[mask]))))
         return worst
-
-
-def _cluster_eigenvalues(evals: np.ndarray, gap: float):
-    """Split sorted eigenvalues into clusters separated by more than gap."""
-    order = np.argsort(evals)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if evals[idx] - evals[groups[-1][-1]] > gap:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return groups
-
-
-def _random_hermitian_element(basis, rng) -> np.ndarray:
-    # real combinations of hermitian parts stay hermitian AND inside the
-    # (*-closed) span; a complex re-orthonormalization would break hermiticity
-    herm = []
-    for b in basis:
-        herm.append(hermitian_part(b))
-        herm.append(hermitian_part(1j * b))
-    coeffs = rng.normal(size=len(herm))
-    h = sum(c * m for c, m in zip(coeffs, herm))
-    return h / max(np.linalg.norm(h), 1e-300)
 
 
 def _factor_matrix_units(block_basis, m: int, rng, gap: float, attempts: int):
@@ -379,11 +398,8 @@ def block_decompose(
     if alg.dim == n * n:
         return BlockDecomposition(blocks=((n, 1),), conjugator=eye(n))
     rng = np.random.default_rng(seed)
-    # center: X = sum_j c_j b_j with [X, b_i] = 0 for every basis element,
-    # solved over the algebra's own dim coordinates
-    cols = _basis_columns(alg.basis)
-    rows = np.vstack([commutator_superop(b) @ cols for b in alg.basis])
-    center = [unvec(v, n) for v in (cols @ nullspace(rows)).T]
+    # center: the part of the algebra commuting with every basis element
+    center = [unvec(v, n) for v in _commuting_part(_basis_columns(alg.basis), alg.basis).T]
     m_blocks = len(center)
 
     for _ in range(attempts):
@@ -449,9 +465,29 @@ def multiplicative_domain(channel: KrausMap, *, rtol: float = NULLSPACE_RTOL) ->
     for w in reduced.kraus_ops:
         rows.append(right_mult_superop(w) - left_mult_superop(w) @ g)
         rows.append(left_mult_superop(dag(w)) - right_mult_superop(dag(w)) @ g)
-    null = nullspace(np.vstack(rows), rtol)
-    basis = tuple(unvec(null[:, k], n) for k in range(null.shape[1]))
-    return MatrixAlgebra(basis)
+    return _columns_algebra(nullspace(np.vstack(rows), rtol), n)
+
+
+def _largest_invariant_subspace(g, q, max_steps: int, rtol: float = NULLSPACE_RTOL) -> tuple:
+    """Largest g-invariant subspace of span(q) as (columns, steps, reached).
+
+    S_0 = span(q), S_{j+1} = {A in S_j : g A in S_j}, one nullspace solve per
+    step, with g at unit norm so the rank floor keeps its meaning; reached is
+    False when max_steps stops the chain before its fixed point.  A
+    one-dimensional span is span{1}, which the maps of both callers keep.
+    """
+    norm = np.linalg.norm(g, 2)
+    if norm > 0:
+        g = g / norm
+    steps = 0
+    while q.shape[1] > 1 and steps < max_steps:
+        img = g @ q
+        c = nullspace(img - q @ (dag(q) @ img), rtol)
+        steps += 1
+        if c.shape[1] == q.shape[1]:
+            return q, steps, True
+        q = q @ c
+    return q, steps, q.shape[1] == 1
 
 
 @dataclass(frozen=True)
@@ -471,8 +507,7 @@ def df_algebra_discrete(
     """Observables evolving reversibly under every iterate of the map.
 
     The largest Gamma-invariant subspace of the multiplicative domain N_Gamma,
-    by the recursion S_0 = N_Gamma, S_{j+1} = {A in S_j : Gamma(A) in S_j};
-    each step is one nullspace solve over dim S_j coordinates.
+    by the recursion S_0 = N_Gamma, S_{j+1} = {A in S_j : Gamma(A) in S_j}.
 
     Why it is the decoherence-free algebra.  For a unital CP map, A is in
     N_Gamma iff Gamma(A*A) = Gamma(A)*Gamma(A) and Gamma(AA*) = Gamma(A)Gamma(A)*
@@ -494,34 +529,21 @@ def df_algebra_discrete(
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    n = channel.dim
     q = _basis_columns(multiplicative_domain(channel, rtol=rtol).basis)
-    g = channel.heisenberg_matrix()
-    k_used = 1
-    certificate = "max-k"
-    while q.shape[1] > 1 and k_used < max_k:
-        img = g @ q
-        c = nullspace(img - q @ (dag(q) @ img), rtol)
-        k_used += 1
-        if c.shape[1] == q.shape[1]:
-            certificate = "exact"
-            break
-        q = q @ c
-    if q.shape[1] == 1:
-        certificate = "exact"
-    current = MatrixAlgebra(tuple(unvec(q[:, k], n) for k in range(q.shape[1])))
+    q, steps, reached = _largest_invariant_subspace(channel.heisenberg_matrix(), q, max_k - 1, rtol)
+    certificate = "exact" if reached else "max-k"
+    current = _columns_algebra(q, channel.dim)
     if detailed_balance is not None:
         fixed = fixed_points(detailed_balance.dissipative, rtol=rtol)
         if subspaces_equal(list(current.basis), list(fixed.basis)):
             certificate = "exact"
-    return DiscreteDFResult(algebra=current, k_used=k_used, certificate=certificate)
+    return DiscreteDFResult(algebra=current, k_used=1 + steps, certificate=certificate)
 
 
 @dataclass(frozen=True)
 class SemigroupDFResult:
     algebra: MatrixAlgebra
-    certificate: str  # "exact" | "lower-bound" | "lower-bound-unverified"
-    commuting_parts: bool
+    certificate: str  # always "exact"
 
 
 def df_algebra_semigroup(
@@ -533,36 +555,20 @@ def df_algebra_semigroup(
 ) -> SemigroupDFResult:
     """Observables evolving reversibly under the whole semigroup.
 
-    With a detailed-balance metric the answer is exact: the kernel of the
-    dissipator superoperator.  Without one, the commutant of the Lindblad
-    operators and their adjoints (intersected with that kernel) is returned;
-    it is a certified lower bound when the Hamiltonian and dissipative parts
-    commute, and an unverified one otherwise.
+    The dissipation form is sum_k [L_k, x]†[L_k, x], so every decoherence-free
+    observable lies in S_0 = {L_k, L_k†}', where the generator acts as
+    i[H, .].  The algebra is the largest generator-invariant subspace of S_0,
+    the commutant of {delta_H^j(L_k), delta_H^j(L_k†) : j >= 0} (Dhahri,
+    Fagnola & Rebolledo, IDAQP 13, 2010), reached within dim S_0 steps: the
+    certificate is always "exact".  A metric adds a detailed-balance check.
     """
-    from .lindblad import detailed_balance_check
-
-    s_d = gen.dissipator_matrix()
     if metric is not None:
         report = detailed_balance_check(gen, metric, tol)
         if not report.passed:
             raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
-        null = nullspace(s_d, rtol)
-        basis = tuple(unvec(null[:, k], gen.dim) for k in range(null.shape[1]))
-        return SemigroupDFResult(
-            algebra=MatrixAlgebra(basis), certificate="exact", commuting_parts=True
-        )
-
-    comm = commutant(list(gen.lindblad_ops), gen.dim, rtol=rtol)
-    null = nullspace(s_d, rtol)
-    kernel = [unvec(null[:, k], gen.dim) for k in range(null.shape[1])]
-    basis = intersect_spans(list(comm.basis), kernel, rtol)
-    s_h = gen.hamiltonian_matrix()
-    scale = max(np.linalg.norm(s_h, 2) * np.linalg.norm(s_d, 2), 1.0)
-    commuting = bool(np.linalg.norm(s_h @ s_d - s_d @ s_h, 2) / scale <= tol)
-    certificate = "lower-bound" if commuting else "lower-bound-unverified"
-    return SemigroupDFResult(
-        algebra=MatrixAlgebra(tuple(basis)), certificate=certificate, commuting_parts=commuting
-    )
+    q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim, rtol=rtol).basis)
+    q, _, _ = _largest_invariant_subspace(gen.heisenberg_matrix(), q, q.shape[1], rtol)
+    return SemigroupDFResult(algebra=_columns_algebra(q, gen.dim), certificate="exact")
 
 
 # ---------------------------------------------------------------------------

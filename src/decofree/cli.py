@@ -132,7 +132,7 @@ def cmd_df(args) -> dict:
                 metric = LiouvilleMetric(jsonio.state_from_json(jsonio.load_json(args.metric)))
             res = algebra.df_algebra_semigroup(loaded, metric)
         report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
-        report.update({"command": "df", "commuting_parts": res.commuting_parts})
+        report["command"] = "df"
     return report
 
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoherence-free subalgebra of a channel or semigroup")
     p.add_argument("--channel")
     p.add_argument("--generator")
-    p.add_argument("--metric", help="faithful state JSON enabling the exact detailed-balance path")
+    p.add_argument("--metric", help="faithful state JSON; adds a detailed-balance check")
     p.add_argument("--max-k", type=int, default=25, dest="max_k",
                    help="cap on recursion steps for --channel: the domains of "
                         "Gamma^k are followed up to k = MAX_K")

@@ -88,17 +88,6 @@ def right_mult_superop(a: np.ndarray) -> np.ndarray:
     return np.kron(a.T, eye(a.shape[0]))
 
 
-def commutator_superop(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> [X, a]."""
-    return right_mult_superop(a) - left_mult_superop(a)
-
-
-def apply_superop(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    s = np.asarray(s)
-    n = int(round(np.sqrt(s.shape[0])))
-    return unvec(s @ vec(a), n)
-
-
 def conjugation_superop(u: np.ndarray) -> np.ndarray:
     """Matrix of the Heisenberg unitary action X -> u† X u."""
     return sandwich_superop(dag(u), u)

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths it checks: the
 decoherence-free subalgebra comes from the Gram matrix of the dissipation
 quadratic form instead of the Stinespring linearization, commutant dimensions
-from an eigendecomposition of a stacked Gram operator instead of an SVD
-nullspace, propagators from brute-force substepping, and integrals from
+from an eigendecomposition of a stacked Gram operator, commutants from the SVD
+of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
+solve, generated algebras by product enrichment instead of a double commutant,
+propagators from brute-force substepping, and integrals from
 closed forms.
 """
 
@@ -67,6 +69,41 @@ def commutant_dimension(ops, n):
         gram += c.conj().T @ c
     evals = np.linalg.eigvalsh(gram)
     return int(np.sum(np.abs(evals) <= 1e-10 * max(evals.max(), 1.0)))
+
+
+def _orthonormal_span(vectors, rtol=1e-9):
+    """Orthonormal rows spanning the given row vectors (SVD, relative cut)."""
+    _, s, vh = np.linalg.svd(np.asarray(vectors), full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return vh[:0]
+    return vh[s > rtol * s[0]]
+
+
+def stacked_commutant(ops, n, rtol=1e-9):
+    """Basis of {ops, ops†}' from the SVD of the stacked n^2 x n^2 commutator matrices."""
+    ident = np.eye(n, dtype=complex)
+    rows = []
+    for a in ops:
+        a = np.asarray(a, dtype=complex) / np.linalg.norm(a)
+        for b in (a, a.conj().T):
+            rows.append(np.kron(b.T, ident) - np.kron(ident, b))
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
+    return [v.reshape((n, n), order="F") for v in vh[rank:].conj()]
+
+
+def product_closure(ops, n, rtol=1e-9):
+    """Basis of the unital *-algebra generated by ops: span enrichment by products."""
+    seed = [np.eye(n, dtype=complex)]
+    for a in ops:
+        seed += [np.asarray(a, dtype=complex), np.asarray(a, dtype=complex).conj().T]
+    basis = [v.reshape(n, n) for v in _orthonormal_span([m.ravel() for m in seed], rtol)]
+    while True:
+        products = [a @ b for a in basis for b in basis]
+        enriched = _orthonormal_span([m.ravel() for m in basis + products], rtol)
+        if len(enriched) == len(basis):
+            return basis
+        basis = [v.reshape(n, n) for v in enriched]
 
 
 def substep_propagator(traj, s, t, n_steps=10000):

@@ -47,9 +47,15 @@ from decofree.operators import (
     sm,
     sx,
     sz,
+    unvec,
 )
 from decofree.symmetry import build_superradiance_generator, collective_op, collective_spin
-from oracles import commutant_dimension, definitional_df_subalgebra
+from oracles import (
+    commutant_dimension,
+    definitional_df_subalgebra,
+    product_closure,
+    stacked_commutant,
+)
 
 
 @pytest.fixture
@@ -120,9 +126,35 @@ class TestCommutant:
     def test_double_commutant_recovers_algebra(self, rng):
         for _ in range(5):
             ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))]
-            alg = generated_algebra(ops)
+            closure = product_closure(ops, 3)
             bicomm = commutant(list(commutant(ops).basis), 3)
-            assert subspaces_equal(list(alg.basis), list(bicomm.basis), tol=1e-7)
+            assert subspaces_equal(closure, list(bicomm.basis), tol=1e-7)
+            assert subspaces_equal(closure, list(generated_algebra(ops).basis), tol=1e-7)
+
+    @pytest.mark.parametrize("shape", [
+        ((2, 1), (1, 1)), ((2, 2),), ((3, 1), (1, 2)), ((2, 2), (2, 2)), ((1, 2), (1, 2), (2, 1)),
+    ], ids=str)
+    def test_matches_stacked_oracle_on_hidden_blocks(self, shape, rng):
+        # a few random elements of U (sum_j M_nj kron 1_dj) U†: every hermitian
+        # element has eigenvalues of multiplicity dj, equal only up to rounding
+        # once conjugated, so an eigenspace split by rounding loses elements
+        n = sum(nj * dj for nj, dj in shape)
+        u = random_unitary(n, rng)
+        ops = []
+        for _ in range(2):
+            m = np.zeros((n, n), dtype=complex)
+            off = 0
+            for nj, dj in shape:
+                a = rng.normal(size=(nj, nj)) + 1j * rng.normal(size=(nj, nj))
+                m[off:off + nj * dj, off:off + nj * dj] = np.kron(a, eye(dj))
+                off += nj * dj
+            ops.append(u @ m @ dag(u))
+        expected = stacked_commutant(ops, n)
+        assert len(expected) == sum(dj * dj for _, dj in shape)
+        assert subspaces_equal(list(commutant(ops).basis), expected, tol=1e-7)
+        hermitian = [ops[0] + dag(ops[0])]
+        assert subspaces_equal(list(commutant(hermitian).basis),
+                               stacked_commutant(hermitian, n), tol=1e-7)
 
     def test_anti_monotone(self, rng):
         small = [random_hermitian(4, rng)]
@@ -181,13 +213,17 @@ class TestBlockDecompose:
         assert d1.blocks == d2.blocks
         assert np.array_equal(d1.conjugator, d2.conjugator)
 
-    def test_collective_spin_four_qubits_within_one_gib(self):
+    @pytest.mark.parametrize("n_sites, blocks", [
+        (4, "((5, 1), (3, 3), (1, 2))"),
+        (5, "((6, 1), (4, 4), (2, 5))"),
+    ], ids=["N4", "N5"])
+    def test_collective_spin_four_qubits_within_one_gib(self, n_sites, blocks):
         child = (
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from decofree.algebra import block_decompose, generated_algebra\n"
             "from decofree.symmetry import collective_spin\n"
-            "print(block_decompose(generated_algebra(list(collective_spin(4)))).blocks)\n"
+            f"print(block_decompose(generated_algebra(list(collective_spin({n_sites})))).blocks)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -195,7 +231,7 @@ class TestBlockDecompose:
         run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                              text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "((5, 1), (3, 3), (1, 2))"
+        assert run.stdout.strip() == blocks
 
     def test_multiplicity_space_conjugation(self):
         # commutant of su(2) on two qubits: 1 (x) M_1 + singlet, transposed shape
@@ -349,7 +385,7 @@ class TestSemigroupDF:
         gen = GKLSGenerator(random_hermitian(3, rng))
         res = df_algebra_semigroup(gen)
         assert res.algebra.dim == 9
-        assert res.certificate == "lower-bound"
+        assert res.certificate == "exact"
 
     def test_gibbs_qubit_trivial(self, gibbs_qubit):
         res = df_algebra_semigroup(gibbs_qubit.generator, gibbs_qubit.metric())
@@ -369,10 +405,58 @@ class TestSemigroupDF:
 
         gen = build_superradiance_generator(2, 1.0, 1.0)
         res = df_algebra_semigroup(gen)
-        assert res.certificate == "lower-bound"
+        assert res.certificate == "exact"
         group_alg = build_permutation_rep(2, 2).group_algebra()
         assert group_alg.dim == 2
         assert group_alg.is_subalgebra_of(res.algebra)
+
+
+def _ladder(*rates):
+    # qutrit with E_0 > E_1 > E_2 and one lowering operator per given rate
+    ops = []
+    for level, rate in enumerate(rates):
+        v = np.zeros((3, 3), dtype=complex)
+        v[level + 1, level] = rate
+        ops.append(v)
+    return build_gibbs_generator(np.diag([2.0, 1.2, 0.0]), 0.8, ops)
+
+
+class TestSemigroupDFOracles:
+    @pytest.mark.parametrize("make_generator, dim", [
+        (lambda: GKLSGenerator(np.kron(sx, sx), [np.kron(sm, eye(2))]), 2),
+        (lambda: GKLSGenerator(sx, [sz]), 1),
+        (lambda: GKLSGenerator(np.kron(sx, sx), [np.kron(sz, eye(2)) + np.kron(eye(2), sz)]), 5),
+        (lambda: GKLSGenerator(random_hermitian(3, np.random.default_rng(3)),
+                               [np.diag([1.0, 1.0, -1.0])]), 1),
+    ], ids=["xx-coupling-decay", "drive-dephasing", "collective-dephasing-xx",
+            "random-qutrit-dephasing"])
+    def test_matches_one_step_channel_oracle(self, make_generator, dim):
+        # Hamiltonian and dissipator do not commute in any of these
+        from decofree.channels import power
+
+        gen = make_generator()
+        chan = channel_from_superop(expm(0.37 * gen.heisenberg_matrix()))
+        cumulative = None
+        for k in range(1, 4):
+            brute = definitional_df_subalgebra(power(chan, k))
+            cumulative = brute if cumulative is None else intersect_spans(cumulative, brute)
+        res = df_algebra_semigroup(gen)
+        assert res.certificate == "exact"
+        assert res.algebra.dim == dim
+        assert subspaces_equal(list(res.algebra.basis), cumulative, tol=1e-7)
+
+    @pytest.mark.parametrize("make_gibbs", [
+        lambda: build_gibbs_generator(-0.5 * sz, 1.0, [sm]),
+        lambda: _ladder(1.0, 0.7),
+        lambda: _ladder(1.0),
+    ], ids=["qubit", "qutrit-ladder", "qutrit-one-rung"])
+    def test_metric_gives_dissipator_kernel(self, make_gibbs):
+        gibbs = make_gibbs()
+        gen = gibbs.generator
+        res = df_algebra_semigroup(gen, gibbs.metric())
+        kernel = [unvec(v, gen.dim) for v in nullspace(gen.dissipator_matrix()).T]
+        assert res.certificate == "exact"
+        assert subspaces_equal(list(res.algebra.basis), kernel, tol=1e-7)
 
 
 class TestFixedPoints:

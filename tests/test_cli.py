@@ -205,6 +205,19 @@ def test_analyze_semigroup_thermal_qutrit(tmp_path, capsys):
     assert report["detailed_balance"]["hermitian_dissipator"] is True
 
 
+def test_df_generator_exact_without_commuting_parts(tmp_path, capsys):
+    # sigma_x drive with sigma_z dephasing: {sz}' is the diagonals, and the
+    # drive leaves only the identity
+    gen_path = tmp_path / "drive.json"
+    dump_json(generator_to_json(GKLSGenerator(sx, [sz])), str(gen_path))
+    code = main(["df", "--generator", str(gen_path)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dimension"] == 1
+    assert report["certificate"] == "exact"
+    assert "commuting_parts" not in report
+
+
 def test_invariance_command(tmp_path, capsys):
     gen_path = tmp_path / "sr.json"
     dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}, str(gen_path))

@@ -3,7 +3,6 @@ import pytest
 
 from decofree.operators import (
     LiouvilleMetric,
-    apply_superop,
     check_density_matrix,
     dag,
     eye,
@@ -73,12 +72,12 @@ class TestSandwich:
 
     def test_pauli_conjugation(self):
         s = sandwich_superop(sx, sx)
-        assert np.allclose(apply_superop(s, sz), -sz)
+        assert np.allclose(unvec(s @ vec(sz)), -sz)
 
     def test_matrix_unit(self):
         # projectors on either side pick out one entry of the all-ones matrix
         s = sandwich_superop(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        out = apply_superop(s, np.ones((2, 2)))
+        out = unvec(s @ vec(np.ones((2, 2))))
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
         assert np.allclose(out, expected)
@@ -88,7 +87,7 @@ class TestSandwich:
         right = random_hermitian(3, rng)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.allclose(
-            apply_superop(sandwich_superop(left, right), x), left @ x @ right
+            unvec(sandwich_superop(left, right) @ vec(x)), left @ x @ right
         )
 
     def test_composition(self, rng):
