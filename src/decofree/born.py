@@ -26,6 +26,10 @@ The error of a pure initial state psi against the ideal unitary is
 
 with the device correlator
 S_ab(w) = [<Y_a† Y_b> - <Y_a†><Y_b>] / (2 tau), a PSD matrix at every w.
+Both routes see the device only through the lag sums D_ab(l) of the centered
+vectors (S_a(s) - <S_a(s)>) psi on the uniform time grid (`_lag_sums`): the
+time route weights them with C_ab at the lags, the frequency route Fourier
+transforms them over the lags.
 
 Quadrature: composite Simpson in time (default 401 points per axis),
 trapezoid in frequency (default cutoff 40/tau, 4001 points).  No Lamb-shift
@@ -142,31 +146,33 @@ def constant_trajectory(hamiltonian: np.ndarray, tau: float) -> ControlTrajector
 class Bath:
     """Stationary bath seen through its correlation matrix and/or spectral density.
 
-    `spectral(w)` maps a frequency array of any shape to the hermitian PSD
-    matrices [R_ab(w)], shape (..., n_ops, n_ops); a result that broadcasts to
-    that shape, such as one constant matrix, is accepted.  `correlation(t)`
-    stays scalar-in: one time t to [C_ab(t)], with C_ab(-t) = conj(C_ba(t)).
-    Analytic families carry both as exact Fourier pairs; tabulated baths may
-    carry only the spectrum.
+    `spectral(w)` and `correlation(t)` both receive an array of any shape and
+    return the matrices [R_ab(w)] (hermitian PSD) and [C_ab(t)] (with
+    C_ab(-t) = conj(C_ba(t))), shape (..., n_ops, n_ops); a result that
+    broadcasts to that shape, such as one constant matrix, is accepted, but a
+    callable written for one scalar argument is not.  Analytic families carry
+    both as exact Fourier pairs; tabulated baths may carry only the spectrum.
     """
 
     n_ops: int
     label: str
     spectral: object = None     # callable w (array) -> (..., n_ops, n_ops)
-    correlation: object = None  # callable t (scalar) -> (n_ops, n_ops)
+    correlation: object = None  # callable t (array) -> (..., n_ops, n_ops)
+
+    def _evaluate(self, func, what: str, x) -> np.ndarray:
+        if func is None:
+            raise ValueError(f"bath '{self.label}' has no {what}")
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(np.asarray(func(x), dtype=complex),
+                               x.shape + (self.n_ops, self.n_ops))
 
     def spectral_matrix(self, omega) -> np.ndarray:
         """[R_ab(w)] at a frequency or an array of them, shape (..., n_ops, n_ops)."""
-        if self.spectral is None:
-            raise ValueError(f"bath '{self.label}' has no spectral density")
-        omega = np.asarray(omega, dtype=float)
-        return np.broadcast_to(np.asarray(self.spectral(omega), dtype=complex),
-                               omega.shape + (self.n_ops, self.n_ops))
+        return self._evaluate(self.spectral, "spectral density", omega)
 
-    def correlation_matrix(self, t: float) -> np.ndarray:
-        if self.correlation is None:
-            raise ValueError(f"bath '{self.label}' has no correlation function")
-        return np.atleast_2d(np.asarray(self.correlation(t), dtype=complex))
+    def correlation_matrix(self, t) -> np.ndarray:
+        """[C_ab(t)] at a time or an array of them, shape (..., n_ops, n_ops)."""
+        return self._evaluate(self.correlation, "correlation function", t)
 
 
 def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
@@ -181,7 +187,7 @@ def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
 
 
 def _times(m: np.ndarray, profile) -> np.ndarray:
-    """The coupling matrix m scaled by a scalar profile at every frequency."""
+    """The coupling matrix m scaled by a scalar profile at every frequency or time."""
     return m * np.asarray(profile)[..., None, None]
 
 
@@ -193,7 +199,8 @@ def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
         n_ops=n_ops,
         label="gaussian",
         spectral=lambda omega: _times(m, np.exp(-omega ** 2 / (2.0 * w ** 2))),
-        correlation=lambda t: m * (w * np.sqrt(2.0 * np.pi) * np.exp(-0.5 * (w * t) ** 2)),
+        correlation=lambda t: _times(m, w * np.sqrt(2.0 * np.pi)
+                                     * np.exp(-0.5 * (w * t) ** 2)),
     )
 
 
@@ -201,17 +208,11 @@ def flat_bath(level=1.0, cutoff: float = 50.0, n_ops: int = 1) -> Bath:
     """White spectrum up to a sharp cutoff; C(t) = 2 * level * sin(cutoff t)/t."""
     m = _coupling_matrix(level, n_ops)
     wc = float(cutoff)
-
-    def corr(t):
-        if abs(t) < 1e-300:
-            return m * (2.0 * wc)
-        return m * (2.0 * np.sin(wc * t) / t)
-
     return Bath(
         n_ops=n_ops,
         label="flat",
         spectral=lambda omega: _times(m, np.where(np.abs(omega) <= wc, 1.0, 0.0)),
-        correlation=corr,
+        correlation=lambda t: _times(m, 2.0 * wc * np.sinc(wc * t / np.pi)),
     )
 
 
@@ -234,11 +235,8 @@ def ohmic_bath(coupling: float = 1.0, exponent: float = 1.0, cutoff: float = 1.0
         return _times(m, np.where(positive, g2 * w ** k * np.exp(-w / wc), 0.0))
 
     pref = g2 * gamma_function(k + 1.0) * wc ** (k + 1.0)
-
-    def corr(t):
-        return m * (pref / (1.0 + 1j * wc * t) ** (k + 1.0))
-
-    return Bath(n_ops=n_ops, label="ohmic", spectral=spec, correlation=corr)
+    return Bath(n_ops=n_ops, label="ohmic", spectral=spec,
+                correlation=lambda t: _times(m, pref / (1.0 + 1j * wc * t) ** (k + 1.0)))
 
 
 def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
@@ -255,7 +253,7 @@ def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int 
     def corr(t):
         x = 0.5 * w * t
         h4 = 16.0 * x ** 4 - 48.0 * x ** 2 + 12.0
-        return m * (g2 * np.sqrt(np.pi) * w * (0.5 * w) ** 4 * h4 * np.exp(-x ** 2))
+        return _times(m, g2 * np.sqrt(np.pi) * w * (0.5 * w) ** 4 * h4 * np.exp(-x ** 2))
 
     return Bath(
         n_ops=n_ops,
@@ -317,12 +315,11 @@ class Coupling:
         return self.system_ops[0].shape[0]
 
     def validate_correlations(self, times, tol: float = 1e-8) -> None:
-        """Check C_ab(-t) = conj(C_ba(t)) on sample times."""
-        for t in times:
-            c_plus = self.bath.correlation_matrix(t)
-            c_minus = self.bath.correlation_matrix(-t)
-            if np.max(np.abs(c_minus - c_plus.conj().T)) > tol:
-                raise ValueError("bath correlation matrix violates hermiticity in time")
+        """Check C_ab(-t) = conj(C_ba(t)) on sample times, in one bath call."""
+        t = np.asarray(times, dtype=float)
+        c = self.bath.correlation_matrix(np.concatenate([t, -t]))
+        if np.max(np.abs(c[t.size:] - c[:t.size].conj().swapaxes(-1, -2))) > tol:
+            raise ValueError("bath correlation matrix violates hermiticity in time")
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +400,29 @@ class BornErrorMap:
         return unvec(self.phi_schrodinger @ vec(np.asarray(rho, dtype=complex)), self.dim)
 
 
-def _correlation_kernel(coupling: Coupling, tau: float, s_grid: np.ndarray) -> np.ndarray:
-    """C[a, b, i, j] = C_ab(s_i - s_j), after checking C(-t) = C(t)†.
+def _lag_correlations(coupling: Coupling, tau: float, s_grid: np.ndarray) -> np.ndarray:
+    """C_ab(l h) at the 2g - 1 lags |l| < g of the uniform grid, shape (2g - 1, r, r).
 
-    The grid is uniform, so only the 2g - 1 distinct lags need a bath
-    evaluation.
+    One bath call, after checking C(-t) = C(t)†.
     """
     coupling.validate_correlations([0.0, 0.37 * tau, tau])
     g = s_grid.size
-    h = s_grid[1] - s_grid[0]
-    lags = np.arange(-(g - 1), g) * h
-    lag_vals = np.stack([coupling.bath.correlation_matrix(t) for t in lags])
-    lag_index = np.arange(g)[:, None] - np.arange(g)[None, :] + (g - 1)
-    return lag_vals[lag_index].transpose(2, 3, 0, 1)
+    return coupling.bath.correlation_matrix(np.arange(1 - g, g) * (s_grid[1] - s_grid[0]))
+
+
+def _lag_sums(x: np.ndarray) -> np.ndarray:
+    """D[g - 1 + l, a, b] = sum_{i - j = l} <x_a(s_j)|x_b(s_i)> for |l| < g.
+
+    x has shape (r, g, n) and D shape (2g - 1, r, r).  Every Born error sees
+    the device only through these sums.  They are one FFT along the grid,
+    zero-padded to at least 2g - 1 points so that the circular correlation
+    folds no pair onto a wrong lag: O(rgn + r^2 g) memory and never the
+    g x g Gram matrix.
+    """
+    g = x.shape[1]
+    f = np.fft.fft(x, n=1 << (2 * g - 2).bit_length(), axis=1).transpose(1, 0, 2)
+    circular = np.fft.ifft(f.conj() @ f.transpose(0, 2, 1), axis=0)
+    return circular[np.arange(1 - g, g)]
 
 
 def error_map(traj: ControlTrajectory, coupling: Coupling,
@@ -427,10 +434,12 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     discrete map is completely positive up to rounding.
     """
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    kernel = _correlation_kernel(coupling, traj.tau, s_grid)
+    g = n_time
+    lag_index = np.arange(g)[:, None] - np.arange(g)[None, :] + (g - 1)
+    # kernel[a, b, i, j] = C_ab(s_i - s_j), the g x g Toeplitz expansion of the lags
+    kernel = _lag_correlations(coupling, traj.tau, s_grid)[lag_index].transpose(2, 3, 0, 1)
     n = traj.dim
     r = coupling.n_ops
-    g = n_time
 
     weighted = ops * weights[None, :, None, None]
     phi = np.zeros((n * n, n * n), dtype=complex)
@@ -467,9 +476,10 @@ def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
                       emap: BornErrorMap | None = None) -> float:
     """eps = <psi|K|psi> - <psi|Phi*(|psi><psi|)|psi> for a unit vector psi.
 
-    Without `emap` the same number is the Gram sum over the centered vectors,
-    eps = sum_ab sum_ij w_i w_j C_ab(s_i - s_j) <c_a(s_j)|c_b(s_i)>, which
-    never builds the n^2 x n^2 error map.
+    Without `emap` the same number is read off the lag sums D of the weighted
+    centered vectors x_a(s_i) = w_i c_a(s_i):
+    eps = sum_ab sum_ij C_ab(s_i - s_j) <x_a(s_j)|x_b(s_i)> = sum_ab sum_l C_ab(lh) D_ab(l),
+    which builds neither the n^2 x n^2 error map nor a g x g kernel.
     """
     psi = _unit_state(psi)
     if emap is not None:
@@ -477,12 +487,8 @@ def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
         val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
         return float(val.real)
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    kernel = _correlation_kernel(coupling, traj.tau, s_grid)
-    x = _centered(ops, psi) * weights[:, None]
-    r, g, n = x.shape
-    flat = x.reshape(r * g, n)
-    gram = (flat.conj() @ flat.T).reshape(r, g, r, g)  # [a, j, b, i] = <x_a(j)|x_b(i)>
-    return float(np.einsum("abij,ajbi->", kernel, gram).real)
+    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    return float(np.einsum("lab,lab->", _lag_correlations(coupling, traj.tau, s_grid), d).real)
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +516,14 @@ class FrequencyGrid:
     def points(self) -> np.ndarray:
         return np.linspace(-self.omega_max, self.omega_max, self.n_points)
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.omega_max / (self.n_points - 1)
-
 
 def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
                      *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
     """Windowed Fourier transforms Y_a(w) = integral S_a(s) e^{-iws} ds.
 
     Returns the full operators, shape (n_ops, len(omegas), n, n); the error
-    needs only Y_a(w)|psi>, which `device_correlator` forms without them.
+    needs only the covariance of Y_a(w)|psi>, which `device_correlator` reads
+    off the lag sums without them.
     For hermitian couplings Y_a(w)† equals the transform with e^{+iws}.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -529,26 +532,23 @@ def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
     return np.einsum("wi,aicd->awcd", phases, ops)
 
 
-def _transform(s_grid: np.ndarray, weights: np.ndarray, vecs: np.ndarray,
-               omegas: np.ndarray) -> np.ndarray:
-    """sum_i w_i e^{-iws_i} vecs[a, i] at every w, shape (n_ops, len(omegas), n).
+def _lag_transform(d: np.ndarray, h: float, omegas: np.ndarray) -> np.ndarray:
+    """sum_l e^{-iwlh} d[g - 1 + l] over the lags |l| < g, shape (len(omegas), r, r).
 
-    The grid is uniform, s_{cC+j} = s_0 + (cC + j) h, so the phase factors as
-    e^{-iw(s_0 + cCh)} e^{-iwjh}: with C ~ sqrt(g) that is W (C + g/C) phases,
-    one GEMM over j and one small sum over c, and never the W x g phase
-    matrix.  Any set of frequencies works.
+    The lags are uniform, l = cC + j - (g - 1), so the phase factors as
+    e^{-iw(cC - g + 1)h} e^{-iwjh}: with C ~ sqrt(2g) that is W (C + 2g/C)
+    phases, one GEMM over j and one small sum over c, and never the
+    W x (2g - 1) phase matrix.  Any set of frequencies works.
     """
-    r, g, n = vecs.shape
-    h = (s_grid[-1] - s_grid[0]) / (g - 1)
-    size = int(np.ceil(np.sqrt(g)))
-    blocks = -(-g // size)
-    x = np.zeros((blocks * size, r * n), dtype=complex)
-    x[:g] = (vecs * weights[:, None]).transpose(1, 0, 2).reshape(g, r * n)
-    x = x.reshape(blocks, size, r * n).transpose(1, 0, 2).reshape(size, blocks * r * n)
-    z = (_phases(omegas, 0.0, h, size).T @ x).reshape(omegas.size, blocks, r * n)
-    outer = _phases(omegas, s_grid[0], size * h, blocks).T
-    out = (outer[:, None, :] @ z)[:, 0]
-    return out.reshape(omegas.size, r, n).transpose(1, 0, 2)
+    count, r, _ = d.shape
+    size = int(np.ceil(np.sqrt(count)))
+    blocks = -(-count // size)
+    x = np.zeros((blocks * size, r * r), dtype=complex)
+    x[:count] = d.reshape(count, r * r)
+    x = x.reshape(blocks, size, r * r).transpose(1, 0, 2).reshape(size, blocks * r * r)
+    z = (_phases(omegas, 0.0, h, size).T @ x).reshape(omegas.size, blocks, r * r)
+    outer = _phases(omegas, -(count // 2) * h, size * h, blocks).T
+    return (outer[:, None, :] @ z)[:, 0].reshape(omegas.size, r, r)
 
 
 def _phases(omegas: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
@@ -565,25 +565,21 @@ def _phases(omegas: np.ndarray, start: float, step: float, count: int) -> np.nda
     return out
 
 
-def _correlator(s_grid, weights, centered, omegas, tau: float) -> np.ndarray:
-    """S_ab(w) = <v_a(w)|v_b(w)> / (2 tau) with v_a(w) the transform of c_a(s)."""
-    v = _transform(s_grid, weights, centered, omegas)
-    return np.einsum("awc,bwc->wab", v.conj(), v) / (2.0 * tau)
-
-
 def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, omegas,
                       *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
     """State covariance of the filter operators, shape (len(omegas), n_ops, n_ops).
 
     S_ab(w) = [<psi|Y_a†Y_b|psi> - <psi|Y_a†|psi><psi|Y_b|psi>] / (2 tau);
     a PSD Gram matrix at every frequency.  The centered vectors
-    (Y_a(w) - <Y_a(w)>) psi are the transforms of c_a(s), so psi is
-    contracted before the transform.
+    (Y_a(w) - <Y_a(w)>) psi are the transforms of c_a(s), so their Gram matrix
+    is the transform of the lag sums D of x_a(s_i) = w_i c_a(s_i):
+    S_ab(w) = sum_l e^{-iwlh} D_ab(l) / (2 tau).
     """
     psi = _unit_state(psi)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    return _correlator(s_grid, weights, _centered(ops, psi), omegas, traj.tau)
+    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    return _lag_transform(d, s_grid[1] - s_grid[0], omegas) / (2.0 * traj.tau)
 
 
 @dataclass(frozen=True)
@@ -705,22 +701,24 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     comparable.
 
     `traj.rescaled(lam)` satisfies S^lam(lam s) = S(s) exactly, so its grid is
-    lam * s_i with weights lam * w_i and the same operators: one
-    interaction-picture pass and one bath evaluation serve every lambda.
+    lam * s_i with weights lam * w_i and the same operators: its lag sums are
+    lam^2 D on the step lam h, and one interaction-picture pass, one set of
+    lag sums and one bath evaluation serve every lambda.
     """
     if grid is None:
         grid = FrequencyGrid.for_trajectory(traj)
     psi = _unit_state(psi)
     omegas = grid.points
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    centered = _centered(ops, psi)
+    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    h = s_grid[1] - s_grid[0]
     r_bath = coupling.bath.spectral_matrix(omegas)
     pts = []
     for lam in map(float, lambdas):
         if lam <= 0:
             raise ValueError("rescaling factor must be positive")
         tau = lam * traj.tau
-        s_dev = _correlator(lam * s_grid, lam * weights, centered, omegas, tau)
+        s_dev = _lag_transform(lam ** 2 * d, lam * h, omegas) / (2.0 * tau)
         res = _spectral_error(tau, omegas, r_bath, s_dev)
         pts.append(ScanPoint(lam=lam, epsilon=res.epsilon,
                              boundary_warning=res.boundary_warning))
@@ -742,28 +740,17 @@ def stationary_correlator_estimate(traj: ControlTrajectory, coupling: Coupling,
     Mirrors the construction of the device correlator as the transform of
     lim (1/2 tau) integral ds [<S_a(t+s) S_b(s)> - <S_a(t+s)><S_b(s)>]; the
     limit of an infinite window is only approximated here, so this is a
-    shape diagnostic (peak positions), not a calibrated quantity.
+    shape diagnostic (peak positions), not a calibrated quantity.  On the grid
+    the covariance at lag lh is the mean over its g - |l| pairs,
+    sum_j <c_a(s_j + lh)|c_b(s_j)> / (g - |l|) = D_ab(-l) / (g - |l|) with D
+    the lag sums of the unweighted centered vectors, so its e^{+iwlh}
+    transform is `_lag_transform` of D / (g - |l|).
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = _unit_state(psi)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     s_grid, _, ops = interaction_ops(traj, coupling, n_time)
-    g = len(s_grid)
+    g = s_grid.size
     h = s_grid[1] - s_grid[0]
-    r = coupling.n_ops
-
-    means = np.einsum("c,aicd,d->ai", psi.conj(), ops, psi)
-    lags = np.arange(-(g - 1), g)
-    cov = np.zeros((r, r, lags.size), dtype=complex)
-    for li, lag in enumerate(lags):
-        if lag >= 0:
-            idx_t, idx_s = np.arange(lag, g), np.arange(0, g - lag)
-        else:
-            idx_t, idx_s = np.arange(0, g + lag), np.arange(-lag, g)
-        prod = np.einsum("c,aicd,bidf,f->abi", psi.conj(), ops[:, idx_t],
-                         ops[:, idx_s], psi, optimize=True)
-        mean_term = np.einsum("ai,bi->abi", means[:, idx_t], means[:, idx_s])
-        cov[:, :, li] = (prod - mean_term).mean(axis=2)
-
-    t_lags = lags * h
-    phases = np.exp(1j * omegas[:, None] * t_lags[None, :]) * h / (2.0 * np.pi)
-    return np.einsum("wl,abl->wab", phases, cov)
+    pairs = g - np.abs(np.arange(1 - g, g))
+    cov = _lag_sums(_centered(ops, psi)) / pairs[:, None, None]
+    return _lag_transform(cov, h, omegas) * (h / (2.0 * np.pi))

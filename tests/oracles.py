@@ -6,8 +6,9 @@ quadratic form instead of the Stinespring linearization, commutant dimensions
 from an eigendecomposition of a stacked Gram operator, commutants from the SVD
 of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
 solve, generated algebras by product enrichment instead of a double commutant,
-propagators from brute-force substepping, and integrals from
-closed forms.
+propagators from brute-force substepping, lag sums pair by pair instead of
+by FFT, the stationary covariance one lag at a time, and integrals from
+closed forms.  Nothing here imports `decofree.born`.
 """
 
 import numpy as np
@@ -120,6 +121,45 @@ def substep_propagator(traj, s, t, n_steps=10000):
         h = traj.segments[idx].hamiltonian
         u = expm(-1j * h * (times[k + 1] - times[k])) @ u
     return u
+
+
+def lag_sums_double_loop(x):
+    """D[g - 1 + l, a, b] = sum over i - j = l of <x_a(j)|x_b(i)>, one pair at a time."""
+    r, g, _ = x.shape
+    d = np.zeros((2 * g - 1, r, r), dtype=complex)
+    for i in range(g):
+        for j in range(g):
+            for a in range(r):
+                for b in range(r):
+                    d[g - 1 + i - j, a, b] += np.vdot(x[a, j], x[b, i])
+    return d
+
+
+def stationary_covariance_spectrum(s_grid, ops, psi, omegas):
+    """Window-averaged covariance of ops[a, i] = S_a(s_i) in psi, lag by lag.
+
+    cov_ab(t) averages <S_a(s + t) S_b(s)> - <S_a(s + t)><S_b(s)> over the
+    grid pairs at lag t; the result is sum_t e^{iwt} cov_ab(t) h / (2 pi).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    omegas = np.asarray(omegas, dtype=float)
+    g = len(s_grid)
+    h = s_grid[1] - s_grid[0]
+    r = ops.shape[0]
+    means = np.einsum("c,aicd,d->ai", psi.conj(), ops, psi)
+    lags = np.arange(-(g - 1), g)
+    cov = np.zeros((r, r, lags.size), dtype=complex)
+    for li, lag in enumerate(lags):
+        if lag >= 0:
+            idx_t, idx_s = np.arange(lag, g), np.arange(0, g - lag)
+        else:
+            idx_t, idx_s = np.arange(0, g + lag), np.arange(-lag, g)
+        prod = np.einsum("c,aicd,bidf,f->abi", psi.conj(), ops[:, idx_t],
+                         ops[:, idx_s], psi, optimize=True)
+        mean_term = np.einsum("ai,bi->abi", means[:, idx_t], means[:, idx_s])
+        cov[:, :, li] = (prod - mean_term).mean(axis=2)
+    phases = np.exp(1j * omegas[:, None] * (lags * h)[None, :]) * h / (2.0 * np.pi)
+    return np.einsum("wl,abl->wab", phases, cov)
 
 
 def exp_corr_square_integral(g, t_c, tau):

@@ -25,6 +25,7 @@ from decofree.born import (
     quartic_gaussian_bath,
     stationary_correlator_estimate,
     tabulated_bath,
+    _lag_sums,
 )
 from decofree.channels import cp_check
 from decofree.operators import dag, eye, random_density, random_hermitian, sm, sx, sy, sz
@@ -32,7 +33,9 @@ from decofree.symmetry import collective_op, singlet_state
 from oracles import (
     exp_corr_square_integral,
     gaussian_corr_square_integral,
+    lag_sums_double_loop,
     qubit_rotation_interaction_op,
+    stationary_covariance_spectrum,
     substep_propagator,
 )
 
@@ -45,7 +48,7 @@ def exp_bath(g, t_c):
         n_ops=1,
         label="exp",
         spectral=None,
-        correlation=lambda t: np.array([[g * g * np.exp(-abs(t) / t_c)]], dtype=complex),
+        correlation=lambda t: (g * g * np.exp(-np.abs(t) / t_c))[..., None, None],
     )
 
 
@@ -175,7 +178,7 @@ class TestErrorMap:
 
     def test_rejects_bad_correlation_symmetry(self):
         bad = Bath(n_ops=1, label="bad",
-                   correlation=lambda t: np.array([[t]], dtype=complex))
+                   correlation=lambda t: np.asarray(t, dtype=complex)[..., None, None])
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)
         with pytest.raises(ValueError, match="hermiticity"):
             error_map(traj, Coupling(system_ops=(sz,), bath=bad))
@@ -539,6 +542,33 @@ class TestStationaryCorrelatorDiagnostic:
         assert abs(peak_dev - peak_est) <= bin_width + 1e-12
         assert abs(abs(peak_dev) - omega0) <= 0.2
 
+    def test_matches_per_lag_oracle(self, rng):
+        traj = ControlTrajectory(1.0, [(0.7, 0.9 * sx + 0.3 * sz), (1.3, 0.5 * sy)])
+        coupling = Coupling(system_ops=(sx, sz), bath=gaussian_bath(1.0, 1.0, n_ops=2))
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        omegas = np.linspace(-6.0, 6.0, 25)
+        est = stationary_correlator_estimate(traj, coupling, psi, omegas, n_time=41)
+        s_grid, _, ops = interaction_ops(traj, coupling, 41)
+        ref = stationary_covariance_spectrum(s_grid, ops, psi, omegas)
+        assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_requires_normalized_state(self):
+        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
+        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
+        with pytest.raises(ValueError, match="normalized"):
+            stationary_correlator_estimate(traj, coupling, np.array([1.0, 1.0]), [0.0])
+
+
+class TestLagSums:
+    @pytest.mark.parametrize("g", [1, 9])
+    def test_matches_double_loop(self, rng, g):
+        x = rng.normal(size=(2, g, 3)) + 1j * rng.normal(size=(2, g, 3))
+        d = _lag_sums(x)
+        ref = lag_sums_double_loop(x)
+        assert d.shape == ref.shape == (2 * g - 1, 2, 2)
+        assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestBathArrays:
     FAMILIES = (
@@ -549,16 +579,34 @@ class TestBathArrays:
         quartic_gaussian_bath(0.4, 1.1),
         tabulated_bath(np.linspace(-3.0, 3.0, 61), np.exp(-np.linspace(-3.0, 3.0, 61) ** 2)),
     )
+    INPUTS = (
+        [pytest.param(b, "spectral_matrix", id=f"{b.label}-{b.n_ops}") for b in FAMILIES]
+        + [pytest.param(b, "correlation_matrix", id=f"{b.label}-{b.n_ops}-correlation")
+           for b in FAMILIES if b.correlation is not None]
+    )
 
-    @pytest.mark.parametrize("bath", FAMILIES, ids=lambda b: f"{b.label}-{b.n_ops}")
-    def test_array_equals_scalar_evaluation(self, bath):
-        omegas = np.array([-4.0, -2.0, -0.7, 0.0, 1e-3, 0.9, 2.0, 3.0, 5.5])
-        batch = bath.spectral_matrix(omegas)
-        assert batch.shape == (omegas.size, bath.n_ops, bath.n_ops)
-        for w, mat in zip(omegas, batch):
-            single = bath.spectral_matrix(w)
+    @pytest.mark.parametrize("bath, method", INPUTS)
+    def test_array_equals_scalar_evaluation(self, bath, method):
+        if method == "spectral_matrix":
+            points = np.array([-4.0, -2.0, -0.7, 0.0, 1e-3, 0.9, 2.0, 3.0, 5.5])
+        else:
+            points = np.array([-2.5, -0.3, 0.0, 1e-9, 0.7, 3.0])
+        evaluate = getattr(bath, method)
+        batch = evaluate(points)
+        assert batch.shape == (points.size, bath.n_ops, bath.n_ops)
+        for x, mat in zip(points, batch):
+            single = evaluate(x)
             assert single.shape == (bath.n_ops, bath.n_ops)
             assert np.allclose(mat, single, rtol=1e-14, atol=0.0)
+
+    def test_flat_correlation_at_zero_is_exact(self):
+        level, cutoff = 0.2, 2.0
+        bath = flat_bath(level, cutoff=cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = bath.correlation_matrix(np.array([0.0, 0.4]))[0]
+            single = bath.correlation_matrix(0.0)
+        assert at_zero[0, 0] == single[0, 0] == 2.0 * level * cutoff
 
     def test_ohmic_sub_ohmic_is_silent_at_nonpositive_frequencies(self):
         bath = ohmic_bath(0.5, -0.5, 1.5)

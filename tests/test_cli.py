@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import decofree
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
 from decofree.channels import channel_from_superop, dephasing_channel
@@ -131,6 +135,34 @@ def test_born_error_matches_library(workdir, capsys):
     assert report["epsilon_time"] == error_time_domain(traj, coupling, plus)
     expected = error_frequency_domain(traj, coupling, plus, FrequencyGrid.for_trajectory(traj))
     assert report["epsilon_frequency"] == expected.epsilon
+
+
+def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path):
+    # two coupling operators on a qubit: both routes read the lag sums, so
+    # nothing of size g x g is built at g = 20001
+    files = {name: str(tmp_path / f"{name}.json") for name in ("traj", "coupling", "psi")}
+    dump_json(trajectory_to_json(ControlTrajectory(1.0, [(0.8, 0.6 * sx), (1.2, 0.4 * sz)])),
+              files["traj"])
+    dump_json({"S": [matrix_to_json(sx), matrix_to_json(sz)],
+               "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}}, files["coupling"])
+    dump_json(vector_to_json(np.array([0.6, 0.8])), files["psi"])
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from decofree.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["born-error", "--traj", files["traj"], "--coupling", files["coupling"],
+            "--psi", files["psi"], "--time-points", "20001"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    eps_t, eps_f = report["epsilon_time"], report["epsilon_frequency"]
+    assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
 
 
 def test_scan_monotone_flags(workdir, capsys):
