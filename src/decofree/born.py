@@ -39,13 +39,13 @@ physical one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gamma as gamma_function
 
+# sandwich_superop is not called here; it stays bound for the benchmark's per-layer call count
 from .operators import dag, eye, hermitian_part, is_hermitian, sandwich_superop, unvec, vec
 
 DEFAULT_TIME_POINTS = 401
@@ -67,19 +67,17 @@ class ControlTrajectory:
     """Piecewise-constant control Hamiltonian on [-tau, tau].
 
     Segment durations must be positive and sum to 2 tau; smooth controls must
-    be pre-sampled by the caller.  Segment exponentials keep the propagator
-    cocycle exact.
+    be pre-sampled by the caller.  Each segment Hamiltonian is diagonalized
+    once, H_k = V diag(e) V†; with t_k the segment start and R = V† U(t_k, -tau),
+    U(s, -tau) = V diag(e^{-ie(s - t_k)}) R inside it.  This one factorization
+    serves `propagator` and every interaction-picture operator or vector.
     """
 
     def __init__(self, tau: float, segments, *, tol: float = 1e-9):
         if tau <= 0:
             raise ValueError("tau must be positive")
         segs = []
-        for seg in segments:
-            if isinstance(seg, Segment):
-                d, h = seg.duration, seg.hamiltonian
-            else:
-                d, h = seg
+        for d, h in segments:
             h = np.asarray(h, dtype=complex)
             if d <= 0:
                 raise ValueError("segment durations must be positive")
@@ -94,31 +92,40 @@ class ControlTrajectory:
         self.tau = float(tau)
         self.segments = tuple(segs)
         self.dim = segs[0].hamiltonian.shape[0]
-        for s in segs:
-            if s.hamiltonian.shape != (self.dim, self.dim):
-                raise ValueError("all segments must share one dimension")
         bounds = np.concatenate([[0.0], np.cumsum([s.duration for s in segs])]) - tau
         bounds[-1] = tau
         self._bounds = bounds
+        self._factors = []  # (e, V, R) per segment
+        start = eye(self.dim)  # U(t_k, -tau)
+        for k, seg in enumerate(segs):
+            if seg.hamiltonian.shape != (self.dim, self.dim):
+                raise ValueError("all segments must share one dimension")
+            energies, basis = np.linalg.eigh(seg.hamiltonian)
+            rotated = dag(basis) @ start
+            self._factors.append((energies, basis, rotated))
+            start = basis @ (np.exp(-1j * energies * (bounds[k + 1] - bounds[k]))[:, None]
+                             * rotated)
 
-    def _check_time(self, t: float) -> float:
-        if t < -self.tau - TIME_SLACK or t > self.tau + TIME_SLACK:
-            raise ValueError(f"time {t} outside the control window [{-self.tau}, {self.tau}]")
-        return min(max(t, -self.tau), self.tau)
+    def _segments(self, times: np.ndarray):
+        """Per segment: indices of `times` in it, D = e^{-ie(s - t_k)} (m, n), V and R.
+
+        U(s, -tau) = V diag(D) R there; a time on a boundary opens the later segment."""
+        segment_of = np.searchsorted(self._bounds[1:-1], times, side="right")
+        for k, (energies, basis, rotated) in enumerate(self._factors):
+            idx = np.flatnonzero(segment_of == k)
+            phases = np.exp(-1j * np.outer(times[idx] - self._bounds[k], energies))
+            yield idx, phases, basis, rotated
 
     def propagator(self, s: float, t: float) -> np.ndarray:
-        """Time-ordered evolution U(t, s) from time s to time t."""
-        s = self._check_time(s)
-        t = self._check_time(t)
-        if t < s:
-            return dag(self.propagator(t, s))
-        u = eye(self.dim)
-        for k, seg in enumerate(self.segments):
-            a, b = self._bounds[k], self._bounds[k + 1]
-            lo, hi = max(a, s), min(b, t)
-            if hi - lo > 0:
-                u = expm(-1j * seg.hamiltonian * (hi - lo)) @ u
-        return u
+        """Time-ordered evolution U(t, s) = U(t, -tau) U(s, -tau)† from time s to time t."""
+        times = np.array([s, t], dtype=float)
+        if np.any(np.abs(times) > self.tau + TIME_SLACK):
+            raise ValueError(f"times {s}, {t} leave the control window [{-self.tau}, {self.tau}]")
+        times = np.clip(times, -self.tau, self.tau)
+        u = np.empty((2, self.dim, self.dim), dtype=complex)
+        for idx, phases, basis, rotated in self._segments(times):
+            u[idx] = basis @ (phases[:, :, None] * rotated)
+        return u[1] @ dag(u[0])
 
     def rescaled(self, lam: float) -> "ControlTrajectory":
         """Slow down (lam > 1) or speed up the same unitary path.
@@ -234,7 +241,7 @@ def ohmic_bath(coupling: float = 1.0, exponent: float = 1.0, cutoff: float = 1.0
         w = np.where(positive, omega, 1.0)  # no power of a negative base
         return _times(m, np.where(positive, g2 * w ** k * np.exp(-w / wc), 0.0))
 
-    pref = g2 * gamma_function(k + 1.0) * wc ** (k + 1.0)
+    pref = g2 * math.gamma(k + 1.0) * wc ** (k + 1.0)
     return Bath(n_ops=n_ops, label="ohmic", spectral=spec,
                 correlation=lambda t: _times(m, pref / (1.0 + 1j * wc * t) ** (k + 1.0)))
 
@@ -337,33 +344,29 @@ def _simpson_grid(tau: float, n_points: int):
     return s, w * (h / 3.0)
 
 
-def interaction_ops(traj: ControlTrajectory, coupling: Coupling,
-                    n_time: int = DEFAULT_TIME_POINTS):
-    """Grid, Simpson weights, and S_a(s_i) = U(s_i,-tau)† S_a U(s_i,-tau).
+def _interaction_apply(traj: ControlTrajectory, coupling: Coupling, block: np.ndarray,
+                       n_time: int):
+    """Grid, Simpson weights, and S_a(s_i) @ block, shape (n_ops, n_time, n, c).
 
-    Each segment Hamiltonian is diagonalized once, H_k = V diag(e) V†, so with
-    t_k the start of the segment U(s,-tau) = V diag(e^{-ie(s - t_k)}) V† U(t_k,-tau)
-    for all of its grid points at once; a point on a boundary opens the later
-    segment.
+    S_a(s) block = R† D* (V† S_a V) D R block per segment (`ControlTrajectory._segments`):
+    O(g n^2 c) flops and memory O(r g n c) for c columns, so a state vector
+    never meets an n x n operator per grid point.
     """
     if coupling.dim != traj.dim:
         raise ValueError("coupling dimension does not match the trajectory")
     s_grid, weights = _simpson_grid(traj.tau, n_time)
-    bounds = traj._bounds
-    last = len(traj.segments) - 1
-    segment_of = np.minimum(np.searchsorted(bounds, s_grid, side="right") - 1, last)
     s_ops = np.stack(coupling.system_ops)
-    ops = np.empty((coupling.n_ops, n_time, traj.dim, traj.dim), dtype=complex)
-    start = eye(traj.dim)  # U(t_k, -tau)
-    for k, seg in enumerate(traj.segments):
-        energies, basis = np.linalg.eigh(seg.hamiltonian)
-        rotated = dag(basis) @ start
-        idx = np.flatnonzero(segment_of == k)
-        # V† U(s_i, -tau) for every grid point of the segment, shape (m, n, n)
-        u = np.exp(-1j * np.outer(s_grid[idx] - bounds[k], energies))[:, :, None] * rotated
-        ops[:, idx] = u.conj().transpose(0, 2, 1) @ (dag(basis) @ s_ops @ basis)[:, None] @ u
-        start = basis @ (np.exp(-1j * energies * (bounds[k + 1] - bounds[k]))[:, None] * rotated)
-    return s_grid, weights, ops
+    out = np.empty((coupling.n_ops, n_time) + block.shape, dtype=complex)
+    for idx, phases, basis, rotated in traj._segments(s_grid):
+        moved = (dag(basis) @ s_ops @ basis)[:, None] @ (phases[:, :, None] * (rotated @ block))
+        out[:, idx] = dag(rotated) @ (phases.conj()[:, :, None] * moved)
+    return s_grid, weights, out
+
+
+def interaction_ops(traj: ControlTrajectory, coupling: Coupling,
+                    n_time: int = DEFAULT_TIME_POINTS):
+    """Grid, Simpson weights, and S_a(s_i) = U(s_i,-tau)† S_a U(s_i,-tau)."""
+    return _interaction_apply(traj, coupling, eye(traj.dim), n_time)
 
 
 def _unit_state(psi) -> np.ndarray:
@@ -373,10 +376,12 @@ def _unit_state(psi) -> np.ndarray:
     return psi
 
 
-def _centered(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """c_a(s_i) = (S_a(s_i) - <psi|S_a(s_i)|psi>) psi, shape (n_ops, n_time, n)."""
-    vecs = ops @ psi
-    return vecs - (vecs @ psi.conj())[..., None] * psi
+def _centered(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, n_time: int):
+    """Grid, weights and c_a(s_i) = (S_a(s_i) - <S_a(s_i)>) psi, shape (n_ops, n_time, n)."""
+    psi = _unit_state(psi)
+    s_grid, weights, vecs = _interaction_apply(traj, coupling, psi[:, None], n_time)
+    vecs = vecs[..., 0]
+    return s_grid, weights, vecs - (vecs @ psi.conj())[..., None] * psi
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +436,24 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
 
     The double integral runs over the full square [-tau, tau]^2; with a PSD
     bath spectrum the discretized coefficient kernel is itself PSD, so the
-    discrete map is completely positive up to rounding.
+    discrete map is completely positive up to rounding.  The left factors
+    inner_a(u_j) = sum_b sum_i C_ab(s_i - u_j) w_i S_b(s_i) are one FFT
+    convolution (zero-padded like `_lag_sums`) and phi = sum_{a,j}
+    kron((w_j S_a(u_j))^T, inner_a(u_j)) one GEMM: no g x g kernel.
     """
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    g = n_time
-    lag_index = np.arange(g)[:, None] - np.arange(g)[None, :] + (g - 1)
-    # kernel[a, b, i, j] = C_ab(s_i - s_j), the g x g Toeplitz expansion of the lags
-    kernel = _lag_correlations(coupling, traj.tau, s_grid)[lag_index].transpose(2, 3, 0, 1)
-    n = traj.dim
-    r = coupling.n_ops
-
-    weighted = ops * weights[None, :, None, None]
-    phi = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            # inner[j] = sum_i C_ab(s_i - u_j) w_i S_b(s_i)  (the left factor)
-            inner = np.einsum("ij,icd->jcd", kernel[a, b], weighted[b])
-            for j in range(g):
-                phi += sandwich_superop(inner[j], weighted[a, j])
-    k_op = unvec(dag(phi) @ vec(eye(n)), n)
-    k_op = hermitian_part(k_op)
+    r, g, n = ops.shape[:3]
+    size = 1 << (2 * g - 2).bit_length()
+    weighted = (ops * weights[:, None, None]).reshape(r, g, n * n)
+    # inner_a(u_j) is entry g - 1 + j of the linear convolution of the
+    # reversed lag correlations C((g - 1 - p) h) with the weighted operators
+    spectrum = (np.fft.fft(_lag_correlations(coupling, traj.tau, s_grid)[::-1], n=size, axis=0)
+                @ np.fft.fft(weighted, n=size, axis=1).transpose(1, 0, 2))
+    inner = np.fft.ifft(spectrum, axis=0)[g - 1:2 * g - 1].transpose(1, 0, 2)
+    # z[(i, j), (k, l)] = sum_p inner_p[i, j] w_p[k, l]; phi[(l, i), (k, j)] is that entry
+    z = inner.reshape(r * g, n * n).T @ weighted.reshape(r * g, n * n)
+    phi = z.reshape(n, n, n, n).transpose(3, 0, 2, 1).reshape(n * n, n * n)
+    k_op = hermitian_part(unvec(dag(phi) @ vec(eye(n)), n))
     return BornErrorMap(phi_schrodinger=phi, k_operator=k_op, tau=traj.tau, n_time=n_time)
 
 
@@ -481,13 +484,13 @@ def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
     eps = sum_ab sum_ij C_ab(s_i - s_j) <x_a(s_j)|x_b(s_i)> = sum_ab sum_l C_ab(lh) D_ab(l),
     which builds neither the n^2 x n^2 error map nor a g x g kernel.
     """
-    psi = _unit_state(psi)
     if emap is not None:
+        psi = _unit_state(psi)
         rho = np.outer(psi, psi.conj())
         val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
         return float(val.real)
-    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
+    d = _lag_sums(centered * weights[:, None])
     return float(np.einsum("lab,lab->", _lag_correlations(coupling, traj.tau, s_grid), d).real)
 
 
@@ -503,8 +506,8 @@ class FrequencyGrid:
     n_points: int = DEFAULT_FREQ_POINTS
 
     def __post_init__(self):
-        if self.omega_max <= 0 or self.n_points < 3:
-            raise ValueError("need omega_max > 0 and at least 3 points")
+        if not 0.0 < self.omega_max < np.inf or self.n_points < 3:
+            raise ValueError("need a finite omega_max > 0 and at least 3 points")
 
     @classmethod
     def for_trajectory(cls, traj: ControlTrajectory, n_points: int = DEFAULT_FREQ_POINTS,
@@ -575,10 +578,9 @@ def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
     is the transform of the lag sums D of x_a(s_i) = w_i c_a(s_i):
     S_ab(w) = sum_l e^{-iwlh} D_ab(l) / (2 tau).
     """
-    psi = _unit_state(psi)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
+    d = _lag_sums(centered * weights[:, None])
     return _lag_transform(d, s_grid[1] - s_grid[0], omegas) / (2.0 * traj.tau)
 
 
@@ -707,10 +709,9 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     """
     if grid is None:
         grid = FrequencyGrid.for_trajectory(traj)
-    psi = _unit_state(psi)
     omegas = grid.points
-    s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
-    d = _lag_sums(_centered(ops, psi) * weights[:, None])
+    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
+    d = _lag_sums(centered * weights[:, None])
     h = s_grid[1] - s_grid[0]
     r_bath = coupling.bath.spectral_matrix(omegas)
     pts = []
@@ -746,11 +747,10 @@ def stationary_correlator_estimate(traj: ControlTrajectory, coupling: Coupling,
     the lag sums of the unweighted centered vectors, so its e^{+iwlh}
     transform is `_lag_transform` of D / (g - |l|).
     """
-    psi = _unit_state(psi)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    s_grid, _, ops = interaction_ops(traj, coupling, n_time)
+    s_grid, _, centered = _centered(traj, coupling, psi, n_time)
     g = s_grid.size
     h = s_grid[1] - s_grid[0]
     pairs = g - np.abs(np.arange(1 - g, g))
-    cov = _lag_sums(_centered(ops, psi)) / pairs[:, None, None]
+    cov = _lag_sums(centered) / pairs[:, None, None]
     return _lag_transform(cov, h, omegas) * (h / (2.0 * np.pi))

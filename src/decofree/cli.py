@@ -118,6 +118,8 @@ def cmd_df(args) -> dict:
     if bool(args.channel) == bool(args.generator):
         raise ValidationError("df needs exactly one of --channel or --generator")
     if args.channel:
+        if args.max_k < 1:
+            raise ValidationError("--max-k must be at least 1")
         channel = _load_channel(args.channel, args.tol)
         res = algebra.df_algebra_discrete(channel, max_k=args.max_k)
         report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
@@ -160,6 +162,8 @@ def cmd_invariance(args) -> dict:
         ops = list(dyn.lindblad_ops)
         dim = dyn.dim
     n_sites = args.sites
+    if n_sites < 1:
+        raise ValidationError("--sites must be at least 1")
     site_dim = round(dim ** (1.0 / n_sites))
     if site_dim ** n_sites != dim:
         raise ValidationError(
@@ -187,9 +191,14 @@ def _born_inputs(args):
     psi = jsonio.pure_state_from_json(jsonio.load_json(args.psi))
     if coupling.dim != traj.dim or psi.size != traj.dim:
         raise ValidationError("trajectory, coupling and state dimensions disagree")
-    grid = born.FrequencyGrid.for_trajectory(
-        traj, n_points=args.grid_points, omega_max=args.grid_omega_max
-    )
+    if args.time_points < 3 or args.time_points % 2 == 0:
+        raise ValidationError("--time-points must be an odd number >= 3")
+    try:
+        grid = born.FrequencyGrid.for_trajectory(
+            traj, n_points=args.grid_points, omega_max=args.grid_omega_max
+        )
+    except ValueError as exc:
+        raise ValidationError(f"bad frequency grid: {exc}") from exc
     shared = {
         "dim": traj.dim,
         "tau": traj.tau,
@@ -221,9 +230,12 @@ def cmd_born_error(args) -> dict:
 
 def cmd_scan(args) -> dict:
     traj, coupling, psi, grid, shared = _born_inputs(args)
-    lambdas = [float(x) for x in args.lambdas.split(",") if x]
-    if not lambdas or any(x <= 0 for x in lambdas):
-        raise ValidationError("scan needs a comma-separated list of positive factors")
+    try:
+        lambdas = [float(x) for x in args.lambdas.split(",") if x]
+    except ValueError as exc:
+        raise ValidationError(f"bad --lambdas: {exc}") from exc
+    if not lambdas or not all(0.0 < x < np.inf for x in lambdas):
+        raise ValidationError("scan needs a comma-separated list of finite positive factors")
     result = born.gate_speed_scan(
         traj, coupling, psi, lambdas, grid=grid, n_time=args.time_points
     )

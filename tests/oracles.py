@@ -6,9 +6,12 @@ quadratic form instead of the Stinespring linearization, commutant dimensions
 from an eigendecomposition of a stacked Gram operator, commutants from the SVD
 of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
 solve, generated algebras by product enrichment instead of a double commutant,
-propagators from brute-force substepping, lag sums pair by pair instead of
-by FFT, the stationary covariance one lag at a time, and integrals from
-closed forms.  Nothing here imports `decofree.born`.
+propagators from brute-force substepping or from one matrix exponential per
+segment instead of one eigendecomposition per segment, lag sums pair by pair
+instead of by FFT, the Born error map from its g x g Toeplitz kernel one
+grid point at a time instead of by an FFT convolution and one GEMM, the
+stationary covariance one lag at a time, and integrals from closed forms.
+Nothing here imports `decofree.born`.
 """
 
 import numpy as np
@@ -121,6 +124,43 @@ def substep_propagator(traj, s, t, n_steps=10000):
         h = traj.segments[idx].hamiltonian
         u = expm(-1j * h * (times[k + 1] - times[k])) @ u
     return u
+
+
+def segment_propagator(traj, s, t):
+    """U(t, s) as the time-ordered product of one matrix exponential per segment piece."""
+    from scipy.linalg import expm
+
+    if t < s:
+        return segment_propagator(traj, t, s).conj().T
+    u = np.eye(traj.dim, dtype=complex)
+    bounds = np.concatenate([[0.0], np.cumsum([seg.duration for seg in traj.segments])]) - traj.tau
+    for k, seg in enumerate(traj.segments):
+        lo, hi = max(bounds[k], s), min(bounds[k + 1], t)
+        if hi - lo > 0:
+            u = expm(-1j * seg.hamiltonian * (hi - lo)) @ u
+    return u
+
+
+def error_map_double_loop(s_grid, weights, ops, lag_corr):
+    """Born error map phi = sum_ab sum_ij C_ab(s_i - s_j) kron((w_j S_a(s_j))^T, w_i S_b(s_i)).
+
+    ops[a, i] = S_a(s_i) on the uniform grid s_grid with quadrature weights,
+    lag_corr[g - 1 + l] = [C_ab(l h)] for |l| < g; the g x g Toeplitz kernel
+    is expanded and every grid point adds one Kronecker product
+    (kron(B^T, A) is the matrix of X -> A X B on column-stacked X).
+    """
+    r, g, n, _ = ops.shape
+    h = s_grid[1] - s_grid[0]
+    lag_index = np.rint((s_grid[:, None] - s_grid[None, :]) / h).astype(int) + (g - 1)
+    kernel = lag_corr[lag_index].transpose(2, 3, 0, 1)  # kernel[a, b, i, j] = C_ab(s_i - s_j)
+    weighted = ops * weights[None, :, None, None]
+    phi = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(r):
+        for b in range(r):
+            inner = np.einsum("ij,icd->jcd", kernel[a, b], weighted[b])
+            for j in range(g):
+                phi += np.kron(weighted[a, j].T, inner[j])
+    return phi
 
 
 def lag_sums_double_loop(x):

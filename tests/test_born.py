@@ -25,16 +25,19 @@ from decofree.born import (
     quartic_gaussian_bath,
     stationary_correlator_estimate,
     tabulated_bath,
+    _interaction_apply,
     _lag_sums,
 )
 from decofree.channels import cp_check
 from decofree.operators import dag, eye, random_density, random_hermitian, sm, sx, sy, sz
 from decofree.symmetry import collective_op, singlet_state
 from oracles import (
+    error_map_double_loop,
     exp_corr_square_integral,
     gaussian_corr_square_integral,
     lag_sums_double_loop,
     qubit_rotation_interaction_op,
+    segment_propagator,
     stationary_covariance_spectrum,
     substep_propagator,
 )
@@ -132,18 +135,25 @@ class TestInteractionOps:
 
     def test_matches_propagator_reference(self, rng):
         # the grid of 9 points (h = 0.25) puts s = -0.5 and s = 0.5 on the
-        # segment boundaries
+        # segment boundaries; operators and state vectors both come from the
+        # segment factorization, the reference from segment exponentials
         traj = ControlTrajectory(1.0, [(0.5, random_hermitian(3, rng)),
                                        (1.0, random_hermitian(3, rng)),
                                        (0.5, random_hermitian(3, rng))])
         coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
                             bath=gaussian_bath(1.0, 1.0, n_ops=2))
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
         s_grid, _, ops = interaction_ops(traj, coupling, 9)
+        _, _, vecs = _interaction_apply(traj, coupling, psi[:, None], 9)
         assert {-0.5, 0.5} <= set(s_grid.tolist())
         for i, s in enumerate(s_grid):
-            u = traj.propagator(-1.0, s)
+            u = segment_propagator(traj, -1.0, s)
+            assert np.max(np.abs(traj.propagator(-1.0, s) - u)) < 1e-12
             for a, s_op in enumerate(coupling.system_ops):
-                assert np.max(np.abs(ops[a, i] - dag(u) @ s_op @ u)) < 1e-12
+                expected = dag(u) @ s_op @ u
+                assert np.max(np.abs(ops[a, i] - expected)) < 1e-12
+                assert np.max(np.abs(vecs[a, i, :, 0] - expected @ psi)) < 1e-12
 
 
 class TestErrorMap:
@@ -175,6 +185,37 @@ class TestErrorMap:
         emap = error_map(traj, coupling, n_time=101)
         check = cp_check(emap.phi_schrodinger, tol=1e-10)
         assert check.is_cp
+
+    @pytest.mark.parametrize("n_time", [3, 41])
+    def test_matches_double_loop(self, n_time):
+        # complex cross correlations with C(-t) != C(t): a swapped lag
+        # direction or operator pair shows
+        amp = np.array([[1.0, 0.4j], [-0.4j, 0.9]])
+        bath = Bath(n_ops=2, label="mixed",
+                    correlation=lambda t: amp / ((1.0 + 1.5j * t) ** 2)[..., None, None])
+        traj = ControlTrajectory(1.0, [(0.7, 0.9 * sx + 0.3 * sz), (1.3, 0.5 * sy)])
+        coupling = Coupling(system_ops=(sx, sz), bath=bath)
+        phi = error_map(traj, coupling, n_time=n_time).phi_schrodinger
+        s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
+        h = s_grid[1] - s_grid[0]
+        lag_corr = coupling.bath.correlation_matrix(np.arange(1 - n_time, n_time) * h)
+        ref = error_map_double_loop(s_grid, weights, ops, lag_corr)
+        assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_four_thousand_time_points_within_one_gib(self, run_within_one_gib):
+        # the FFT convolution keeps error_map at O(r g n^2 + n^4) memory; a
+        # g x g kernel alone would take 977 MiB here
+        run = run_within_one_gib(
+            "import numpy as np\n"
+            "from decofree.born import ControlTrajectory, Coupling, born_state, gaussian_bath\n"
+            "from decofree.operators import sx, sz\n"
+            "traj = ControlTrajectory(1.0, [(0.8, 0.6 * sx), (1.2, 0.4 * sz)])\n"
+            "coupling = Coupling(system_ops=(sx, sz), bath=gaussian_bath(0.01, 2.0, n_ops=2))\n"
+            "rho = np.array([[0.36, 0.48], [0.48, 0.64]])\n"
+            "print(np.trace(born_state(traj, coupling, rho, n_time=4001)).real)\n"
+        )
+        assert run.returncode == 0, run.stderr
+        assert abs(float(run.stdout) - 1.0) < 1e-9
 
     def test_rejects_bad_correlation_symmetry(self):
         bad = Bath(n_ops=1, label="bad",
@@ -503,13 +544,13 @@ class TestGateSpeedScan:
         grid = FrequencyGrid.for_trajectory(traj)
         lambdas = [1.0, 2.0, 3.0, 0.5]
         calls = []
-        original = born_module.interaction_ops
+        original = born_module._centered
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(born_module, "interaction_ops", counting)
+        monkeypatch.setattr(born_module, "_centered", counting)
         res = gate_speed_scan(traj, coupling, psi, lambdas, grid=grid)
         assert len(calls) == 1
         monkeypatch.undo()

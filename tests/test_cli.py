@@ -1,14 +1,10 @@
 import itertools
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import decofree
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
 from decofree.channels import channel_from_superop, dephasing_channel
@@ -23,7 +19,7 @@ from decofree.jsonio import (
     vector_to_json,
 )
 from decofree.lindblad import GKLSGenerator
-from decofree.operators import eye, sm, sx, sz
+from decofree.operators import eye, random_hermitian, sm, sx, sz
 from decofree.symmetry import build_superradiance_generator, permutation_matrix
 
 
@@ -137,7 +133,10 @@ def test_born_error_matches_library(workdir, capsys):
     assert report["epsilon_frequency"] == expected.epsilon
 
 
-def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path):
+CLI_CHILD = "import sys\nfrom decofree.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path, run_within_one_gib):
     # two coupling operators on a qubit: both routes read the lag sums, so
     # nothing of size g x g is built at g = 20001
     files = {name: str(tmp_path / f"{name}.json") for name in ("traj", "coupling", "psi")}
@@ -146,23 +145,46 @@ def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path):
     dump_json({"S": [matrix_to_json(sx), matrix_to_json(sz)],
                "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}}, files["coupling"])
     dump_json(vector_to_json(np.array([0.6, 0.8])), files["psi"])
-    child = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from decofree.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    argv = ["born-error", "--traj", files["traj"], "--coupling", files["coupling"],
-            "--psi", files["psi"], "--time-points", "20001"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = run_within_one_gib(CLI_CHILD, "born-error", "--traj", files["traj"], "--coupling",
+                             files["coupling"], "--psi", files["psi"], "--time-points", "20001")
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     eps_t, eps_f = report["epsilon_time"], report["epsilon_frequency"]
     assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
+
+
+def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
+    # every route applies the interaction picture to psi only: O(r g n)
+    # memory, where an (r, g, n, n) operator stack alone would take 840 MB
+    rng = np.random.default_rng(256)
+    n = 256
+    durations = rng.uniform(0.3, 1.0, size=4)
+    durations *= 2.0 / durations.sum()
+    traj = ControlTrajectory(1.0, [(d, random_hermitian(n, rng, 1.0 / np.sqrt(n)))
+                                   for d in durations])
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    objects = {
+        "traj": trajectory_to_json(traj),
+        "coupling": {"S": [matrix_to_json(random_hermitian(n, rng, 1.0 / np.sqrt(n)))
+                           for _ in range(2)],
+                     "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}},
+        "psi": vector_to_json(psi / np.linalg.norm(psi)),
+    }
+    inputs = []
+    for name, obj in objects.items():
+        # compact JSON: the indented writer takes seconds on these 38 MB
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        inputs += [f"--{name}", str(tmp_path / f"{name}.json")]
+    run = run_within_one_gib(CLI_CHILD, "born-error", *inputs)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    eps_t, eps_f = report["epsilon_time"], report["epsilon_frequency"]
+    assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
+    run = run_within_one_gib(CLI_CHILD, "scan", *inputs, "--lambdas", "1,2")
+    assert run.returncode == 0, run.stderr
+    points = json.loads(run.stdout)["points"]
+    assert [p["lambda"] for p in points] == [1.0, 2.0]
+    assert abs(points[0]["epsilon"] - eps_f) <= 1e-12 * abs(eps_f)
 
 
 def test_scan_monotone_flags(workdir, capsys):
@@ -263,6 +285,30 @@ def test_invariance_command(tmp_path, capsys):
 
 def test_missing_file_is_validation_error(tmp_path, capsys):
     code = main(["df", "--channel", str(tmp_path / "missing.json")])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["born-error", "--time-points", "400"],
+    ["born-error", "--grid-points", "2"],
+    ["born-error", "--grid-omega-max", "-1"],
+    ["born-error", "--grid-omega-max", "nan"],
+    ["scan", "--lambdas", "1,x"],
+    ["scan", "--lambdas", "1,inf"],
+    ["df", "--max-k", "0"],
+    ["invariance", "--sites", "0"],
+], ids=" ".join)
+def test_bad_numeric_flag_is_validation_error(workdir, capsys, argv):
+    inputs = {
+        "born-error": ["--traj", workdir["traj"], "--coupling", workdir["coupling"],
+                       "--psi", workdir["plus"]],
+        "df": ["--channel", workdir["dephasing"]],
+        "invariance": ["--channel", workdir["dephasing"]],
+    }
+    inputs["scan"] = inputs["born-error"]
+    code = main([*argv, *map(str, inputs[argv[0]])])
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
