@@ -9,6 +9,7 @@ machine-readable diagnostic on stdout), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -294,7 +295,13 @@ def _state_entry(t: float, rho: np.ndarray) -> dict:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` returns a fresh namespace and leaves the parser as it was,
+    so one parser serves any number of calls in a process.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="validation tolerance (env DECOFREE_TOL overrides the default)")
@@ -372,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ValidationError as exc:

@@ -8,6 +8,7 @@ raise :class:`ValidationError` with a machine-readable detail dict.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -39,22 +40,27 @@ class ValidationError(ValueError):
         return {"error": "validation", "message": str(self), **self.details}
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValidationError(f"complex entry must be a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    """One [re, im] entry: two finite JSON numbers, not bools or strings."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        re, im = pair
+        # exact types: bool is an int subclass
+        if type(re) in (int, float) and type(im) in (int, float):
+            try:
+                z = complex(re, im)
+            except OverflowError:  # an integer beyond the double range
+                pass
+            else:
+                if cmath.isfinite(z):
+                    return z
+    raise ValidationError(
+        f"complex entry must be a [re, im] pair of finite numbers, got {pair!r}"
+    )
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "rows": [[_complex_to_pair(z) for z in row] for row in m],
-    }
+    return {"dim": int(m.shape[0]), "rows": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:
@@ -69,7 +75,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
 
 def vector_to_json(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=complex).ravel()
-    return {"dim": int(v.size), "entries": [_complex_to_pair(z) for z in v]}
+    return {"dim": int(v.size), "entries": np.stack([v.real, v.imag], axis=-1).tolist()}
 
 
 def vector_from_json(obj: Any) -> np.ndarray:

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
 from decofree.channels import channel_from_superop, dephasing_channel
+import decofree.cli as cli
 from decofree.cli import main
 from decofree.jsonio import (
     channel_to_json,
@@ -312,6 +313,57 @@ def test_bad_numeric_flag_is_validation_error(workdir, capsys, argv):
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
+
+
+# imaginary parts that replace a 0.0: the string and the bool keep the
+# entry's value, so only the type check can reject them
+BAD_IMAGINARY_PARTS = {"nan": float("nan"), "infinity": float("inf"), "string": "0",
+                       "bool": False}
+
+
+@pytest.mark.parametrize("kind", ["channel", "psi"])
+@pytest.mark.parametrize("entry", list(BAD_IMAGINARY_PARTS), ids=str)
+def test_non_finite_or_non_numeric_entry_is_validation_error(workdir, capsys, kind, entry):
+    # NaN and Infinity are what the standard library's JSON writer emits for them
+    name = "dephasing" if kind == "channel" else "plus"
+    obj = json.loads(workdir[name].read_text())
+    pairs = obj["kraus"][0]["rows"][0] if kind == "channel" else obj["entries"]
+    assert pairs[0][1] == 0.0
+    pairs[0][1] = BAD_IMAGINARY_PARTS[entry]
+    workdir[name].write_text(json.dumps(obj))
+    if kind == "channel":
+        argv = ["analyze-channel", "--channel", str(workdir["dephasing"])]
+    else:
+        argv = ["born-error", "--traj", str(workdir["traj"]),
+                "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])]
+    code = main(argv)
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+def test_parser_is_built_once_and_reused(workdir, capsys):
+    df = ["df", "--channel", str(workdir["dephasing"])]
+    born_error = ["born-error", "--traj", str(workdir["traj"]),
+                  "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])]
+    cli.build_parser.cache_clear()
+    outputs = []
+    for argv in (df, born_error, df):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+
+    assert main([*df, "--seed", "99"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 99
+    assert main(df) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == cli.DEFAULT_SEED
+
+    with pytest.raises(SystemExit):
+        main(born_error[:-2])  # no --psi
+    capsys.readouterr()
+    assert main(born_error) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "born-error"
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_reports_are_byte_identical(workdir):

@@ -51,6 +51,46 @@ class TestMatrixRoundTrip:
         assert np.array_equal(vector_from_json(vector_to_json(v)), v)
 
 
+class TestWritersMatchPerEntryOracle:
+    """The array writers against one Python float pair per entry."""
+
+    @staticmethod
+    def oracle(entries) -> list:
+        return [[float(z.real), float(z.imag)] for z in entries]
+
+    def test_matrices(self, rng):
+        special = np.array([[-0.0, 5e-324], [1e16, complex(-0.0, -0.0)]])
+        transposed = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))).T
+        assert not transposed.flags.c_contiguous
+        for m in (rng.normal(size=(3, 3)), transposed, special, special.real):
+            expected = {"dim": m.shape[0], "rows": [self.oracle(row) for row in m]}
+            assert matrix_to_json(m) == expected
+            assert dump_json(matrix_to_json(m)) == dump_json(expected)
+        assert dump_json(matrix_to_json(special)).count("-0.0") == 3
+
+    def test_column_vector(self, rng):
+        column = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        column[0, 0] = complex(-0.0, 1e16)
+        expected = {"dim": 4, "entries": self.oracle(column[:, 0])}
+        assert vector_to_json(column) == expected
+        assert dump_json(vector_to_json(column)) == dump_json(expected)
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize("pair", [
+        [float("nan"), 0.0], [0.0, float("-inf")], ["1", 0], [True, 0], [0, None],
+        [10 ** 400, 0], [1.0], 1.0,
+    ], ids=["nan", "-inf", "string", "bool", "null", "huge-int", "one-part", "scalar"])
+    def test_rejected(self, pair):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            matrix_from_json({"dim": 1, "rows": [[pair]]})
+        with pytest.raises(ValidationError, match="finite numbers"):
+            vector_from_json({"entries": [pair]})
+
+    def test_integers_accepted(self):
+        assert vector_from_json({"entries": [[1, -2]]})[0] == 1 - 2j
+
+
 class TestChannelIO:
     def test_round_trip(self, rng):
         chan = dephasing_channel(0.25)
