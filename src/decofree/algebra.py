@@ -7,10 +7,11 @@ map, its largest invariant subspace (the domain of every iterate), the
 largest generator-invariant part of the Lindblad operators' commutant,
 fixed-point spaces, and the relaxation profile onto the decoherence-free part.
 
-All subspaces of M_n live as Frobenius-orthonormal matrix bases.  Rank
-decisions use a single scale-invariant rule: singular values below
-``NULLSPACE_RTOL`` times the largest one count as zero, and subspace
-comparisons use principal angles with ``ANGLE_TOL``.
+All subspaces of M_n live as Frobenius-orthonormal matrix bases.  Every rank
+decision is one rule, applied to input of unit scale: a singular value s
+counts as zero when s <= NULLSPACE_RTOL * max(s_max, 1).  Two subspaces are
+equal, or one contains the other, when the sine of their largest principal
+angle is at most ANGLE_TOL.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar, subspace_angles
 
 from .channels import KrausMap, reduce_kraus
 from .lindblad import GKLSGenerator, detailed_balance_check
@@ -44,50 +44,56 @@ ANGLE_TOL = 1e-7
 # Subspace machinery (vectorized matrices, orthonormal columns)
 
 
-def nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal columns spanning the right nullspace of mat.
+def _rank(s: np.ndarray) -> int:
+    """Count of the descending singular values s above NULLSPACE_RTOL * max(s_max, 1).
 
-    Singular values below rtol * max(s_max, scale) count as zero; the scale
-    floor keeps a numerically-zero condition matrix (s_max at rounding level)
-    from being mistaken for a full-rank one.  Callers normalize their
-    condition matrices so that a genuine constraint has unit magnitude.
+    The unit floor keeps a numerically-zero matrix (s_max at rounding level)
+    from being mistaken for a full-rank one; callers hand in matrices whose
+    genuine entries have unit magnitude.
     """
+    return int(np.sum(s > NULLSPACE_RTOL * max(s[0], 1.0))) if s.size else 0
+
+
+def nullspace(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the right nullspace of mat (unit-scale input)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
     if mat.shape[0] > mat.shape[1]:
         # a tall matrix has the singular values and right factor of its R
         mat = np.linalg.qr(mat, mode="r")
     # only a wide matrix needs the full right factor for its kernel
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > rtol * max(s[0], scale))) if s.size else 0
-    return vh[rank:].conj().T
+    return vh[_rank(s):].conj().T
 
 
-def orthonormal_matrix_basis(mats, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the span of the given matrices."""
+def orthonormal_matrix_basis(mats) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of the span of the given matrices.
+
+    The stacked rows are divided by the largest row norm, so s_max >= 1 and
+    the shared cut is relative to s_max: the result does not depend on scale.
+    """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
         return []
     rows = np.stack([vec(m) for m in mats])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    top = float(np.max(np.linalg.norm(rows, axis=1)))
+    if top == 0.0:
         return []
-    keep = s > rtol * s[0]
+    # economy SVD: the full right factor of a dim x m^2 stack has m^4 entries
+    _, s, vh = np.linalg.svd(rows / top, full_matrices=False)
     n = mats[0].shape[0]
-    return [unvec(v, n) for v in vh[keep]]
+    return [unvec(v, n) for v in vh[:_rank(s)]]
 
 
 def _basis_columns(basis) -> np.ndarray:
     return np.stack([vec(b) for b in basis], axis=1)
 
 
-def principal_angles(basis_a, basis_b) -> np.ndarray:
-    if not basis_a or not basis_b:
-        return np.array([])
-    return subspace_angles(_basis_columns(basis_a), _basis_columns(basis_b))
-
-
 def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
-    """True when span(small) is inside span(big) up to principal angle tol."""
+    """True when span(small) is inside span(big) up to principal angle tol.
+
+    For orthonormal bases ||Q_s - Q_b Q_b† Q_s||_2 is the sine of the largest
+    principal angle of span(small) against span(big).
+    """
     if not small:
         return True
     if not big:
@@ -99,26 +105,27 @@ def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
 
 
 def subspaces_equal(basis_a, basis_b, tol: float = ANGLE_TOL) -> bool:
-    if len(basis_a) != len(basis_b):
-        return False
-    if not basis_a:
-        return True
-    angles = principal_angles(basis_a, basis_b)
-    return bool(angles.size == 0 or angles.max() <= tol)
+    """Equal dimension, and the largest principal angle's sine at most tol."""
+    return len(basis_a) == len(basis_b) and subspace_contains(basis_a, basis_b, tol)
 
 
-def intersect_spans(basis_a, basis_b, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:
-    """Orthonormal basis of span(a) ∩ span(b)."""
+def intersect_spans(basis_a, basis_b) -> list[np.ndarray]:
+    """Orthonormal basis of span(a) ∩ span(b).
+
+    A kernel vector (x, y) of [Q_a, -Q_b] with x = 0 has Q_b y = 0, so y = 0:
+    the x parts have full column rank, and a QR of Q_a x orthonormalizes the
+    intersection without a second rank decision.
+    """
     if not basis_a or not basis_b:
         return []
     qa = _basis_columns(basis_a)
     qb = _basis_columns(basis_b)
-    null = nullspace(np.hstack([qa, -qb]), rtol)
+    null = nullspace(np.hstack([qa, -qb]))
     if null.shape[1] == 0:
         return []
-    vecs = qa @ null[: qa.shape[1]]
+    q, _ = np.linalg.qr(qa @ null[: qa.shape[1]])
     n = basis_a[0].shape[0]
-    return orthonormal_matrix_basis([unvec(v, n) for v in vecs.T], rtol)
+    return [unvec(v, n) for v in q.T]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +139,8 @@ class MatrixAlgebra:
     basis: tuple
 
     @classmethod
-    def from_span(cls, mats, rtol: float = NULLSPACE_RTOL) -> "MatrixAlgebra":
-        return cls(tuple(orthonormal_matrix_basis(mats, rtol)))
+    def from_span(cls, mats) -> "MatrixAlgebra":
+        return cls(tuple(orthonormal_matrix_basis(mats)))
 
     @property
     def matrix_dim(self) -> int:
@@ -178,9 +185,6 @@ class MatrixAlgebra:
     def is_subalgebra_of(self, other: "MatrixAlgebra", tol: float = ANGLE_TOL) -> bool:
         return subspace_contains(list(other.basis), list(self.basis), tol)
 
-    def equals(self, other: "MatrixAlgebra", tol: float = ANGLE_TOL) -> bool:
-        return subspaces_equal(list(self.basis), list(other.basis), tol)
-
 
 def full_algebra(n: int) -> MatrixAlgebra:
     return MatrixAlgebra(tuple(matrix_unit(n, i, j) for i in range(n) for j in range(n)))
@@ -194,7 +198,7 @@ def _columns_algebra(q: np.ndarray, n: int) -> MatrixAlgebra:
     return MatrixAlgebra(tuple(unvec(q[:, k], n) for k in range(q.shape[1])))
 
 
-def _commuting_part(q: np.ndarray, ops, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+def _commuting_part(q: np.ndarray, ops) -> np.ndarray:
     """Orthonormal columns spanning the largest subspace of span(q) commuting with every op.
 
     q holds vectorized matrices X_j as orthonormal columns and the ops have
@@ -211,7 +215,7 @@ def _commuting_part(q: np.ndarray, ops, rtol: float = NULLSPACE_RTOL) -> np.ndar
         rows = mats @ a
         rows -= a @ mats
         r = np.linalg.qr(np.vstack([r, rows.reshape(m, n * n).T]), mode="r")
-    return q @ nullspace(r, rtol)
+    return q @ nullspace(r)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, gap: float):
@@ -238,7 +242,7 @@ def _random_hermitian_element(basis, rng) -> np.ndarray:
     return h / max(np.linalg.norm(h), 1e-300)
 
 
-def _commutant_of_closed(ops, rtol: float) -> MatrixAlgebra:
+def _commutant_of_closed(ops) -> MatrixAlgebra:
     """Commutant of a *-closed set of unit-norm matrices.
 
     Every X in it commutes with a hermitian element h of the set's span, so X
@@ -254,10 +258,10 @@ def _commutant_of_closed(ops, rtol: float) -> MatrixAlgebra:
     # vec(v_i v_j†) = conj(v_j) kron v_i over each eigenspace's columns v
     q = np.hstack([np.kron(evecs[:, g].conj(), evecs[:, g])
                    for g in _cluster_eigenvalues(evals, 1e-5)])
-    return _columns_algebra(_commuting_part(q, ops, rtol), n)
+    return _columns_algebra(_commuting_part(q, ops), n)
 
 
-def commutant(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
+def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     """Commutant of a set of matrices (adjoints adjoined, so the result is a *-algebra).
 
     One commuting-subspace solve over the operators block-diagonal in the
@@ -268,16 +272,16 @@ def commutant(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> M
     # impose no constraint, and normalizing them would amplify rounding dirt
     if ops:
         top = max(np.linalg.norm(a) for a in ops)
-        ops = [a / np.linalg.norm(a) for a in ops if np.linalg.norm(a) > rtol * top]
+        ops = [a / np.linalg.norm(a) for a in ops if np.linalg.norm(a) > NULLSPACE_RTOL * top]
     if not ops:
         if dim is None:
             raise ValueError("dim required for the commutant of the empty set")
         return full_algebra(dim)
     closed = ops + [dag(a) for a in ops if not is_hermitian(a)]
-    return _commutant_of_closed(closed, rtol)
+    return _commutant_of_closed(closed)
 
 
-def generated_algebra(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
+def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
     """Smallest unital *-algebra containing the given matrices.
 
     The double commutant (von Neumann's bicommutant theorem); the commutant's
@@ -288,8 +292,8 @@ def generated_algebra(ops, dim: int | None = None, *, rtol: float = NULLSPACE_RT
         if dim is None:
             raise ValueError("dim required for the algebra generated by nothing")
         return MatrixAlgebra((eye(dim) / np.sqrt(dim),))
-    inner = commutant(ops, ops[0].shape[0], rtol=rtol)
-    return _commutant_of_closed(list(inner.basis), rtol)
+    inner = commutant(ops, ops[0].shape[0])
+    return _commutant_of_closed(list(inner.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,7 @@ class BlockDecomposition:
         return worst
 
 
-def _factor_matrix_units(block_basis, m: int, rng, gap: float, attempts: int):
+def _factor_matrix_units(block_basis, m: int, rng):
     """Diagonal projections and partial isometries of a factor M_nj (x) 1_dj."""
     space_dim = len(block_basis)
     nj = int(round(np.sqrt(space_dim)))
@@ -344,10 +348,10 @@ def _factor_matrix_units(block_basis, m: int, rng, gap: float, attempts: int):
     dj = m // nj
     if nj == 1:
         return 1, dj, [eye(m)], [eye(m)]
-    for _ in range(attempts):
+    for _ in range(60):
         h = _random_hermitian_element(block_basis, rng)
         evals, evecs = np.linalg.eigh(h)
-        groups = _cluster_eigenvalues(evals, gap)
+        groups = _cluster_eigenvalues(evals, 1e-6)
         if len(groups) != nj or any(len(g) != dj for g in groups):
             continue
         projections = []
@@ -365,7 +369,8 @@ def _factor_matrix_units(block_basis, m: int, rng, gap: float, attempts: int):
             if np.linalg.norm(v) < 1e-10:
                 ok = False
                 break
-            u, _ = polar(v)
+            w, _, vh = np.linalg.svd(v)  # polar factor w @ vh of v
+            u = w @ vh
             # keep only the range(P_k) -> range(P_1) part
             f1k = projections[0] @ u @ projections[k]
             if np.linalg.norm(dag(f1k) @ f1k - projections[k]) > 1e-7:
@@ -374,24 +379,18 @@ def _factor_matrix_units(block_basis, m: int, rng, gap: float, attempts: int):
             isometries.append(f1k)
         if ok:
             return nj, dj, projections, isometries
-    raise ValueError("failed to resolve the factor structure; increase attempts")
+    raise ValueError("failed to resolve the factor structure")
 
 
-def block_decompose(
-    alg: MatrixAlgebra,
-    *,
-    seed: int = 7,
-    gap: float = 1e-6,
-    attempts: int = 60,
-) -> BlockDecomposition:
+def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
     """Wedderburn decomposition of a unital *-algebra.
 
     Randomized central-element method: eigenvalue clusters of a generic
     hermitian central element give the minimal central projections; inside
     each factor a generic hermitian element plus polar decompositions build a
     full system of matrix units, from which the conjugating unitary follows.
-    Deterministic for a fixed seed; draws are repeated when eigenvalue
-    clusters fall within the gap tolerance.
+    Deterministic for a fixed seed; up to 60 draws are made while eigenvalue
+    clusters closer than 1e-6 blur the structure.
     """
     alg.validate(1e-6)
     n = alg.matrix_dim
@@ -402,9 +401,9 @@ def block_decompose(
     center = [unvec(v, n) for v in _commuting_part(_basis_columns(alg.basis), alg.basis).T]
     m_blocks = len(center)
 
-    for _ in range(attempts):
+    for _ in range(60):
         evals, evecs = np.linalg.eigh(_random_hermitian_element(center, rng))
-        groups = _cluster_eigenvalues(evals, gap)
+        groups = _cluster_eigenvalues(evals, 1e-6)
         if len(groups) != m_blocks:
             continue
 
@@ -414,9 +413,7 @@ def block_decompose(
                 q = evecs[:, g]  # n x m_j isometry onto the central block
                 m = q.shape[1]
                 compressed = orthonormal_matrix_basis([dag(q) @ b @ q for b in alg.basis])
-                nj, dj, projections, isometries = _factor_matrix_units(
-                    compressed, m, rng, gap, attempts
-                )
+                nj, dj, projections, isometries = _factor_matrix_units(compressed, m, rng)
                 # columns of the block conjugator: f_1k† applied to a basis of range(f_11)
                 p1_evals, p1_vecs = np.linalg.eigh(projections[0])
                 xi = p1_vecs[:, p1_evals > 0.5]
@@ -448,7 +445,7 @@ def block_decompose(
 # Decoherence-free subalgebras
 
 
-def multiplicative_domain(channel: KrausMap, *, rtol: float = NULLSPACE_RTOL) -> MatrixAlgebra:
+def multiplicative_domain(channel: KrausMap) -> MatrixAlgebra:
     """Largest *-subalgebra on which the unital CP map is multiplicative.
 
     Computed from the linear characterization via the Stinespring isometry:
@@ -465,10 +462,10 @@ def multiplicative_domain(channel: KrausMap, *, rtol: float = NULLSPACE_RTOL) ->
     for w in reduced.kraus_ops:
         rows.append(right_mult_superop(w) - left_mult_superop(w) @ g)
         rows.append(left_mult_superop(dag(w)) - right_mult_superop(dag(w)) @ g)
-    return _columns_algebra(nullspace(np.vstack(rows), rtol), n)
+    return _columns_algebra(nullspace(np.vstack(rows)), n)
 
 
-def _largest_invariant_subspace(g, q, max_steps: int, rtol: float = NULLSPACE_RTOL) -> tuple:
+def _largest_invariant_subspace(g, q, max_steps: int) -> tuple:
     """Largest g-invariant subspace of span(q) as (columns, steps, reached).
 
     S_0 = span(q), S_{j+1} = {A in S_j : g A in S_j}, one nullspace solve per
@@ -482,7 +479,7 @@ def _largest_invariant_subspace(g, q, max_steps: int, rtol: float = NULLSPACE_RT
     steps = 0
     while q.shape[1] > 1 and steps < max_steps:
         img = g @ q
-        c = nullspace(img - q @ (dag(q) @ img), rtol)
+        c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
             return q, steps, True
@@ -501,7 +498,6 @@ def df_algebra_discrete(
     channel: KrausMap,
     max_k: int = 25,
     *,
-    rtol: float = NULLSPACE_RTOL,
     detailed_balance: "DetailedBalanceChannel | None" = None,
 ) -> DiscreteDFResult:
     """Observables evolving reversibly under every iterate of the map.
@@ -529,12 +525,12 @@ def df_algebra_discrete(
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    q = _basis_columns(multiplicative_domain(channel, rtol=rtol).basis)
-    q, steps, reached = _largest_invariant_subspace(channel.heisenberg_matrix(), q, max_k - 1, rtol)
+    q = _basis_columns(multiplicative_domain(channel).basis)
+    q, steps, reached = _largest_invariant_subspace(channel.heisenberg_matrix(), q, max_k - 1)
     certificate = "exact" if reached else "max-k"
     current = _columns_algebra(q, channel.dim)
     if detailed_balance is not None:
-        fixed = fixed_points(detailed_balance.dissipative, rtol=rtol)
+        fixed = fixed_points(detailed_balance.dissipative)
         if subspaces_equal(list(current.basis), list(fixed.basis)):
             certificate = "exact"
     return DiscreteDFResult(algebra=current, k_used=1 + steps, certificate=certificate)
@@ -550,7 +546,6 @@ def df_algebra_semigroup(
     gen: GKLSGenerator,
     metric: LiouvilleMetric | None = None,
     *,
-    rtol: float = NULLSPACE_RTOL,
     tol: float = 1e-8,
 ) -> SemigroupDFResult:
     """Observables evolving reversibly under the whole semigroup.
@@ -566,8 +561,8 @@ def df_algebra_semigroup(
         report = detailed_balance_check(gen, metric, tol)
         if not report.passed:
             raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
-    q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim, rtol=rtol).basis)
-    q, _, _ = _largest_invariant_subspace(gen.heisenberg_matrix(), q, q.shape[1], rtol)
+    q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim).basis)
+    q, _, _ = _largest_invariant_subspace(gen.heisenberg_matrix(), q, q.shape[1])
     return SemigroupDFResult(algebra=_columns_algebra(q, gen.dim), certificate="exact")
 
 
@@ -590,7 +585,7 @@ class FixedPointResult:
         return MatrixAlgebra(self.basis)
 
 
-def fixed_points(channel: KrausMap, *, rtol: float = NULLSPACE_RTOL) -> FixedPointResult:
+def fixed_points(channel: KrausMap) -> FixedPointResult:
     """Fixed-point space {A : Gamma(A) = A}, with an algebra certificate.
 
     A stationary state is extracted from the peripheral spectral projector at
@@ -601,8 +596,8 @@ def fixed_points(channel: KrausMap, *, rtol: float = NULLSPACE_RTOL) -> FixedPoi
     n = channel.dim
     s = channel.heisenberg_matrix()
     ident = eye(n * n)
-    right = nullspace(s - ident, rtol)            # fixed observables
-    left = nullspace(dag(s) - ident, rtol)        # stationary-state subspace
+    right = nullspace(s - ident)  # fixed observables
+    left = nullspace(dag(s) - ident)  # stationary-state subspace
     basis = tuple(unvec(right[:, k], n) for k in range(right.shape[1]))
 
     sigma = None
@@ -658,14 +653,13 @@ def commutant_bounds(
     unitary: np.ndarray,
     dissipative: KrausMap,
     *,
-    rtol: float = NULLSPACE_RTOL,
     tol: float = 1e-8,
 ) -> CommutantBounds:
     ops = list(dissipative.kraus_ops)
     n = dissipative.dim
-    w1 = commutant(ops, n, rtol=rtol)
+    w1 = commutant(ops, n)
     pairs = [a @ dag(b) for a in ops for b in ops]
-    w2 = commutant(pairs, n, rtol=rtol)
+    w2 = commutant(pairs, n)
 
     s_u = conjugation_superop(np.asarray(unitary, dtype=complex))
     s_d = dissipative.heisenberg_matrix()
@@ -675,7 +669,7 @@ def commutant_bounds(
         prods = [a @ b for a in ops for b in ops]
         prods += [a @ dag(b) for a in ops for b in ops]
         prods += [dag(a) @ dag(b) for a in ops for b in ops]
-        w3 = commutant(prods, n, rtol=rtol)
+        w3 = commutant(prods, n)
     return CommutantBounds(
         of_ops=w1, of_pair_products=w2, of_all_products=w3, unitary_commutes=commutes
     )
@@ -736,34 +730,32 @@ class DetailedBalanceChannel:
 
 def detailed_balance_channel_from_gibbs(gibbs, t: float = 1.0) -> DetailedBalanceChannel:
     """One time step exp(t L) of a Gibbs generator, split as U * Gamma_D."""
-    from scipy.linalg import expm
+    from scipy.linalg import expm  # the dissipator is not normal
 
     from .channels import channel_from_superop
 
     if t <= 0:
         raise ValueError("time step must be positive")
-    u = expm(-1j * t * gibbs.hamiltonian)
+    evals, evecs = np.linalg.eigh(gibbs.hamiltonian)
+    u = (evecs * np.exp(-1j * t * evals)) @ dag(evecs)
     gamma_d = channel_from_superop(expm(t * gibbs.generator.dissipator_matrix()), tol=1e-7)
     return DetailedBalanceChannel(
         unitary=u, dissipative=gamma_d, metric=gibbs.metric()
     )
 
 
-def df_projector_basis(db: DetailedBalanceChannel, *, rtol: float = NULLSPACE_RTOL):
-    """Metric-orthonormal basis of the fixed space of the dissipative factor."""
+def df_projector_basis(db: DetailedBalanceChannel):
+    """Metric-orthonormal basis of the fixed space of the dissipative factor.
+
+    The kernel columns are independent and sigma is faithful, so their sigma
+    Gram matrix is positive definite; its Cholesky factor L makes the columns
+    null @ L^-† orthonormal in the sigma inner product.
+    """
     n = db.dim
-    s_d = db.dissipative.heisenberg_matrix()
-    null = nullspace(s_d - eye(n * n), rtol)
-    raw = [unvec(null[:, k], n) for k in range(null.shape[1])]
-    # Gram-Schmidt in the sigma inner product
-    basis = []
-    for a in raw:
-        for b in basis:
-            a = a - b * db.metric.inner(b, a)
-        norm = db.metric.norm(a)
-        if norm > 1e-12:
-            basis.append(a / norm)
-    return basis
+    null = nullspace(db.dissipative.heisenberg_matrix() - eye(n * n))
+    chol = np.linalg.cholesky(dag(null) @ db.metric.gram_superop() @ null)
+    cols = dag(np.linalg.solve(chol, dag(null)))
+    return [unvec(cols[:, k], n) for k in range(cols.shape[1])]
 
 
 def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis=None) -> np.ndarray:
@@ -823,20 +815,14 @@ def relaxation_trace(db: DetailedBalanceChannel, a: np.ndarray, k_max: int = 20)
 # Unitary implementing a channel on its multiplicative domain
 
 
-def implementing_unitary(
-    channel: KrausMap,
-    alg: MatrixAlgebra,
-    *,
-    seed: int = 11,
-    attempts: int = 8,
-) -> np.ndarray:
+def implementing_unitary(channel: KrausMap, alg: MatrixAlgebra) -> np.ndarray:
     """A unitary U with Gamma(A) = U† A U for all A in the algebra.
 
     The solution space of the linear intertwining condition
     A X = X Gamma(A) contains an invertible element whenever the channel acts
     as an automorphism on the algebra; the polar factor of a generic element
     is then a valid unitary.  The returned unitary is one valid choice, fixed
-    by the seed (the block phase freedom is not canonicalized).
+    by a seeded draw (the block phase freedom is not canonicalized).
     """
     n = channel.dim
     rows = []
@@ -845,13 +831,13 @@ def implementing_unitary(
     null = nullspace(np.vstack(rows))
     if null.shape[1] == 0:
         raise ValueError("no intertwiner exists; is the subspace really invariant?")
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    rng = np.random.default_rng(11)
+    for _ in range(8):
         coeffs = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
-        x = unvec(null @ coeffs, n)
-        if np.linalg.cond(x) > 1e10:
+        w, s, vh = np.linalg.svd(unvec(null @ coeffs, n))
+        if s[0] > 1e10 * s[-1]:  # condition number above 1e10
             continue
-        u, _ = polar(x)
+        u = w @ vh  # polar factor
         residual = max(
             float(np.max(np.abs(dag(u) @ b @ u - channel(b)))) for b in alg.basis
         )

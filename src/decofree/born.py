@@ -623,19 +623,16 @@ def _spectral_error(tau: float, omegas, r_bath, s_dev, mask=None) -> SpectralErr
 
 
 def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
-                           grid: FrequencyGrid, *, n_time: int = DEFAULT_TIME_POINTS,
-                           support=None) -> SpectralError:
+                           grid: FrequencyGrid, *,
+                           n_time: int = DEFAULT_TIME_POINTS) -> SpectralError:
     """eps = 2 tau * integral of the bath/device spectral overlap (trapezoid).
 
-    `support` optionally restricts the integral to a sub-band (w_lo, w_hi) or
-    a boolean mask over the grid.  A warning is attached when the integrand
-    mass at the two boundary points exceeds 1% of the total.
+    A warning is attached when the integrand mass at the two boundary points
+    exceeds 1% of the total.
     """
     omegas = grid.points
     s_dev = device_correlator(traj, coupling, psi, omegas, n_time=n_time)
-    mask = None if support is None else _support_mask(omegas, support)
-    return _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev,
-                           mask)
+    return _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def cp_check(channel, tol: float = DEFAULT_TOL) -> CPCheck:
     return CPCheck(is_cp=lo >= -tol, min_eigenvalue=lo)
 
 
-def kraus_from_choi(choi: np.ndarray, *, cut: float = KRAUS_CUT) -> list[np.ndarray]:
+def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a CP map from its (PSD) Choi matrix."""
     choi = 0.5 * (choi + dag(choi))
     n = int(round(np.sqrt(choi.shape[0])))
@@ -156,7 +156,7 @@ def kraus_from_choi(choi: np.ndarray, *, cut: float = KRAUS_CUT) -> list[np.ndar
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {evals.min():.3e})")
     ops = []
     for lam, v in zip(evals, evecs.T):
-        if lam > cut * top:
+        if lam > KRAUS_CUT * top:
             # choi eigenvector v = sum_i |i> (x) W|i>, so W[r, i] = v[i*n + r]
             ops.append(np.sqrt(lam) * v.reshape(n, n).T)
     return ops

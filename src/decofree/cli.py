@@ -382,6 +382,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
+        report.update(tolerances={"tol": args.tol}, seed=args.seed)
+        # inside the try: a report value the encoder refuses is an internal error
+        _emit(report, args.out)
     except ValidationError as exc:
         _emit(exc.as_json(), args.out)
         return 2
@@ -391,8 +394,6 @@ def main(argv=None) -> int:
     except Exception:
         sys.stderr.write(traceback.format_exc())
         return 1
-    report.update(tolerances={"tol": args.tol}, seed=args.seed)
-    _emit(report, args.out)
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -67,7 +68,12 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValidationError("matrix object must have a 'rows' field")
     rows = obj["rows"]
-    n = int(obj.get("dim", len(rows)))
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError("matrix 'rows' must be a list of rows")
+    try:
+        n = int(obj.get("dim", len(rows)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix 'dim' must be an integer: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValidationError(f"matrix rows do not form a {n}x{n} array")
     return np.array([[_pair_to_complex(z) for z in row] for row in rows], dtype=complex)
@@ -99,8 +105,8 @@ def channel_to_json(channel: KrausMap) -> dict:
 
 
 def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
-    if not isinstance(obj, dict) or "kraus" not in obj:
-        raise ValidationError("channel object must have a 'kraus' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list) or not obj["kraus"]:
+        raise ValidationError("channel object must have a nonempty 'kraus' list")
     ops = [matrix_from_json(m) for m in obj["kraus"]]
     try:
         channel = KrausMap(ops, tol=tol)
@@ -228,18 +234,46 @@ def trajectory_from_json(obj: Any) -> ControlTrajectory:
         raise ValidationError(f"bad trajectory: {exc}") from exc
 
 
+def _finite(value) -> bool:
+    """A finite JSON number: exactly an int or a float (bool is an int subclass)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
+def _number(obj: dict, key: str, default: float):
+    """A bath family parameter that must be one finite number."""
+    value = obj.get(key, default)
+    if not _finite(value):
+        raise ValidationError(f"bath parameter {key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _amplitude(obj: dict, key: str, default: float):
+    """A coupling amplitude: one finite number, or a matrix of them as a list of rows."""
+    value = obj.get(key, default)
+    if isinstance(value, list) and all(
+        isinstance(row, list) and all(_finite(x) for x in row) for row in value
+    ):
+        return value
+    return _number(obj, key, default)
+
+
 _BATH_FAMILIES = {
     "gaussian": lambda obj, n: gaussian_bath(
-        obj.get("coupling", 1.0), obj.get("width", 1.0), n_ops=n
+        _amplitude(obj, "coupling", 1.0), _number(obj, "width", 1.0), n_ops=n
     ),
     "flat": lambda obj, n: flat_bath(
-        obj.get("level", obj.get("coupling", 1.0)), obj.get("cutoff", 50.0), n_ops=n
+        _amplitude(obj, "level" if "level" in obj else "coupling", 1.0),
+        _number(obj, "cutoff", 50.0), n_ops=n
     ),
     "ohmic": lambda obj, n: ohmic_bath(
-        obj.get("coupling", 1.0), obj.get("kappa", 1.0), obj.get("cutoff", 1.0), n_ops=n
+        _number(obj, "coupling", 1.0), _number(obj, "kappa", 1.0),
+        _number(obj, "cutoff", 1.0), n_ops=n
     ),
     "quartic-gaussian": lambda obj, n: quartic_gaussian_bath(
-        obj.get("coupling", 1.0), obj.get("width", 1.0), n_ops=n
+        _number(obj, "coupling", 1.0), _number(obj, "width", 1.0), n_ops=n
     ),
 }
 

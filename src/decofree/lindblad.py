@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import (
     DEFAULT_TOL,
@@ -92,6 +91,8 @@ def semigroup(gen: GKLSGenerator, t: float) -> np.ndarray:
     """Heisenberg superoperator matrix of T_t = exp(t L); requires t >= 0."""
     if t < 0:
         raise ValueError("semigroup parameter must be non-negative")
+    from scipy.linalg import expm  # a generator is not normal in general
+
     return expm(t * gen.heisenberg_matrix())
 
 
@@ -99,6 +100,8 @@ def evolve_state(gen: GKLSGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """Schrodinger evolution exp(t L*) applied to a state."""
     if t < 0:
         raise ValueError("semigroup parameter must be non-negative")
+    from scipy.linalg import expm  # a generator is not normal in general
+
     s = expm(t * gen.schrodinger_matrix())
     return unvec(s @ vec(np.asarray(rho, dtype=complex)), gen.dim)
 
@@ -109,7 +112,7 @@ def dissipativity_defect(gen: GKLSGenerator, a: np.ndarray) -> np.ndarray:
     return gen(dag(a) @ a) - gen(dag(a)) @ a - dag(a) @ gen(a)
 
 
-def canonical_form(gen: GKLSGenerator, *, cut: float = 1e-12) -> GKLSGenerator:
+def canonical_form(gen: GKLSGenerator) -> GKLSGenerator:
     """Equivalent generator with at most dim**2 - 1 traceless Lindblad operators.
 
     Traces of the V_j are absorbed into the Hamiltonian, the remaining
@@ -120,20 +123,11 @@ def canonical_form(gen: GKLSGenerator, *, cut: float = 1e-12) -> GKLSGenerator:
     n = gen.dim
     if not gen.lindblad_ops:
         return gen
-    # traceless orthonormal basis from the matrix units minus the trace part
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            if i == j:
-                m -= eye(n) / n
-            basis.append(m)
-    from .operators import vec as _vec
-
-    rows = np.stack([_vec(b) for b in basis])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    basis = [np.asarray(vh[k]).reshape((n, n), order="F") for k in range(int(np.sum(s > 1e-12)))]
+    # vec(1) and e_0 .. e_{n^2-2} are independent (vec(1) ends in a 1), so
+    # the last n^2 - 1 columns of their QR are an orthonormal basis of the
+    # matrices orthogonal to 1, the traceless ones
+    q, _ = np.linalg.qr(np.column_stack([vec(eye(n)), eye(n * n)[:, :-1]]))
+    basis = q[:, 1:]
 
     h_extra = np.zeros((n, n), dtype=complex)
     coeffs = []
@@ -142,13 +136,11 @@ def canonical_form(gen: GKLSGenerator, *, cut: float = 1e-12) -> GKLSGenerator:
         w = v - c * eye(n) / np.sqrt(n)
         # the scalar/traceless cross terms act as a Hamiltonian shift
         h_extra += 1j * (np.conj(c) * w - c * dag(w)) / (2.0 * np.sqrt(n))
-        coeffs.append(np.array([np.sum(b.conj() * w) for b in basis]))
+        coeffs.append(dag(basis) @ vec(w))
     kossakowski = sum(np.outer(c, c.conj()) for c in coeffs)
     evals, evecs = np.linalg.eigh(0.5 * (kossakowski + dag(kossakowski)))
-    ops = []
-    for lam, col in zip(evals, evecs.T):
-        if lam > cut * max(evals.max(), 1.0):
-            ops.append(np.sqrt(lam) * sum(ck * b for ck, b in zip(col, basis)))
+    ops = [np.sqrt(lam) * unvec(basis @ col, n)
+           for lam, col in zip(evals, evecs.T) if lam > 1e-12 * max(evals.max(), 1.0)]
     return GKLSGenerator(gen.hamiltonian + hermitian_part(h_extra), ops)
 
 
@@ -213,10 +205,12 @@ def detailed_balance_check(
 
 
 def gibbs_state(hamiltonian: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized exp(-H/T)."""
+    """Normalized exp(-H/T) of a hermitian H."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    rho = expm(-np.asarray(hamiltonian, dtype=complex) / temperature)
+    evals, evecs = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
+    # weights relative to the ground state, so a low T cannot overflow
+    rho = (evecs * np.exp(-(evals - evals[0]) / temperature)) @ dag(evecs)
     return rho / np.trace(rho)
 
 

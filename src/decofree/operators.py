@@ -126,12 +126,11 @@ class LiouvilleMetric:
     """Inner product <A, B>_sigma = Tr(sigma A† B) for a faithful state sigma."""
 
     sigma: np.ndarray
-    faithful_tol: float = FAITHFUL_TOL
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=complex)
         check_density_matrix(sigma)
-        if np.linalg.eigvalsh(hermitian_part(sigma)).min() <= self.faithful_tol:
+        if np.linalg.eigvalsh(hermitian_part(sigma)).min() <= FAITHFUL_TOL:
             raise ValueError("metric state is not faithful (min eigenvalue too small)")
         object.__setattr__(self, "sigma", sigma)
 
@@ -155,9 +154,9 @@ class LiouvilleMetric:
 # ---------------------------------------------------------------------------
 # Seeded random helpers used across tests and randomized algorithms.
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (g + dag(g))
+    return 0.5 * (g + dag(g))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,13 +20,13 @@ from .channels import KrausMap
 from .lindblad import GKLSGenerator
 from .operators import conjugation_superop, dag, eye, sm, sx, sy, sz, tensor_product
 
-SIZE_CAP = 64  # largest product dimension d**N handled by default
+SIZE_CAP = 64  # largest product dimension d**N handled
 
 
-def _check_size(d: int, n_sites: int, cap: int) -> int:
+def _check_size(d: int, n_sites: int) -> int:
     total = d ** n_sites
-    if total > cap:
-        raise ValueError(f"product dimension {total} exceeds the size cap {cap}")
+    if total > SIZE_CAP:
+        raise ValueError(f"product dimension {total} exceeds the size cap {SIZE_CAP}")
     return total
 
 
@@ -67,10 +67,10 @@ class PermutationRep:
         return generated_algebra(list(self.generators), self.dim)
 
 
-def build_permutation_rep(n_sites: int, site_dim: int = 2, *, cap: int = SIZE_CAP) -> PermutationRep:
+def build_permutation_rep(n_sites: int, site_dim: int = 2) -> PermutationRep:
     if n_sites < 1 or site_dim < 2:
         raise ValueError("need n_sites >= 1 and site_dim >= 2")
-    _check_size(site_dim, n_sites, cap)
+    _check_size(site_dim, n_sites)
     gens = []
     for i in range(n_sites - 1):
         perm = list(range(n_sites))
@@ -114,9 +114,9 @@ class CollectiveOps:
             raise ValueError(f"collective operators are not permutation invariant ({worst:.3e})")
 
 
-def build_collective_ops(n_sites: int, single_site_ops, *, cap: int = SIZE_CAP) -> CollectiveOps:
+def build_collective_ops(n_sites: int, single_site_ops) -> CollectiveOps:
     ops = tuple(np.asarray(v, dtype=complex) for v in single_site_ops)
-    _check_size(ops[0].shape[0], n_sites, cap)
+    _check_size(ops[0].shape[0], n_sites)
     return CollectiveOps(
         n_sites=n_sites,
         single_site_ops=ops,
@@ -144,7 +144,6 @@ def build_private_bath_generator(
     single_site_generator: GKLSGenerator,
     *,
     tol: float = 1e-9,
-    cap: int = SIZE_CAP,
 ) -> GKLSGenerator:
     """One identical copy of a single-site generator coupled to each site.
 
@@ -153,11 +152,11 @@ def build_private_bath_generator(
     site swaps.
     """
     d = single_site_generator.dim
-    total = _check_size(d, n_sites, cap)
+    total = _check_size(d, n_sites)
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (total, total):
         raise ValueError("hamiltonian dimension does not match the product space")
-    rep = build_permutation_rep(n_sites, d, cap=cap)
+    rep = build_permutation_rep(n_sites, d)
     res = max(float(np.max(np.abs(dag(r) @ h @ r - h))) for r in rep.generators)
     if res > tol:
         raise ValueError(f"hamiltonian is not permutation invariant (residual {res:.3e})")
@@ -172,8 +171,7 @@ def build_private_bath_generator(
     return GKLSGenerator(h, lindblad)
 
 
-def build_superradiance_generator(n_sites: int, omega: float, gamma_rate: float,
-                                  *, cap: int = SIZE_CAP) -> GKLSGenerator:
+def build_superradiance_generator(n_sites: int, omega: float, gamma_rate: float) -> GKLSGenerator:
     """Collective radiative decay of N two-level atoms.
 
     H = (omega/2) sum_m sz^(m) and a single collective Lindblad operator
@@ -181,7 +179,7 @@ def build_superradiance_generator(n_sites: int, omega: float, gamma_rate: float,
     """
     if gamma_rate <= 0:
         raise ValueError("damping rate must be positive")
-    _check_size(2, n_sites, cap)
+    _check_size(2, n_sites)
     h = 0.5 * omega * collective_op(sz, n_sites)
     v = np.sqrt(gamma_rate) * collective_op(sm, n_sites)
     return GKLSGenerator(h, [v])
@@ -215,8 +213,7 @@ def global_invariance_residual(dynamics, rep: PermutationRep) -> float:
 class LocalInvarianceReport:
     residual: float
     invariant: bool
-    containment_checked: bool
-    containment_holds: bool | None
+    containment_holds: bool | None  # None when not invariant
 
 
 def local_invariance_residual(ops, rep: PermutationRep) -> float:
@@ -234,30 +231,20 @@ def local_invariance_check(
     rep: PermutationRep,
     *,
     tol: float = 1e-10,
-    verify_containment: bool = True,
 ) -> LocalInvarianceReport:
     """Site-permutation invariance of coupling operators.
 
     When the operators are invariant, the group algebra commutes with all of
     them, so it sits inside the commutant of {X, X†} and hence inside the
-    decoherence-free algebra; that containment is verified through the
-    algebra engine when requested.
+    decoherence-free algebra; that containment is then verified through the
+    algebra engine.
     """
     residual = local_invariance_residual(ops, rep)
     invariant = residual <= tol
     holds = None
-    checked = False
-    if invariant and verify_containment:
-        checked = True
-        group_alg = rep.group_algebra()
-        comm = commutant(list(ops), rep.dim)
-        holds = group_alg.is_subalgebra_of(comm)
-    return LocalInvarianceReport(
-        residual=residual,
-        invariant=invariant,
-        containment_checked=checked,
-        containment_holds=holds,
-    )
+    if invariant:
+        holds = rep.group_algebra().is_subalgebra_of(commutant(list(ops), rep.dim))
+    return LocalInvarianceReport(residual=residual, invariant=invariant, containment_holds=holds)
 
 
 def singlet_state() -> np.ndarray:

@@ -6,6 +6,7 @@ quadratic form instead of the Stinespring linearization, commutant dimensions
 from an eigendecomposition of a stacked Gram operator, commutants from the SVD
 of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
 solve, generated algebras by product enrichment instead of a double commutant,
+principal angles from scipy instead of a projection residual,
 propagators from brute-force substepping or from one matrix exponential per
 segment instead of one eigendecomposition per segment, lag sums pair by pair
 instead of by FFT, the Born error map from its g x g Toeplitz kernel one
@@ -15,6 +16,7 @@ Nothing here imports `decofree.born`.
 """
 
 import numpy as np
+from scipy.linalg import subspace_angles
 from scipy.special import erf
 
 
@@ -94,6 +96,14 @@ def stacked_commutant(ops, n, rtol=1e-9):
     _, s, vh = np.linalg.svd(np.vstack(rows))
     rank = int(np.sum(s > rtol * max(s[0], 1.0)))
     return [v.reshape((n, n), order="F") for v in vh[rank:].conj()]
+
+
+def principal_angles(basis_a, basis_b):
+    """Principal angles between the spans of two lists of matrices (scipy)."""
+    if not basis_a or not basis_b:
+        return np.array([])
+    return subspace_angles(np.stack([m.ravel() for m in basis_a], axis=1),
+                           np.stack([m.ravel() for m in basis_b], axis=1))
 
 
 def product_closure(ops, n, rtol=1e-9):

@@ -17,7 +17,6 @@ from decofree.algebra import (
     df_algebra_discrete,
     df_algebra_semigroup,
     multiplicative_domain,
-    principal_angles,
     relaxation_trace,
     subspace_contains,
 )
@@ -61,6 +60,7 @@ from decofree.symmetry import (
 from oracles import (
     commutant_dimension,
     definitional_df_subalgebra,
+    principal_angles,
     gaussian_corr_square_integral,
 )
 

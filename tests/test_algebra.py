@@ -24,7 +24,6 @@ from decofree.algebra import (
     intersect_spans,
     multiplicative_domain,
     nullspace,
-    principal_angles,
     relaxation_trace,
     subspace_contains,
     subspaces_equal,
@@ -48,11 +47,13 @@ from decofree.operators import (
     sx,
     sz,
     unvec,
+    vec,
 )
 from decofree.symmetry import build_superradiance_generator, collective_op, collective_spin
 from oracles import (
     commutant_dimension,
     definitional_df_subalgebra,
+    principal_angles,
     product_closure,
     stacked_commutant,
 )
@@ -99,6 +100,71 @@ class TestNullspace:
         assert null.shape == (4, 3)
         assert np.allclose(dag(null) @ null, eye(3))
         assert np.allclose(row @ null, 0.0)
+
+
+def _orthonormal_columns(rng, rows, cols):
+    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+class TestRankRule:
+    """One singular-value cut and one principal-angle test behind every subspace decision."""
+
+    @pytest.mark.parametrize("angle, equal", [(1e-9, True), (5e-8, True),
+                                              (2e-7, False), (1e-6, False)])
+    def test_subspaces_equal_against_scipy_angles(self, rng, angle, equal):
+        q = _orthonormal_columns(rng, 9, 6)
+        span = [unvec(v, 3) for v in q[:, :5].T]
+        rotated = list(span)
+        rotated[0] = unvec(np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 5], 3)
+        angles = principal_angles(span, rotated)
+        assert angles.max() == pytest.approx(angle, rel=1e-3)
+        assert subspaces_equal(span, rotated) is equal
+        assert subspaces_equal(span, rotated) == (angles.max() <= 1e-7)
+
+    def test_span_rank_is_scale_invariant(self):
+        assert MatrixAlgebra.from_span([1e-12 * sx, 1e-12 * sz]).dim == 2
+        assert MatrixAlgebra.from_span([0.0 * sx]).dim == 0
+
+    def test_intersect_spans(self, rng):
+        q = _orthonormal_columns(rng, 9, 9)
+        span = [unvec(v, 3) for v in q[:, :5].T]
+        # a copy that keeps the plane of q0, q1 in a rotated basis and swaps
+        # the rest of the span for three vectors outside it
+        mix = _orthonormal_columns(rng, 2, 2)
+        partial = [unvec(v, 3) for v in np.column_stack([q[:, :2] @ mix, q[:, 5:8]]).T]
+        complement = [unvec(v, 3) for v in q[:, 5:].T]
+        for other, dim in ((span, 5), (partial, 2), (complement, 0)):
+            meet = intersect_spans(span, other)
+            assert len(meet) == dim
+            if meet:
+                cols = np.stack([vec(m) for m in meet], axis=1)
+                assert np.allclose(dag(cols) @ cols, eye(dim), atol=1e-12)
+            assert subspace_contains(span, meet) and subspace_contains(other, meet)
+
+    def test_no_rank_knob_in_any_signature(self):
+        # the cut is NULLSPACE_RTOL * max(s_max, 1) on unit-scale input, everywhere
+        import importlib
+        import inspect
+
+        offenders = []
+        for name in ("operators", "channels", "lindblad", "algebra", "symmetry", "born",
+                     "jsonio", "cli"):
+            module = importlib.import_module(f"decofree.{name}")
+            for attr, obj in vars(module).items():
+                if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                callables = [obj]
+                if inspect.isclass(obj):
+                    callables += [getattr(obj, k) for k in vars(obj)
+                                  if not k.startswith("_") and callable(getattr(obj, k))]
+                for fn in callables:
+                    try:
+                        params = inspect.signature(fn).parameters
+                    except (TypeError, ValueError):
+                        continue
+                    offenders += [f"{name}.{attr}({p})" for p in params if p in ("rtol", "scale")]
+        assert offenders == []
 
 
 class TestCommutant:

@@ -161,12 +161,12 @@ def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
     n = 256
     durations = rng.uniform(0.3, 1.0, size=4)
     durations *= 2.0 / durations.sum()
-    traj = ControlTrajectory(1.0, [(d, random_hermitian(n, rng, 1.0 / np.sqrt(n)))
+    traj = ControlTrajectory(1.0, [(d, random_hermitian(n, rng) / np.sqrt(n))
                                    for d in durations])
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     objects = {
         "traj": trajectory_to_json(traj),
-        "coupling": {"S": [matrix_to_json(random_hermitian(n, rng, 1.0 / np.sqrt(n)))
+        "coupling": {"S": [matrix_to_json(random_hermitian(n, rng) / np.sqrt(n))
                            for _ in range(2)],
                      "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}},
         "psi": vector_to_json(psi / np.linalg.norm(psi)),
@@ -340,6 +340,72 @@ def test_non_finite_or_non_numeric_entry_is_validation_error(workdir, capsys, ki
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("bath", [
+    {"type": "gaussian", "coupling": float("nan"), "width": 2.0},
+    {"type": "flat", "cutoff": float("inf")},
+    {"type": "ohmic", "kappa": None},
+    {"type": "quartic-gaussian", "width": True},
+], ids=["gaussian-nan", "flat-infinity", "ohmic-null", "quartic-bool"])
+def test_non_finite_bath_parameter_is_validation_error(workdir, capsys, bath):
+    workdir["coupling"].write_text(json.dumps({"S": [matrix_to_json(sz)], "bath": bath}))
+    code = main(["born-error", "--traj", str(workdir["traj"]),
+                 "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("kraus", [
+    [{"dim": "x", "rows": [[[1.0, 0.0]]]}],
+    [{"rows": 5}],
+    [{"rows": [5]}],
+    [],
+], ids=["dim-string", "rows-number", "row-number", "no-kraus"])
+def test_malformed_channel_structure_is_validation_error(tmp_path, capsys, kraus):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"dim": 1, "kraus": kraus}))
+    code = main(["analyze-channel", "--channel", str(path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+def test_unencodable_report_exits_one(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli.born, "error_time_domain", lambda *args, **kwargs: float("nan"))
+    code = main(["born-error", "--traj", str(workdir["traj"]),
+                 "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Out of range float values" in captured.err
+
+
+def test_cli_runs_without_scipy(workdir, tmp_path, run_within_one_gib):
+    # exponentials of hermitian matrices go through eigh and polar factors
+    # through one SVD; scipy is loaded only for non-normal exponentials
+    ops = tmp_path / "ops.json"
+    dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))), matrix_to_json(np.kron(sz, eye(2)))]},
+              str(ops))
+    born_inputs = ["--traj", workdir["traj"], "--coupling", workdir["coupling"],
+                   "--psi", workdir["plus"]]
+    calls = [["born-error", *born_inputs], ["scan", *born_inputs, "--lambdas", "1,2"],
+             ["df", "--channel", workdir["dephasing"]], ["blocks", "--ops", ops]]
+    child = (
+        "import json, sys\n"
+        "import decofree.cli\n"
+        "codes = [decofree.cli.main(argv + ['--out', sys.argv[2]])\n"
+        "         for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    run = run_within_one_gib(child, json.dumps([list(map(str, argv)) for argv in calls]),
+                             str(tmp_path / "report.json"))
+    assert run.returncode == 0, run.stderr
+    codes, scipy_modules = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []
+    assert json.loads((tmp_path / "report.json").read_text())["blocks"] == [[2, 2]]
 
 
 def test_parser_is_built_once_and_reused(workdir, capsys):

@@ -155,7 +155,6 @@ class TestInvarianceChecks:
         rep = build_permutation_rep(3, 2)
         report = local_invariance_check(gen.lindblad_ops, rep)
         assert report.invariant
-        assert report.containment_checked
         assert report.containment_holds
 
     def test_group_algebra_inside_df_lower_bound(self):
