@@ -448,37 +448,26 @@ def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
 def multiplicative_domain(channel: KrausMap) -> MatrixAlgebra:
     """Largest *-subalgebra on which the unital CP map is multiplicative.
 
-    Computed from the linear characterization via the Stinespring isometry:
-    A belongs iff  A W_a = W_a Gamma(A)  and  W_a† A = Gamma(A) W_a†  for
-    every Kraus operator W_a.  Channels that reduce to a single Kraus
-    operator are unitary and return the full matrix algebra.
+    With the Stinespring isometry V = sum_a W_a (x) |a>, A lies in N_Gamma iff
+    A (x) 1 commutes with VV† = sum_ab W_a W_b† (x) |a><b| (Choi 1974), that is
+    iff A commutes with every W_a W_b† of any Kraus list.  The reduced list keeps
+    the pairs few; pairs a <= b suffice, as commutant adjoins W_b W_a†.
     """
-    reduced = reduce_kraus(channel)
-    n = reduced.dim
-    if len(reduced.kraus_ops) == 1:
-        return full_algebra(n)
-    g = reduced.heisenberg_matrix()
-    rows = []
-    for w in reduced.kraus_ops:
-        rows.append(right_mult_superop(w) - left_mult_superop(w) @ g)
-        rows.append(left_mult_superop(dag(w)) - right_mult_superop(dag(w)) @ g)
-    return _columns_algebra(nullspace(np.vstack(rows)), n)
+    ops = reduce_kraus(channel).kraus_ops
+    return commutant([a @ dag(b) for i, a in enumerate(ops) for b in ops[i:]], channel.dim)
 
 
-def _largest_invariant_subspace(g, q, max_steps: int) -> tuple:
-    """Largest g-invariant subspace of span(q) as (columns, steps, reached).
+def _largest_invariant_subspace(apply, q, max_steps: int) -> tuple:
+    """Largest subspace of span(q) invariant under a map of unit scale on columns.
 
-    S_0 = span(q), S_{j+1} = {A in S_j : g A in S_j}, one nullspace solve per
-    step, with g at unit norm so the rank floor keeps its meaning; reached is
-    False when max_steps stops the chain before its fixed point.  A
-    one-dimensional span is span{1}, which the maps of both callers keep.
+    S_0 = span(q), S_{j+1} = {A in S_j : apply(A) in S_j}, one nullspace solve
+    per step, as (columns, steps, reached); reached is False when max_steps
+    stops the chain before its fixed point.  A one-dimensional span is span{1},
+    which the maps of both callers keep.
     """
-    norm = np.linalg.norm(g, 2)
-    if norm > 0:
-        g = g / norm
     steps = 0
     while q.shape[1] > 1 and steps < max_steps:
-        img = g @ q
+        img = apply(q)
         c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
@@ -494,12 +483,7 @@ class DiscreteDFResult:
     certificate: str   # "exact" | "max-k"
 
 
-def df_algebra_discrete(
-    channel: KrausMap,
-    max_k: int = 25,
-    *,
-    detailed_balance: "DetailedBalanceChannel | None" = None,
-) -> DiscreteDFResult:
+def df_algebra_discrete(channel: KrausMap, max_k: int = 25) -> DiscreteDFResult:
     """Observables evolving reversibly under every iterate of the map.
 
     The largest Gamma-invariant subspace of the multiplicative domain N_Gamma,
@@ -516,24 +500,25 @@ def df_algebra_discrete(
     chain S_j decreases, stays constant from its first repeat and repeats
     within dim N_Gamma steps; no faithful state is needed.
 
+    Gamma acts on the basis as one Kraus sum, unscaled: Gamma(1) = 1 and Gamma
+    contracts the operator norm, so 1 <= ||Gamma||_2 <= sqrt(n).
+
     The certificate is "exact" at the fixed point (or when N_Gamma is span{1},
     trivially invariant), and "max-k" when max_k stops the recursion first:
     the result is then the intersection over k <= max_k, a superset of the
-    decoherence-free algebra.  Matching the fixed-point space of the
-    dissipative factor of a supplied detailed-balance structure also
-    certifies exact.
+    decoherence-free algebra.
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
+    n = channel.dim
+    def apply(q):  # column j of q is vec(X_j) = X_j.T.ravel()
+        images = channel(q.T.reshape(-1, n, n).transpose(0, 2, 1))
+        return images.transpose(0, 2, 1).reshape(-1, n * n).T
+
     q = _basis_columns(multiplicative_domain(channel).basis)
-    q, steps, reached = _largest_invariant_subspace(channel.heisenberg_matrix(), q, max_k - 1)
-    certificate = "exact" if reached else "max-k"
-    current = _columns_algebra(q, channel.dim)
-    if detailed_balance is not None:
-        fixed = fixed_points(detailed_balance.dissipative)
-        if subspaces_equal(list(current.basis), list(fixed.basis)):
-            certificate = "exact"
-    return DiscreteDFResult(algebra=current, k_used=1 + steps, certificate=certificate)
+    q, steps, reached = _largest_invariant_subspace(apply, q, max_k - 1)
+    return DiscreteDFResult(algebra=_columns_algebra(q, n), k_used=1 + steps,
+                            certificate="exact" if reached else "max-k")
 
 
 @dataclass(frozen=True)
@@ -562,7 +547,9 @@ def df_algebra_semigroup(
         if not report.passed:
             raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
     q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim).basis)
-    q, _, _ = _largest_invariant_subspace(gen.heisenberg_matrix(), q, q.shape[1])
+    g = gen.heisenberg_matrix()  # a generator has no natural scale: unit 2-norm
+    g = g / (np.linalg.norm(g, 2) or 1.0)
+    q, _, _ = _largest_invariant_subspace(lambda x: g @ x, q, q.shape[1])
     return SemigroupDFResult(algebra=_columns_algebra(q, gen.dim), certificate="exact")
 
 
@@ -637,7 +624,7 @@ class CommutantBounds:
     """Nested commutant lower bounds for the DF algebras of U * Gamma_D.
 
     of_ops        = {W_a, W_a†}'            (inside of_pair_products)
-    of_pair_products = {W_a W_b†}'          (inside the multiplicative domain)
+    of_pair_products = {W_a W_b†}'          (equal to the multiplicative domain)
     of_all_products  = {W_a W_b, W_a W_b†, W_a† W_b†}'  (inside the global DF
                       algebra; only defined when the unitary part commutes
                       with the dissipative one)
@@ -658,8 +645,7 @@ def commutant_bounds(
     ops = list(dissipative.kraus_ops)
     n = dissipative.dim
     w1 = commutant(ops, n)
-    pairs = [a @ dag(b) for a in ops for b in ops]
-    w2 = commutant(pairs, n)
+    w2 = multiplicative_domain(dissipative)
 
     s_u = conjugation_superop(np.asarray(unitary, dtype=complex))
     s_d = dissipative.heisenberg_matrix()

@@ -66,21 +66,22 @@ class Segment:
 class ControlTrajectory:
     """Piecewise-constant control Hamiltonian on [-tau, tau].
 
-    Segment durations must be positive and sum to 2 tau; smooth controls must
-    be pre-sampled by the caller.  Each segment Hamiltonian is diagonalized
-    once, H_k = V diag(e) V†; with t_k the segment start and R = V† U(t_k, -tau),
-    U(s, -tau) = V diag(e^{-ie(s - t_k)}) R inside it.  This one factorization
-    serves `propagator` and every interaction-picture operator or vector.
+    tau and the durations must be positive and finite, the durations summing to
+    2 tau; smooth controls must be pre-sampled by the caller.  Each segment
+    Hamiltonian is diagonalized once, H_k = V diag(e) V†; with t_k the segment
+    start and R = V† U(t_k, -tau), U(s, -tau) = V diag(e^{-ie(s - t_k)}) R inside
+    it.  This one factorization serves `propagator` and every interaction-picture
+    operator or vector.
     """
 
     def __init__(self, tau: float, segments, *, tol: float = 1e-9):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:  # chained comparisons are False for NaN too
+            raise ValueError("tau must be positive and finite")
         segs = []
         for d, h in segments:
             h = np.asarray(h, dtype=complex)
-            if d <= 0:
-                raise ValueError("segment durations must be positive")
+            if not 0 < d < math.inf:
+                raise ValueError("segment durations must be positive and finite")
             if not is_hermitian(h, tol):
                 raise ValueError("segment Hamiltonians must be hermitian")
             segs.append(Segment(float(d), h))
@@ -274,6 +275,8 @@ def tabulated_bath(omegas, values) -> Bath:
     """Spectral density sampled on a grid, linearly interpolated, zero outside."""
     omegas = np.asarray(omegas, dtype=float)
     values = np.asarray(values, dtype=complex)
+    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
+        raise ValueError("tabulated frequencies and spectral matrices must be finite")
     if values.ndim == 1:
         values = values[:, None, None]
     n_ops = values.shape[1]

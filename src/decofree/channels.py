@@ -24,6 +24,7 @@ from .operators import (
 # Choi eigenvalues below KRAUS_CUT * (largest eigenvalue) are dropped when
 # canonicalizing a Kraus decomposition.
 KRAUS_CUT = 1e-11
+REDUCED_TOL = 1e-8  # unitality tolerance of a reduced list, far above what the cut drops
 
 
 class KrausMap:
@@ -48,9 +49,9 @@ class KrausMap:
         self.unitality_defect = defect
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        """Heisenberg action Gamma(A) = sum W† A W."""
+        """Heisenberg action Gamma(A) = sum W† A W, on one operator or a stack (..., n, n)."""
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+        if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError("operator dimension does not match the channel")
         out = np.zeros_like(a)
         for w in self.kraus_ops:
@@ -162,9 +163,14 @@ def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     return ops
 
 
-def reduce_kraus(channel: KrausMap, *, tol: float = DEFAULT_TOL) -> KrausMap:
-    """Canonical Kraus list (at most dim**2 operators) via the Choi spectrum."""
-    return KrausMap(kraus_from_choi(choi_matrix(channel)), tol=max(tol, 1e-8))
+def reduce_kraus(channel: KrausMap) -> KrausMap:
+    """Canonical Kraus list (at most dim**2 operators), with no n^2 x n^2 matrix:
+    Choi = A A† for the n^2 x k matrix A = [vec W_a], so the columns of U Sigma
+    in A's thin SVD, cut on the Choi eigenvalues s^2, are the new operators."""
+    u, s, _ = np.linalg.svd(np.stack([vec(w) for w in channel.kraus_ops], axis=1),
+                            full_matrices=False)
+    keep = s**2 > KRAUS_CUT * s[0] ** 2
+    return KrausMap([unvec(c, channel.dim) for c in (u[:, keep] * s[keep]).T], tol=REDUCED_TOL)
 
 
 def channel_from_superop(heisenberg: np.ndarray, *, tol: float = DEFAULT_TOL) -> KrausMap:
@@ -211,7 +217,7 @@ def compose(g1: KrausMap, g2: KrausMap) -> KrausMap:
 
     The Kraus list of the composition is {W2_a W1_b}; for unitary channels
     compose(U-channel, V-channel) is the channel of the product V U.  Lists
-    longer than dim**2 are reduced through the Choi spectrum.
+    longer than dim**2 are reduced by :func:`reduce_kraus`.
     """
     if g1.dim != g2.dim:
         raise ValueError("channel dimensions do not match")

@@ -88,7 +88,8 @@ def vector_from_json(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValidationError("vector object must have an 'entries' field")
     v = np.array([_pair_to_complex(z) for z in obj["entries"]], dtype=complex)
-    if "dim" in obj and int(obj["dim"]) != v.size:
+    # compared without int(), so a non-numeric dim is a mismatch, not a crash
+    if "dim" in obj and obj["dim"] != v.size:
         raise ValidationError("vector length does not match its declared dim")
     return v
 
@@ -108,6 +109,8 @@ def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
     if not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list) or not obj["kraus"]:
         raise ValidationError("channel object must have a nonempty 'kraus' list")
     ops = [matrix_from_json(m) for m in obj["kraus"]]
+    if len({w.shape for w in ops}) > 1:
+        raise ValidationError("all Kraus operators must have one dimension")
     try:
         channel = KrausMap(ops, tol=tol)
     except ValueError as exc:

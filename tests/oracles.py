@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: the
 decoherence-free subalgebra comes from the Gram matrix of the dissipation
-quadratic form instead of the Stinespring linearization, commutant dimensions
+quadratic form instead of the commutant of the Kraus pair products
+{W_a W_b†}' (the Stinespring projection), commutant dimensions
 from an eigendecomposition of a stacked Gram operator, commutants from the SVD
 of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
 solve, generated algebras by product enrichment instead of a double commutant,

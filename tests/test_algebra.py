@@ -35,6 +35,7 @@ from decofree.channels import (
     depolarizing_channel,
     identity_channel,
     random_unital_channel,
+    reduce_kraus,
     unitary_channel,
 )
 from decofree.lindblad import GKLSGenerator, build_gibbs_generator
@@ -383,6 +384,25 @@ class TestMultiplicativeDomain:
         assert alg.contains(u)
 
 
+    def test_channel_path_builds_no_superoperator(self, monkeypatch, rng):
+        # multiplicative_domain, df_algebra_discrete and reduce_kraus work on
+        # n x n matrices only: no Heisenberg, Schrodinger or Choi matrix
+        chans = [dephasing_channel(0.25), random_unital_channel(3, 2, rng),
+                 _collective_dephasing_channel(2), _rotated_dephasing_channel()]
+        expected = [(multiplicative_domain(c).dim, df_algebra_discrete(c).algebra.dim)
+                    for c in chans]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n^2 x n^2 matrix was built")
+
+        monkeypatch.setattr(KrausMap, "heisenberg_matrix", refuse)
+        monkeypatch.setattr(KrausMap, "schrodinger_matrix", refuse)
+        monkeypatch.setattr("decofree.channels.choi_matrix", refuse)
+        for chan, dims in zip(chans, expected):
+            assert len(reduce_kraus(chan).kraus_ops) <= len(chan.kraus_ops)
+            assert (multiplicative_domain(chan).dim, df_algebra_discrete(chan).algebra.dim) == dims
+
+
 class TestFlipAutomorphism:
     def test_not_inner(self):
         # the swap of the two diagonal entries is a valid automorphism of the
@@ -419,8 +439,7 @@ class TestDiscreteDF:
         assert res.algebra.contains(sz)
 
     def test_gibbs_channel_ergodic(self, gibbs_channel):
-        res = df_algebra_discrete(gibbs_channel.channel(), max_k=10,
-                                  detailed_balance=gibbs_channel)
+        res = df_algebra_discrete(gibbs_channel.channel(), max_k=10)
         assert res.algebra.dim == 1
         assert res.certificate == "exact"
 
@@ -563,9 +582,26 @@ class TestCommutantBounds:
         nalg = multiplicative_domain(chan)
         assert bounds.of_ops.is_subalgebra_of(bounds.of_pair_products)
         assert bounds.of_pair_products.is_subalgebra_of(nalg)
+        assert subspaces_equal(list(bounds.of_pair_products.basis), list(nalg.basis))
         assert bounds.of_all_products is not None
         df = df_algebra_discrete(chan, max_k=8)
         assert bounds.of_all_products.is_subalgebra_of(df.algebra)
+
+    def test_pair_commutant_is_multiplicative_domain(self):
+        # a seeded random channel in a direct sum with a random unitary one:
+        # the domain is C 1 (+) M_2, of dimension 5, by the definitional oracle
+        rng = np.random.default_rng(302)
+        u = random_unitary(2, rng)
+        ops = [np.zeros((5, 5), dtype=complex) for _ in range(3)]
+        for w, block in zip(ops, random_unital_channel(3, 3, rng).kraus_ops):
+            w[:3, :3] = block
+            w[3:, 3:] = u / np.sqrt(3.0)
+        chan = KrausMap(ops)
+        bounds = commutant_bounds(eye(5), chan)
+        nalg = multiplicative_domain(chan)
+        assert nalg.dim == 5
+        assert subspaces_equal(list(bounds.of_pair_products.basis), list(nalg.basis))
+        assert subspaces_equal(list(nalg.basis), definitional_df_subalgebra(chan))
 
     def test_superradiance_kraus_factor(self, gibbs_channel):
         # thermal qubit: W1 = {sm, sp}' is trivial and sits in every bound

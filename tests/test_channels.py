@@ -111,11 +111,17 @@ class TestChoi:
         assert np.max(np.abs(rebuilt(a) - chan(a))) < 1e-10
 
     def test_reduction_reaches_choi_rank(self):
-        # redundant three-operator presentation of a rank-2 dephasing map
-        chan = KrausMap([np.sqrt(0.5) * eye(2), np.sqrt(0.25) * eye(2), np.sqrt(0.25) * sz])
-        reduced = reduce_kraus(chan)
-        choi_rank = int(np.sum(np.linalg.eigvalsh(choi_matrix(chan)) > 1e-10))
-        assert len(reduced.kraus_ops) == choi_rank == 2
+        # redundant three-operator presentation of a rank-2 dephasing map, and
+        # the 16-operator list of depolarizing o depolarizing (k > n^2, rank 4)
+        depol = depolarizing_channel().kraus_ops
+        for chan, rank in [
+            (KrausMap([np.sqrt(0.5) * eye(2), np.sqrt(0.25) * eye(2), np.sqrt(0.25) * sz]), 2),
+            (KrausMap([b @ a for a in depol for b in depol]), 4),
+        ]:
+            reduced = reduce_kraus(chan)
+            choi_rank = int(np.sum(np.linalg.eigvalsh(choi_matrix(chan)) > 1e-10))
+            assert len(reduced.kraus_ops) == choi_rank == rank
+            assert np.max(np.abs(reduced.heisenberg_matrix() - chan.heisenberg_matrix())) < 1e-12
 
     def test_non_cp_choi_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
-from decofree.channels import channel_from_superop, dephasing_channel
+from decofree.channels import channel_from_superop, dephasing_channel, random_unital_channel
 import decofree.cli as cli
 from decofree.cli import main
 from decofree.jsonio import (
@@ -152,6 +152,18 @@ def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path, run_wit
     report = json.loads(run.stdout)
     eps_t, eps_f = report["epsilon_time"], report["epsilon_frequency"]
     assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
+
+
+def test_df_channel_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
+    # N_Gamma is the commutant of the pair products W_a W_b† and Gamma acts as
+    # a Kraus sum: no n^2 x n^2 matrix, which alone takes 268 MB at n = 64
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel_to_json(
+        random_unital_channel(64, 2, np.random.default_rng(64)))))
+    run = run_within_one_gib(CLI_CHILD, "df", "--channel", str(path))
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert (report["dimension"], report["k_used"], report["certificate"]) == (1, 1, "exact")
 
 
 def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
@@ -347,7 +359,8 @@ def test_non_finite_or_non_numeric_entry_is_validation_error(workdir, capsys, ki
     {"type": "flat", "cutoff": float("inf")},
     {"type": "ohmic", "kappa": None},
     {"type": "quartic-gaussian", "width": True},
-], ids=["gaussian-nan", "flat-infinity", "ohmic-null", "quartic-bool"])
+    {"omega": [-1.0, 0.0, 1.0], "R": [0.1, float("nan"), 0.1]},
+], ids=["gaussian-nan", "flat-infinity", "ohmic-null", "quartic-bool", "tabulated-nan"])
 def test_non_finite_bath_parameter_is_validation_error(workdir, capsys, bath):
     workdir["coupling"].write_text(json.dumps({"S": [matrix_to_json(sz)], "bath": bath}))
     code = main(["born-error", "--traj", str(workdir["traj"]),
@@ -362,11 +375,29 @@ def test_non_finite_bath_parameter_is_validation_error(workdir, capsys, bath):
     [{"rows": 5}],
     [{"rows": [5]}],
     [],
-], ids=["dim-string", "rows-number", "row-number", "no-kraus"])
+    [matrix_to_json(eye(2)), matrix_to_json(eye(3))],
+], ids=["dim-string", "rows-number", "row-number", "no-kraus", "mixed-sizes"])
 def test_malformed_channel_structure_is_validation_error(tmp_path, capsys, kraus):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps({"dim": 1, "kraus": kraus}))
     code = main(["analyze-channel", "--channel", str(path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("traj", "dt", float("nan")),
+    ("traj", "dt", float("inf")),
+    ("traj", "tau", float("nan")),
+    ("plus", "dim", "x"),
+], ids=["dt-nan", "dt-infinity", "tau-nan", "psi-dim-string"])
+def test_bad_born_input_value_is_validation_error(workdir, capsys, name, field, value):
+    obj = json.loads(workdir[name].read_text())
+    (obj["segments"][0] if field == "dt" else obj)[field] = value
+    workdir[name].write_text(json.dumps(obj))
+    code = main(["born-error", "--traj", str(workdir["traj"]),
+                 "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
