@@ -16,11 +16,12 @@ angle is at most ANGLE_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausMap, reduce_kraus
+from .channels import KrausMap, compose, reduce_kraus, unitary_channel
 from .lindblad import GKLSGenerator, detailed_balance_check
 from .operators import (
     LiouvilleMetric,
@@ -458,16 +459,20 @@ def multiplicative_domain(channel: KrausMap) -> MatrixAlgebra:
 
 
 def _largest_invariant_subspace(apply, q, max_steps: int) -> tuple:
-    """Largest subspace of span(q) invariant under a map of unit scale on columns.
+    """Largest subspace of span(q) invariant under a map of unit scale.
 
-    S_0 = span(q), S_{j+1} = {A in S_j : apply(A) in S_j}, one nullspace solve
-    per step, as (columns, steps, reached); reached is False when max_steps
-    stops the chain before its fixed point.  A one-dimensional span is span{1},
-    which the maps of both callers keep.
+    apply maps a stack of operators (m, n, n) to the stack of their images;
+    column j of q is vec(X_j) = X_j.T.ravel(), so the stack is reshaped here,
+    once.  S_0 = span(q), S_{j+1} = {A in S_j : apply(A) in S_j}, one nullspace
+    solve per step, as (columns, steps, reached); reached is False when
+    max_steps stops the chain before its fixed point.  A one-dimensional span
+    is span{1}, which the maps of both callers keep.
     """
+    n = math.isqrt(q.shape[0])
     steps = 0
     while q.shape[1] > 1 and steps < max_steps:
-        img = apply(q)
+        img = apply(q.T.reshape(-1, n, n).transpose(0, 2, 1))
+        img = img.transpose(0, 2, 1).reshape(-1, n * n).T
         c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
@@ -510,14 +515,9 @@ def df_algebra_discrete(channel: KrausMap, max_k: int = 25) -> DiscreteDFResult:
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    n = channel.dim
-    def apply(q):  # column j of q is vec(X_j) = X_j.T.ravel()
-        images = channel(q.T.reshape(-1, n, n).transpose(0, 2, 1))
-        return images.transpose(0, 2, 1).reshape(-1, n * n).T
-
     q = _basis_columns(multiplicative_domain(channel).basis)
-    q, steps, reached = _largest_invariant_subspace(apply, q, max_k - 1)
-    return DiscreteDFResult(algebra=_columns_algebra(q, n), k_used=1 + steps,
+    q, steps, reached = _largest_invariant_subspace(channel, q, max_k - 1)
+    return DiscreteDFResult(algebra=_columns_algebra(q, channel.dim), k_used=1 + steps,
                             certificate="exact" if reached else "max-k")
 
 
@@ -528,10 +528,7 @@ class SemigroupDFResult:
 
 
 def df_algebra_semigroup(
-    gen: GKLSGenerator,
-    metric: LiouvilleMetric | None = None,
-    *,
-    tol: float = 1e-8,
+    gen: GKLSGenerator, metric: LiouvilleMetric | None = None
 ) -> SemigroupDFResult:
     """Observables evolving reversibly under the whole semigroup.
 
@@ -540,16 +537,23 @@ def df_algebra_semigroup(
     i[H, .].  The algebra is the largest generator-invariant subspace of S_0,
     the commutant of {delta_H^j(L_k), delta_H^j(L_k†) : j >= 0} (Dhahri,
     Fagnola & Rebolledo, IDAQP 13, 2010), reached within dim S_0 steps: the
-    certificate is always "exact".  A metric adds a detailed-balance check.
+    certificate is always "exact".  The recursion applies i[H, .] to operator
+    stacks, scaled by the spread of H's spectrum (its exact 2-norm), so no
+    n^2 x n^2 matrix is built and the rank decisions depend neither on the
+    size of the L_k nor on an energy offset of H.  A metric adds a
+    detailed-balance check.
     """
     if metric is not None:
-        report = detailed_balance_check(gen, metric, tol)
+        report = detailed_balance_check(gen, metric)
         if not report.passed:
             raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
     q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim).basis)
-    g = gen.heisenberg_matrix()  # a generator has no natural scale: unit 2-norm
-    g = g / (np.linalg.norm(g, 2) or 1.0)
-    q, _, _ = _largest_invariant_subspace(lambda x: g @ x, q, q.shape[1])
+    # on S_0 the generator is i[H, .], whose 2-norm is the spread of H's spectrum;
+    # H less the centre of that spectrum gives the same map, rounded at that scale
+    evals = np.linalg.eigvalsh(gen.hamiltonian)
+    h = gen.hamiltonian - 0.5 * (evals[0] + evals[-1]) * eye(gen.dim)
+    h = h / (np.ptp(evals) or 1.0)
+    q, _, _ = _largest_invariant_subspace(lambda x: 1j * (h @ x - x @ h), q, q.shape[1])
     return SemigroupDFResult(algebra=_columns_algebra(q, gen.dim), certificate="exact")
 
 
@@ -636,12 +640,7 @@ class CommutantBounds:
     unitary_commutes: bool
 
 
-def commutant_bounds(
-    unitary: np.ndarray,
-    dissipative: KrausMap,
-    *,
-    tol: float = 1e-8,
-) -> CommutantBounds:
+def commutant_bounds(unitary: np.ndarray, dissipative: KrausMap) -> CommutantBounds:
     ops = list(dissipative.kraus_ops)
     n = dissipative.dim
     w1 = commutant(ops, n)
@@ -649,7 +648,7 @@ def commutant_bounds(
 
     s_u = conjugation_superop(np.asarray(unitary, dtype=complex))
     s_d = dissipative.heisenberg_matrix()
-    commutes = bool(np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) <= tol * max(np.linalg.norm(s_d, 2), 1.0))
+    commutes = bool(np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) <= 1e-8 * max(np.linalg.norm(s_d, 2), 1.0))
     w3 = None
     if commutes:
         prods = [a @ b for a in ops for b in ops]
@@ -677,27 +676,27 @@ class DetailedBalanceChannel:
     unitary: np.ndarray
     dissipative: KrausMap
     metric: LiouvilleMetric
-    tol: float = 1e-7
 
     def __post_init__(self):
+        tol = 1e-7
         u = np.asarray(self.unitary, dtype=complex)
         n = self.dissipative.dim
         if u.shape != (n, n):
             raise ValueError("unitary dimension does not match the dissipative part")
-        if np.linalg.norm(dag(u) @ u - eye(n)) > self.tol:
+        if np.linalg.norm(dag(u) @ u - eye(n)) > tol:
             raise ValueError("unitary part is not unitary within tolerance")
         s_u = conjugation_superop(u)
         s_d = self.dissipative.heisenberg_matrix()
-        if np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) > self.tol * max(np.linalg.norm(s_d, 2), 1.0):
+        if np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) > tol * max(np.linalg.norm(s_d, 2), 1.0):
             raise ValueError("unitary and dissipative parts do not commute")
         g = self.metric.gram_superop()
-        if np.max(np.abs(g @ s_d - dag(s_d) @ g)) > self.tol:
+        if np.max(np.abs(g @ s_d - dag(s_d) @ g)) > tol:
             raise ValueError("dissipative part is not hermitian in the metric")
         sigma = self.metric.sigma
-        if np.max(np.abs(u @ sigma - sigma @ u)) > self.tol:
+        if np.max(np.abs(u @ sigma - sigma @ u)) > tol:
             raise ValueError("metric state is not invariant under the unitary part")
         total = dag(s_u @ s_d)
-        if np.max(np.abs(unvec(total @ vec(sigma), n) - sigma)) > self.tol:
+        if np.max(np.abs(unvec(total @ vec(sigma), n) - sigma)) > tol:
             raise ValueError("metric state is not stationary for the channel")
         object.__setattr__(self, "unitary", u)
 
@@ -709,9 +708,8 @@ class DetailedBalanceChannel:
         return conjugation_superop(self.unitary) @ self.dissipative.heisenberg_matrix()
 
     def channel(self) -> KrausMap:
-        from .channels import channel_from_superop
-
-        return channel_from_superop(self.heisenberg_matrix(), tol=1e-7)
+        """The Kraus list {W_a U} of Gamma(A) = U† Gamma_D(A) U."""
+        return compose(unitary_channel(self.unitary), self.dissipative)
 
 
 def detailed_balance_channel_from_gibbs(gibbs, t: float = 1.0) -> DetailedBalanceChannel:

@@ -261,9 +261,10 @@ def cmd_evolve(args) -> dict:
         channel = _load_channel(args.channel, args.tol)
         if state.shape[0] != channel.dim:
             raise ValidationError("state dimension does not match the channel")
-        steps = args.steps
+        if args.steps < 0:
+            raise ValidationError("--steps must be non-negative")
         current = state
-        for k in range(steps + 1):
+        for k in range(args.steps + 1):
             report["states"].append(_state_entry(float(k), current))
             current = channel.apply_dual(current)
         report["dim"] = channel.dim
@@ -272,9 +273,12 @@ def cmd_evolve(args) -> dict:
         gen = loaded.generator if isinstance(loaded, lindblad.GibbsGenerator) else loaded
         if state.shape[0] != gen.dim:
             raise ValidationError("state dimension does not match the generator")
-        times = [float(x) for x in args.times.split(",") if x]
-        if any(t < 0 for t in times):
-            raise ValidationError("evolution times must be non-negative")
+        try:
+            times = [float(x) for x in args.times.split(",") if x]
+        except ValueError as exc:
+            raise ValidationError(f"bad --times: {exc}") from exc
+        if not all(0.0 <= t < np.inf for t in times):
+            raise ValidationError("evolution times must be finite and non-negative")
         for t in sorted(times):
             report["states"].append(_state_entry(t, lindblad.evolve_state(gen, state, t)))
         report["dim"] = gen.dim
@@ -381,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
+            raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
         report = args.func(args)
         report.update(tolerances={"tol": args.tol}, seed=args.seed)
         # inside the try: a report value the encoder refuses is an internal error

@@ -262,13 +262,7 @@ class GibbsGenerator:
         return LiouvilleMetric(self.stationary_state)
 
 
-def build_gibbs_generator(
-    hamiltonian: np.ndarray,
-    temperature: float,
-    eigen_ops,
-    *,
-    tol: float = 1e-8,
-) -> GibbsGenerator:
+def build_gibbs_generator(hamiltonian: np.ndarray, temperature: float, eigen_ops) -> GibbsGenerator:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     h = np.asarray(hamiltonian, dtype=complex)
@@ -276,14 +270,14 @@ def build_gibbs_generator(
     lindblad = []
     for v in eigen_ops:
         v = np.asarray(v, dtype=complex)
-        omega = bohr_frequency(h, v, tol=tol)
+        omega = bohr_frequency(h, v)
         pairs.append((v, omega))
         lindblad.append(v)
         lindblad.append(np.exp(-omega / (2.0 * temperature)) * dag(v))
     gen = GKLSGenerator(h, lindblad)
     sigma = gibbs_state(h, temperature)
     stat_res = float(np.max(np.abs(unvec(gen.schrodinger_matrix() @ vec(sigma), gen.dim))))
-    if stat_res > max(tol, 1e-7):
+    if stat_res > 1e-7:
         raise ValueError(f"Gibbs state is not stationary (residual {stat_res:.3e})")
     return GibbsGenerator(
         hamiltonian=h,

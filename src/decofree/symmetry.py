@@ -139,11 +139,7 @@ def su2_algebra(n_sites: int) -> MatrixAlgebra:
 
 
 def build_private_bath_generator(
-    n_sites: int,
-    hamiltonian: np.ndarray,
-    single_site_generator: GKLSGenerator,
-    *,
-    tol: float = 1e-9,
+    n_sites: int, hamiltonian: np.ndarray, single_site_generator: GKLSGenerator
 ) -> GKLSGenerator:
     """One identical copy of a single-site generator coupled to each site.
 
@@ -158,7 +154,7 @@ def build_private_bath_generator(
         raise ValueError("hamiltonian dimension does not match the product space")
     rep = build_permutation_rep(n_sites, d)
     res = max(float(np.max(np.abs(dag(r) @ h @ r - h))) for r in rep.generators)
-    if res > tol:
+    if res > 1e-9:
         raise ValueError(f"hamiltonian is not permutation invariant (residual {res:.3e})")
     lindblad = [
         embed_at_site(v, m, n_sites)

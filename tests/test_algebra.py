@@ -530,6 +530,40 @@ class TestSemigroupDFOracles:
         assert res.algebra.dim == dim
         assert subspaces_equal(list(res.algebra.basis), cumulative, tol=1e-7)
 
+    @pytest.mark.parametrize("make_generator, dim", [
+        (lambda: GKLSGenerator(np.kron(sx, sx), [np.kron(sm, eye(2))]), 2),
+        (lambda: GKLSGenerator(sx, [sz]), 1),
+        (lambda: GKLSGenerator(np.kron(sx, sx), [np.kron(sz, eye(2)) + np.kron(eye(2), sz)]), 5),
+        (lambda: GKLSGenerator(random_hermitian(3, np.random.default_rng(3)),
+                               [np.diag([1.0, 1.0, -1.0])]), 1),
+    ], ids=["xx-coupling-decay", "drive-dephasing", "collective-dephasing-xx",
+            "random-qutrit-dephasing"])
+    def test_builds_no_superoperator(self, monkeypatch, make_generator, dim):
+        # on {L_k, L_k†}' the generator is i[H, .], applied to operator stacks
+        def refuse(self):
+            raise AssertionError("n^2 x n^2 generator built")
+
+        for name in ("heisenberg_matrix", "hamiltonian_matrix", "dissipator_matrix"):
+            monkeypatch.setattr(GKLSGenerator, name, refuse)
+        res = df_algebra_semigroup(make_generator())
+        assert (res.algebra.dim, res.certificate) == (dim, "exact")
+
+    @pytest.mark.parametrize("h_scale, l_scale", [(1.0, 1.0), (1e-3, 1e3), (1e-4, 1e4)])
+    def test_weak_drive_is_not_hidden_by_strong_dissipation(self, h_scale, l_scale):
+        # the rank cut sees i[H, .] at unit norm, whatever the size of the L_k
+        res = df_algebra_semigroup(GKLSGenerator(h_scale * sx, [l_scale * sz]))
+        assert (res.algebra.dim, res.certificate) == (1, "exact")
+
+    def test_identity_survives_a_large_energy_offset(self):
+        # i[H, .] is blind to H + c 1, but its rounding is not: the recursion
+        # works with H centred on its spectrum, so span{1} is never cut
+        u = random_unitary(4, np.random.default_rng(1))
+        z = u @ np.kron(sz, eye(2)) @ dag(u)
+        z = 0.5 * (z + dag(z))
+        res = df_algebra_semigroup(GKLSGenerator(1e9 * eye(4) + z, [z]))
+        assert res.algebra.dim >= 1
+        assert res.algebra.contains(eye(4))
+
     @pytest.mark.parametrize("make_gibbs", [
         lambda: build_gibbs_generator(-0.5 * sz, 1.0, [sm]),
         lambda: _ladder(1.0, 0.7),

@@ -166,6 +166,17 @@ def test_df_channel_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
     assert (report["dimension"], report["k_used"], report["certificate"]) == (1, 1, "exact")
 
 
+def test_df_generator_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
+    # the recursion applies i[H, .] to operator stacks: no n^2 x n^2
+    # generator, whose dissipator alone ran out of memory at n = 64
+    path = tmp_path / "private_bath.json"
+    path.write_text(json.dumps({"model": "private_bath", "N": 6, "v_site": [matrix_to_json(sm)]}))
+    run = run_within_one_gib(CLI_CHILD, "df", "--generator", str(path))
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert (report["dimension"], report["certificate"]) == (1, "exact")
+
+
 def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
     # every route applies the interaction picture to psi only: O(r g n)
     # memory, where an (r, g, n, n) operator stack alone would take 840 MB
@@ -325,6 +336,46 @@ def test_bad_numeric_flag_is_validation_error(workdir, capsys, argv):
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--times", "0,abc"],
+    ["evolve", "--times", "nan"],
+    ["evolve", "--times", "inf"],
+    ["evolve", "--steps", "-3"],
+], ids=" ".join)
+def test_bad_evolve_flag_is_validation_error(workdir, capsys, argv):
+    model = ["--channel" if "--steps" in argv else "--generator",
+             str(workdir["dephasing" if "--steps" in argv else "damping"])]
+    code = main([*argv, *model, "--state", str(workdir["mixed"])])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("channel", ["dephasing", "bad_channel"])
+def test_bad_tolerance_is_validation_error(workdir, capsys, tol, channel):
+    # a NaN tolerance would pass every check and end in an unencodable report
+    code = main(["analyze-channel", "--channel", str(workdir[channel]), "--tol", tol])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+    assert report["message"].startswith("--tol")
+
+
+def test_tolerance_env_nan_is_validation_error(workdir, monkeypatch, capsys):
+    import importlib
+
+    monkeypatch.setenv("DECOFREE_TOL", "nan")
+    importlib.reload(cli)
+    try:
+        code = cli.main(["df", "--channel", str(workdir["dephasing"])])
+    finally:
+        monkeypatch.delenv("DECOFREE_TOL")
+        importlib.reload(cli)
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["message"].startswith("--tol")
 
 
 # imaginary parts that replace a 0.0: the string and the bool keep the
