@@ -340,106 +340,67 @@ class BlockDecomposition:
         return worst
 
 
-def _factor_matrix_units(block_basis, m: int, rng):
-    """Diagonal projections and partial isometries of a factor M_nj (x) 1_dj."""
-    space_dim = len(block_basis)
-    nj = int(round(np.sqrt(space_dim)))
-    if nj * nj != space_dim or m % nj != 0:
-        raise ValueError("central block is not a factor; closure residual too large")
-    dj = m // nj
-    if nj == 1:
-        return 1, dj, [eye(m)], [eye(m)]
-    for _ in range(60):
-        h = _random_hermitian_element(block_basis, rng)
-        evals, evecs = np.linalg.eigh(h)
-        groups = _cluster_eigenvalues(evals, 1e-6)
-        if len(groups) != nj or any(len(g) != dj for g in groups):
-            continue
-        projections = []
-        for g in groups:
-            q = evecs[:, g]
-            projections.append(q @ dag(q))
-        # connect the k-th diagonal block to the first through a generic element
-        col = _basis_columns(block_basis)
-        coeffs = rng.normal(size=space_dim) + 1j * rng.normal(size=space_dim)
-        gmat = unvec(col @ coeffs, m)
-        isometries = [projections[0]]
-        ok = True
-        for k in range(1, nj):
-            v = projections[0] @ gmat @ projections[k]
-            if np.linalg.norm(v) < 1e-10:
-                ok = False
-                break
-            w, _, vh = np.linalg.svd(v)  # polar factor w @ vh of v
-            u = w @ vh
-            # keep only the range(P_k) -> range(P_1) part
-            f1k = projections[0] @ u @ projections[k]
-            if np.linalg.norm(dag(f1k) @ f1k - projections[k]) > 1e-7:
-                ok = False
-                break
-            isometries.append(f1k)
-        if ok:
-            return nj, dj, projections, isometries
-    raise ValueError("failed to resolve the factor structure")
+def _factor_columns(spaces, a):
+    """Group eigenspaces into factors and line each factor's eigenspaces up.
+
+    spaces are isometries E_k onto ranges of minimal projections; a is a
+    generic element.  E_k† a E_l is zero between factors and a scalar times a
+    unitary inside one, so the blocks against the first eigenspace not yet
+    placed (zero when of norm at most 1e-6) pick out its factor, and their
+    polar factors give the columns (i, s) of its conjugator.  Returns
+    (n_j, d_j, columns) per factor, or None when the eigenspaces of one
+    factor differ in dimension.
+    """
+    pieces = []
+    while spaces:
+        first, *spaces = spaces
+        cols, rest = [first], []
+        for v in spaces:
+            c = dag(first) @ a @ v
+            if np.linalg.norm(c) <= 1e-6:
+                rest.append(v)
+            elif v.shape != first.shape:
+                return None
+            else:
+                w, _, vh = np.linalg.svd(c)
+                cols.append(v @ dag(w @ vh))
+        spaces = rest
+        pieces.append((len(cols), first.shape[1], np.hstack(cols)))
+    return pieces
 
 
 def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
-    """Wedderburn decomposition of a unital *-algebra.
+    """Wedderburn decomposition of a unital *-algebra from one generic pair.
 
-    Randomized central-element method: eigenvalue clusters of a generic
-    hermitian central element give the minimal central projections; inside
-    each factor a generic hermitian element plus polar decompositions build a
-    full system of matrix units, from which the conjugating unitary follows.
-    Deterministic for a fixed seed; up to 60 draws are made while eigenvalue
-    clusters closer than 1e-6 blur the structure.
+    The eigenspaces of a random hermitian element h, clustered at a gap of
+    1e-6, are ranges of minimal projections (Murota, Kanno, Kojima & Kojima,
+    JJIAM 27, 2010); a second random element groups and aligns them into
+    factors (`_factor_columns`).  A draw is kept when the conjugator is
+    unitary, every basis element is block-shaped within 1e-8 and
+    sum_j n_j^2 = dim: span(alg) then lies in, and has the dimension of,
+    U (direct_sum_j M_nj kron 1_dj) U†, so it is that algebra and closed
+    under products.  Deterministic for a fixed seed; after 60 failed draws
+    the span is taken not to be a unital *-algebra and ValueError is raised.
     """
-    alg.validate(1e-6)
     n = alg.matrix_dim
     if alg.dim == n * n:
         return BlockDecomposition(blocks=((n, 1),), conjugator=eye(n))
     rng = np.random.default_rng(seed)
-    # center: the part of the algebra commuting with every basis element
-    center = [unvec(v, n) for v in _commuting_part(_basis_columns(alg.basis), alg.basis).T]
-    m_blocks = len(center)
-
     for _ in range(60):
-        evals, evecs = np.linalg.eigh(_random_hermitian_element(center, rng))
-        groups = _cluster_eigenvalues(evals, 1e-6)
-        if len(groups) != m_blocks:
+        evals, evecs = np.linalg.eigh(_random_hermitian_element(alg.basis, rng))
+        spaces = [evecs[:, g] for g in _cluster_eigenvalues(evals, 1e-6)]
+        pieces = _factor_columns(spaces, _random_hermitian_element(alg.basis, rng))
+        if pieces is None or sum(nj * nj for nj, _, _ in pieces) != alg.dim:
             continue
-
-        pieces = []
-        try:
-            for g in groups:
-                q = evecs[:, g]  # n x m_j isometry onto the central block
-                m = q.shape[1]
-                compressed = orthonormal_matrix_basis([dag(q) @ b @ q for b in alg.basis])
-                nj, dj, projections, isometries = _factor_matrix_units(compressed, m, rng)
-                # columns of the block conjugator: f_1k† applied to a basis of range(f_11)
-                p1_evals, p1_vecs = np.linalg.eigh(projections[0])
-                xi = p1_vecs[:, p1_evals > 0.5]
-                cols = []
-                for k in range(nj):
-                    fk1 = dag(isometries[k])
-                    for s in range(dj):
-                        cols.append(fk1 @ xi[:, s])
-                u_block = q @ np.stack(cols, axis=1)
-                pieces.append((nj, dj, u_block))
-        except ValueError:
-            continue
-
         pieces.sort(key=lambda t: (-t[0], -t[1]))
-        conj = np.hstack([u for (_, _, u) in pieces])
-        if np.linalg.norm(dag(conj) @ conj - eye(n)) > 1e-8:
-            continue
-        blocks = tuple((nj, dj) for nj, dj, _ in pieces)
-        if sum(nj * dj for nj, dj in blocks) != n:
-            continue
-        decomp = BlockDecomposition(blocks=blocks, conjugator=conj)
-        worst = max(decomp.off_block_mass(b) for b in alg.basis)
-        if worst <= 1e-8:
+        conj = np.hstack([u for _, _, u in pieces])
+        decomp = BlockDecomposition(blocks=tuple((nj, dj) for nj, dj, _ in pieces),
+                                    conjugator=conj)
+        if (np.linalg.norm(dag(conj) @ conj - eye(n)) <= 1e-8
+                and max(decomp.off_block_mass(b) for b in alg.basis) <= 1e-8):
             return decomp
-    raise ValueError("block decomposition did not converge; algebra may be ill-conditioned")
+    raise ValueError("block decomposition did not converge; the span may not be a "
+                     "unital *-algebra")
 
 
 # ---------------------------------------------------------------------------

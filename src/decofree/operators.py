@@ -173,7 +173,3 @@ def random_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     rho = g @ dag(g)
     return rho / np.trace(rho)
 
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)

@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import decofree
 from decofree.algebra import (
     MatrixAlgebra,
     block_decompose,
@@ -92,6 +87,22 @@ def _rotated_dephasing_channel():
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def _hidden_block_algebra(shape, rng):
+    """span{1} plus sum_j n_j^2 random elements of U (sum_j M_nj kron 1_dj) U†."""
+    n = sum(nj * dj for nj, dj in shape)
+    u = random_unitary(n, rng)
+    span = [eye(n)]
+    for _ in range(sum(nj * nj for nj, _ in shape)):
+        m = np.zeros((n, n), dtype=complex)
+        off = 0
+        for nj, dj in shape:
+            a = rng.normal(size=(nj, nj)) + 1j * rng.normal(size=(nj, nj))
+            m[off:off + nj * dj, off:off + nj * dj] = np.kron(a, eye(dj))
+            off += nj * dj
+        span.append(u @ m @ dag(u))
+    return MatrixAlgebra.from_span(span)
 
 
 class TestNullspace:
@@ -284,19 +295,13 @@ class TestBlockDecompose:
         (4, "((5, 1), (3, 3), (1, 2))"),
         (5, "((6, 1), (4, 4), (2, 5))"),
     ], ids=["N4", "N5"])
-    def test_collective_spin_four_qubits_within_one_gib(self, n_sites, blocks):
-        child = (
-            "import resource\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    def test_collective_spin_four_qubits_within_one_gib(self, n_sites, blocks, run_within_one_gib):
+        run = run_within_one_gib(
+            "import sys\n"
             "from decofree.algebra import block_decompose, generated_algebra\n"
             "from decofree.symmetry import collective_spin\n"
-            f"print(block_decompose(generated_algebra(list(collective_spin({n_sites})))).blocks)\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                             text=True, timeout=120)
+            "print(block_decompose(generated_algebra(list(collective_spin(int(sys.argv[1]))))).blocks)\n",
+            str(n_sites))
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == blocks
 
@@ -307,23 +312,33 @@ class TestBlockDecompose:
         assert decomp.blocks == ((1, 3), (1, 1))
 
     def test_recovers_hidden_block_shapes(self, rng):
-        # random unitary conjugations of known direct sums must come back out
-        for shape in [((2, 1), (1, 1)), ((2, 2),), ((3, 1), (1, 2)), ((2, 2), (1, 1))]:
-            n = sum(nj * dj for nj, dj in shape)
-            u = random_unitary(n, rng)
-            span = [eye(n)]
-            for _ in range(sum(nj * nj for nj, _ in shape)):
-                m = np.zeros((n, n), dtype=complex)
-                off = 0
-                for nj, dj in shape:
-                    a = rng.normal(size=(nj, nj)) + 1j * rng.normal(size=(nj, nj))
-                    m[off:off + nj * dj, off:off + nj * dj] = np.kron(a, eye(dj))
-                    off += nj * dj
-                span.append(u @ m @ dag(u))
-            alg = MatrixAlgebra.from_span(span)
+        # random unitary conjugations of known direct sums must come back out;
+        # equal factors stay apart, and the last shape fills the size cap
+        for shape in [((2, 1), (1, 1)), ((2, 2),), ((3, 1), (1, 2)), ((2, 2), (1, 1)),
+                      ((2, 2), (2, 2)), ((3, 1), (3, 1)), ((1, 3), (1, 3)),
+                      ((7, 1), (5, 5), (3, 9), (1, 5))]:
+            alg = _hidden_block_algebra(shape, rng)
             decomp = block_decompose(alg)
             assert tuple(sorted(decomp.blocks, reverse=True)) == tuple(sorted(shape, reverse=True))
             assert max(decomp.off_block_mass(b) for b in alg.basis) < 1e-8
+
+    def test_solves_for_no_center(self, monkeypatch, rng):
+        # the blocks come from eigenspaces of one generic element: no center
+        # solve, no re-orthonormalization, no pass over all basis products
+        alg = _hidden_block_algebra(((3, 1), (2, 2), (1, 3)), rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("block_decompose took a separate solve")
+
+        monkeypatch.setattr("decofree.algebra._commuting_part", refuse)
+        monkeypatch.setattr("decofree.algebra.orthonormal_matrix_basis", refuse)
+        monkeypatch.setattr(MatrixAlgebra, "closure_residuals", refuse)
+        assert block_decompose(alg).blocks == ((3, 1), (2, 2), (1, 3))
+
+    def test_rejects_span_not_closed_under_products(self):
+        # unital and *-closed, but sx sz = -i sy lies outside the span
+        with pytest.raises(ValueError):
+            block_decompose(MatrixAlgebra.from_span([eye(2), sx, sz]))
 
 
 class TestMultiplicativeDomain:
