@@ -232,41 +232,25 @@ def _cluster_eigenvalues(evals: np.ndarray, gap: float):
 
 
 def _random_hermitian_element(basis, rng) -> np.ndarray:
-    # real combinations of hermitian parts stay hermitian AND inside the
-    # (*-closed) span; a complex re-orthonormalization would break hermiticity
-    herm = []
-    for b in basis:
-        herm.append(hermitian_part(b))
-        herm.append(hermitian_part(1j * b))
-    coeffs = rng.normal(size=len(herm))
-    h = sum(c * m for c, m in zip(coeffs, herm))
+    # hermitian_part(c b) for complex c = x + iy is x H(b) + y H(ib): real
+    # combinations of hermitian parts stay hermitian AND inside the (*-closed)
+    # span; a complex re-orthonormalization would break hermiticity
+    coeffs = rng.normal(size=(len(basis), 2)) @ np.array([1.0, 1.0j])
+    h = hermitian_part(np.tensordot(coeffs, basis, axes=1))
     return h / max(np.linalg.norm(h), 1e-300)
-
-
-def _commutant_of_closed(ops) -> MatrixAlgebra:
-    """Commutant of a *-closed set of unit-norm matrices.
-
-    Every X in it commutes with a hermitian element h of the set's span, so X
-    is block-diagonal in the eigenspaces of h (Murota, Kanno, Kojima & Kojima,
-    JJIAM 27, 2010).  With a generic h the search starts from those blocks:
-    sum_j m_j^2 unknowns for eigenspaces of dimension m_j instead of n^2.
-    Eigenvalues of the unit-norm h closer than 1e-5 are merged: a merge only
-    adds unknowns, and the gap keeps the computed eigenspaces within about
-    1e-16/gap of the true ones, far inside the nullspace floor.
-    """
-    n = ops[0].shape[0]
-    evals, evecs = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
-    # vec(v_i v_j†) = conj(v_j) kron v_i over each eigenspace's columns v
-    q = np.hstack([np.kron(evecs[:, g].conj(), evecs[:, g])
-                   for g in _cluster_eigenvalues(evals, 1e-5)])
-    return _columns_algebra(_commuting_part(q, ops), n)
 
 
 def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     """Commutant of a set of matrices (adjoints adjoined, so the result is a *-algebra).
 
-    One commuting-subspace solve over the operators block-diagonal in the
-    eigenspaces of a seeded random hermitian element of the set.
+    Every X in it commutes with a hermitian element h of the *-closed set's
+    span, so X is block-diagonal in the eigenspaces of h (Murota, Kanno,
+    Kojima & Kojima, JJIAM 27, 2010).  With a seeded random h one
+    commuting-subspace solve starts from those blocks: sum_j m_j^2 unknowns
+    for eigenspaces of dimension m_j instead of n^2.  Eigenvalues of the
+    unit-norm h closer than 1e-5 are merged: a merge only adds unknowns, and
+    the gap keeps the computed eigenspaces within about 1e-16/gap of the true
+    ones, far inside the nullspace floor.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     # unit scale so the rank floor is meaningful; numerically-zero operators
@@ -278,23 +262,41 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
         if dim is None:
             raise ValueError("dim required for the commutant of the empty set")
         return full_algebra(dim)
-    closed = ops + [dag(a) for a in ops if not is_hermitian(a)]
-    return _commutant_of_closed(closed)
+    ops += [dag(a) for a in ops if not is_hermitian(a)]
+    n = ops[0].shape[0]
+    evals, evecs = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
+    # vec(v_i v_j†) = conj(v_j) kron v_i over each eigenspace's columns v
+    q = np.hstack([np.kron(evecs[:, g].conj(), evecs[:, g])
+                   for g in _cluster_eigenvalues(evals, 1e-5)])
+    return _columns_algebra(_commuting_part(q, ops), n)
 
 
 def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
     """Smallest unital *-algebra containing the given matrices.
 
-    The double commutant (von Neumann's bicommutant theorem); the commutant's
-    basis spans a *-closed set, so no adjoints are adjoined to it.
+    The commutant's commutant (von Neumann's bicommutant theorem), read off
+    the commutant's Wedderburn blocks: block_decompose certifies
+    C = U (direct_sum_j M_nj kron 1_dj) U†, so C' = U (direct_sum_j
+    1_nj kron M_dj) U†.  With v_is the conjugator column (i, s) of block j,
+    its elements sum_i v_is v_it† / sqrt(n_j) are Frobenius-orthonormal as
+    written.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     if not ops:
         if dim is None:
             raise ValueError("dim required for the algebra generated by nothing")
         return MatrixAlgebra((eye(dim) / np.sqrt(dim),))
-    inner = commutant(ops, ops[0].shape[0])
-    return _commutant_of_closed(list(inner.basis))
+    n = ops[0].shape[0]
+    decomp = block_decompose(commutant(ops, n))
+    basis = []
+    offset = 0
+    for nj, dj in decomp.blocks:
+        # v[s] holds the columns (i, s), i = 0..n_j-1, of block j
+        v = decomp.conjugator[:, offset:offset + nj * dj].reshape(n, nj, dj).transpose(2, 0, 1)
+        offset += nj * dj
+        elements = v[:, None] @ v.conj().transpose(0, 2, 1)[None, :] / np.sqrt(nj)
+        basis.extend(elements.reshape(dj * dj, n, n))
+    return MatrixAlgebra(tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +319,22 @@ class BlockDecomposition:
         return self.conjugator.shape[0]
 
     def off_block_mass(self, a: np.ndarray) -> float:
-        """Largest deviation of U† a U from the block-tensor pattern."""
+        """Largest deviation of U† a U from the block-tensor pattern, over a stack (..., n, n)."""
         t = dag(self.conjugator) @ np.asarray(a, dtype=complex) @ self.conjugator
         worst = 0.0
         offset = 0
-        sizes = [nj * dj for nj, dj in self.blocks]
-        for (nj, dj), size in zip(self.blocks, sizes):
-            blk = t[offset:offset + size, offset:offset + size]
-            four = blk.reshape(nj, dj, nj, dj)
+        for nj, dj in self.blocks:
+            size = nj * dj
+            blk = t[..., offset:offset + size, offset:offset + size]
+            four = blk.reshape(*t.shape[:-2], nj, dj, nj, dj)
             # factor part = partial trace over the multiplicity index
-            aj = np.trace(four, axis1=1, axis2=3) / dj
-            worst = max(worst, float(np.max(np.abs(blk - np.kron(aj, eye(dj))))))
+            aj = np.trace(four, axis1=-3, axis2=-1) / dj
+            four -= aj[..., :, None, :, None] * eye(dj)[:, None, :]
+            worst = max(worst, float(np.max(np.abs(four))))
+            # what is left of t after the diagonal blocks lies outside them
+            blk[...] = 0.0
             offset += size
-        # anything outside the diagonal blocks
-        mask = np.ones_like(t, dtype=bool)
-        offset = 0
-        for size in sizes:
-            mask[offset:offset + size, offset:offset + size] = False
-            offset += size
-        if np.any(mask):
-            worst = max(worst, float(np.max(np.abs(t[mask]))))
-        return worst
+        return max(worst, float(np.max(np.abs(t))))
 
 
 def _factor_columns(spaces, a):
@@ -396,8 +393,10 @@ def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
         conj = np.hstack([u for _, _, u in pieces])
         decomp = BlockDecomposition(blocks=tuple((nj, dj) for nj, dj, _ in pieces),
                                     conjugator=conj)
+        # slices of 64 basis elements bound the memory of the U† b U stack
         if (np.linalg.norm(dag(conj) @ conj - eye(n)) <= 1e-8
-                and max(decomp.off_block_mass(b) for b in alg.basis) <= 1e-8):
+                and all(decomp.off_block_mass(np.stack(alg.basis[k:k + 64])) <= 1e-8
+                        for k in range(0, alg.dim, 64))):
             return decomp
     raise ValueError("block decomposition did not converge; the span may not be a "
                      "unital *-algebra")

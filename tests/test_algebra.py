@@ -105,6 +105,11 @@ def _hidden_block_algebra(shape, rng):
     return MatrixAlgebra.from_span(span)
 
 
+def _random_element(alg, rng):
+    coeffs = rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)
+    return np.tensordot(coeffs, alg.basis, axes=1)
+
+
 class TestNullspace:
     def test_wide_matrix_keeps_full_kernel(self):
         row = np.array([[1.0, 2.0, 0.0, -1.0]])
@@ -259,6 +264,33 @@ class TestGeneratedAlgebra:
         alg = generated_algebra([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))])
         alg.validate()
 
+    def test_one_commuting_solve(self, monkeypatch, rng):
+        # the second commutant is read off the first one's blocks, not solved for
+        from decofree import algebra
+
+        calls = []
+        solve = algebra._commuting_part
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(algebra, "_commuting_part", counted)
+        generated_algebra([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), SWAP])
+        assert len(calls) == 1
+
+    def test_recovers_hidden_block_algebras(self, rng):
+        # two random elements generate U (sum_j M_nj kron 1_dj) U†; the last
+        # shape fills the size cap
+        for shape in [((2, 2), (2, 2)), ((3, 1), (3, 1)), ((1, 3), (1, 3)), ((2, 1), (1, 2)),
+                      ((7, 1), (5, 5), (3, 9), (1, 5))]:
+            hidden = _hidden_block_algebra(shape, rng)
+            alg = generated_algebra([_random_element(hidden, rng) for _ in range(2)])
+            assert alg.dim == sum(nj * nj for nj, _ in shape)
+            assert subspaces_equal(list(alg.basis), list(hidden.basis))
+            decomp = block_decompose(alg)
+            assert tuple(sorted(decomp.blocks, reverse=True)) == tuple(sorted(shape, reverse=True))
+
 
 class TestBlockDecompose:
     def test_full_algebra_is_single_block(self):
@@ -294,7 +326,8 @@ class TestBlockDecompose:
     @pytest.mark.parametrize("n_sites, blocks", [
         (4, "((5, 1), (3, 3), (1, 2))"),
         (5, "((6, 1), (4, 4), (2, 5))"),
-    ], ids=["N4", "N5"])
+        (6, "((7, 1), (5, 5), (3, 9), (1, 5))"),
+    ], ids=["N4", "N5", "N6"])
     def test_collective_spin_four_qubits_within_one_gib(self, n_sites, blocks, run_within_one_gib):
         run = run_within_one_gib(
             "import sys\n"
@@ -334,6 +367,18 @@ class TestBlockDecompose:
         monkeypatch.setattr("decofree.algebra.orthonormal_matrix_basis", refuse)
         monkeypatch.setattr(MatrixAlgebra, "closure_residuals", refuse)
         assert block_decompose(alg).blocks == ((3, 1), (2, 2), (1, 3))
+
+    def test_off_block_mass_of_a_stack_is_the_worst_element(self, rng):
+        alg = _hidden_block_algebra(((2, 1), (1, 2)), rng)
+        decomp = block_decompose(alg)
+        stack = np.stack([_random_element(alg, rng) for _ in range(3)]
+                         + [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))])
+        masses = [decomp.off_block_mass(m) for m in stack]
+        assert masses[-1] > 0.1 > 1e-8 > max(masses[:-1])
+        assert decomp.off_block_mass(stack) == pytest.approx(max(masses), rel=1e-12)
+        assert decomp.off_block_mass(stack[:3]) < 1e-8
+        assert decomp.off_block_mass(stack.reshape(2, 2, 4, 4)) == pytest.approx(max(masses),
+                                                                                 rel=1e-12)
 
     def test_rejects_span_not_closed_under_products(self):
         # unital and *-closed, but sx sz = -i sy lies outside the span
