@@ -29,7 +29,9 @@ S_ab(w) = [<Y_a† Y_b> - <Y_a†><Y_b>] / (2 tau), a PSD matrix at every w.
 Both routes see the device only through the lag sums D_ab(l) of the centered
 vectors (S_a(s) - <S_a(s)>) psi on the uniform time grid (`_lag_sums`): the
 time route weights them with C_ab at the lags, the frequency route Fourier
-transforms them over the lags.
+transforms them over the lags onto a uniform `FrequencyGrid`, which is one
+chirp-z FFT convolution (`_lag_transform`).  Every frequency-route function
+takes that grid.
 
 Quadrature: composite Simpson in time (default 401 points per axis),
 trapezoid in frequency (default cutoff 40/tau, 4001 points).  No Lamb-shift
@@ -134,12 +136,18 @@ class ControlTrajectory:
         Segments become (lam * duration, H / lam) on [-lam tau, lam tau], so
         the total unitary is unchanged.
         """
-        if lam <= 0:
-            raise ValueError("rescaling factor must be positive")
+        lam = _rescaling_factor(lam)
         return ControlTrajectory(
             lam * self.tau,
             [(lam * s.duration, s.hamiltonian / lam) for s in self.segments],
         )
+
+
+def _rescaling_factor(lam) -> float:
+    lam = float(lam)
+    if not 0 < lam < math.inf:
+        raise ValueError("rescaling factor must be positive and finite")
+    return lam
 
 
 def constant_trajectory(hamiltonian: np.ndarray, tau: float) -> ControlTrajectory:
@@ -418,6 +426,20 @@ def _lag_correlations(coupling: Coupling, tau: float, s_grid: np.ndarray) -> np.
     return coupling.bath.correlation_matrix(np.arange(1 - g, g) * (s_grid[1] - s_grid[0]))
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT runs fast, close to n
+    where a power of two can be nearly 2 n (4801 -> 4860, not 8192)."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:  # odd = 3^b 5^c; pad it with the fewest factors of 2
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _lag_sums(x: np.ndarray) -> np.ndarray:
     """D[g - 1 + l, a, b] = sum_{i - j = l} <x_a(s_j)|x_b(s_i)> for |l| < g.
 
@@ -428,7 +450,7 @@ def _lag_sums(x: np.ndarray) -> np.ndarray:
     g x g Gram matrix.
     """
     g = x.shape[1]
-    f = np.fft.fft(x, n=1 << (2 * g - 2).bit_length(), axis=1).transpose(1, 0, 2)
+    f = np.fft.fft(x, n=_fft_size(2 * g - 1), axis=1).transpose(1, 0, 2)
     circular = np.fft.ifft(f.conj() @ f.transpose(0, 2, 1), axis=0)
     return circular[np.arange(1 - g, g)]
 
@@ -446,7 +468,7 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     """
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
     r, g, n = ops.shape[:3]
-    size = 1 << (2 * g - 2).bit_length()
+    size = _fft_size(2 * g - 1)
     weighted = (ops * weights[:, None, None]).reshape(r, g, n * n)
     # inner_a(u_j) is entry g - 1 + j of the linear convolution of the
     # reversed lag correlations C((g - 1 - p) h) with the weighted operators
@@ -509,6 +531,8 @@ class FrequencyGrid:
     n_points: int = DEFAULT_FREQ_POINTS
 
     def __post_init__(self):
+        if not isinstance(self.n_points, (int, np.integer)) or isinstance(self.n_points, bool):
+            raise ValueError("the number of grid points must be an integer")
         if not 0.0 < self.omega_max < np.inf or self.n_points < 3:
             raise ValueError("need a finite omega_max > 0 and at least 3 points")
 
@@ -538,42 +562,38 @@ def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
     return np.einsum("wi,aicd->awcd", phases, ops)
 
 
-def _lag_transform(d: np.ndarray, h: float, omegas: np.ndarray) -> np.ndarray:
-    """sum_l e^{-iwlh} d[g - 1 + l] over the lags |l| < g, shape (len(omegas), r, r).
+def _lag_transform(d: np.ndarray, h: float, grid: FrequencyGrid) -> np.ndarray:
+    """sum_l e^{-iwlh} d[g - 1 + l] over the lags |l| < g at every grid point, shape (W, r, r).
 
-    The lags are uniform, l = cC + j - (g - 1), so the phase factors as
-    e^{-iw(cC - g + 1)h} e^{-iwjh}: with C ~ sqrt(2g) that is W (C + 2g/C)
-    phases, one GEMM over j and one small sum over c, and never the
-    W x (2g - 1) phase matrix.  Any set of frequencies works.
+    The grid is symmetric, w_k = k' delta with centred k' = k - (W - 1)/2 and
+    delta = 2 omega_max / (W - 1), so with alpha = delta h the phase is
+    alpha k' l = alpha (k'^2 + l^2 - (k' - l)^2) / 2: a chirp e^{-i alpha l^2/2}
+    on the lags, one FFT convolution with e^{i alpha m^2/2} over
+    m = k' - l, and a chirp e^{-i alpha k'^2/2} on the output (the chirp
+    z-transform).  O((W + g) log(W + g) r^2), and the centred indices keep
+    every chirp argument below alpha (W/2 + g)^2 / 2.
     """
     count, r, _ = d.shape
-    size = int(np.ceil(np.sqrt(count)))
-    blocks = -(-count // size)
-    x = np.zeros((blocks * size, r * r), dtype=complex)
-    x[:count] = d.reshape(count, r * r)
-    x = x.reshape(blocks, size, r * r).transpose(1, 0, 2).reshape(size, blocks * r * r)
-    z = (_phases(omegas, 0.0, h, size).T @ x).reshape(omegas.size, blocks, r * r)
-    outer = _phases(omegas, -(count // 2) * h, size * h, blocks).T
-    return (outer[:, None, :] @ z)[:, 0].reshape(omegas.size, r, r)
+    g = (count + 1) // 2
+    w = grid.n_points
+    # delta exactly as linspace steps; points[1] - points[0] carries the
+    # rounding of omega_max, which k' ~ W/2 multiplies at the grid edge
+    alpha = 2.0 * grid.omega_max / (w - 1) * h
+    centre = 0.5 * (w - 1)
+    lags = np.arange(1 - g, g)
+    # kernel entry q is m = k' - l for k - j = q - (count - 1), j = g - 1 + l
+    m = np.arange(1 - count, w) + (g - 1 - centre)
+    size = _fft_size(w + count - 1)
+    chirped = np.exp(-0.5j * alpha * lags ** 2)[:, None] * d.reshape(count, r * r)
+    kernel = np.fft.fft(np.exp(0.5j * alpha * m ** 2), n=size)
+    conv = np.fft.ifft(np.fft.fft(chirped, n=size, axis=0) * kernel[:, None], axis=0)
+    post = np.exp(-0.5j * alpha * (np.arange(w) - centre) ** 2)
+    return (post[:, None] * conv[count - 1:count - 1 + w]).reshape(w, r, r)
 
 
-def _phases(omegas: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
-    """e^{-iw(start + k step)} for k < count, shape (count, len(omegas)).
-
-    Two exponentials per frequency and a recurrence in k, whose rounding
-    (about k ulp) is of the order of that of the exponent w s itself.
-    """
-    out = np.empty((count, omegas.size), dtype=complex)
-    out[0] = np.exp(-1j * start * omegas)
-    factor = np.exp(-1j * step * omegas)
-    for k in range(1, count):
-        np.multiply(out[k - 1], factor, out=out[k])
-    return out
-
-
-def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, omegas,
-                      *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
-    """State covariance of the filter operators, shape (len(omegas), n_ops, n_ops).
+def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
+                      grid: FrequencyGrid, *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
+    """State covariance of the filter operators on the grid, shape (W, n_ops, n_ops).
 
     S_ab(w) = [<psi|Y_a†Y_b|psi> - <psi|Y_a†|psi><psi|Y_b|psi>] / (2 tau);
     a PSD Gram matrix at every frequency.  The centered vectors
@@ -581,10 +601,9 @@ def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
     is the transform of the lag sums D of x_a(s_i) = w_i c_a(s_i):
     S_ab(w) = sum_l e^{-iwlh} D_ab(l) / (2 tau).
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
     d = _lag_sums(centered * weights[:, None])
-    return _lag_transform(d, s_grid[1] - s_grid[0], omegas) / (2.0 * traj.tau)
+    return _lag_transform(d, s_grid[1] - s_grid[0], grid) / (2.0 * traj.tau)
 
 
 @dataclass(frozen=True)
@@ -634,7 +653,7 @@ def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.
     exceeds 1% of the total.
     """
     omegas = grid.points
-    s_dev = device_correlator(traj, coupling, psi, omegas, n_time=n_time)
+    s_dev = device_correlator(traj, coupling, psi, grid, n_time=n_time)
     return _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev)
 
 
@@ -661,7 +680,7 @@ def df_state_check(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
     """
     omegas = grid.points
     mask = _support_mask(omegas, support)
-    s_dev = device_correlator(traj, coupling, psi, omegas, n_time=n_time)
+    s_dev = device_correlator(traj, coupling, psi, grid, n_time=n_time)
     # |(Y_a - <Y_a>) psi|^2 = 2 tau S_aa(w)
     orth_sq = 2.0 * traj.tau * np.diagonal(s_dev[mask], axis1=1, axis2=2).real
     residual = float(np.sqrt(np.max(orth_sq))) if orth_sq.size else 0.0
@@ -700,13 +719,15 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     Hamiltonians, leaving the total unitary fixed.  For a flat bath the error
     grows linearly in lam; for spectra vanishing faster than linearly at the
     origin, slowing down wins.  One shared frequency grid keeps the points
-    comparable.
+    comparable.  A lambda that is not positive and finite raises
+    `ValueError` before any work.
 
     `traj.rescaled(lam)` satisfies S^lam(lam s) = S(s) exactly, so its grid is
     lam * s_i with weights lam * w_i and the same operators: its lag sums are
     lam^2 D on the step lam h, and one interaction-picture pass, one set of
     lag sums and one bath evaluation serve every lambda.
     """
+    lambdas = [_rescaling_factor(lam) for lam in lambdas]
     if grid is None:
         grid = FrequencyGrid.for_trajectory(traj)
     omegas = grid.points
@@ -715,11 +736,9 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     h = s_grid[1] - s_grid[0]
     r_bath = coupling.bath.spectral_matrix(omegas)
     pts = []
-    for lam in map(float, lambdas):
-        if lam <= 0:
-            raise ValueError("rescaling factor must be positive")
+    for lam in lambdas:
         tau = lam * traj.tau
-        s_dev = _lag_transform(lam ** 2 * d, lam * h, omegas) / (2.0 * tau)
+        s_dev = _lag_transform(lam ** 2 * d, lam * h, grid) / (2.0 * tau)
         res = _spectral_error(tau, omegas, r_bath, s_dev)
         pts.append(ScanPoint(lam=lam, epsilon=res.epsilon,
                              boundary_warning=res.boundary_warning))
@@ -734,7 +753,7 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
 
 
 def stationary_correlator_estimate(traj: ControlTrajectory, coupling: Coupling,
-                                   psi: np.ndarray, omegas,
+                                   psi: np.ndarray, grid: FrequencyGrid,
                                    *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
     """Spectral estimate from the window-averaged covariance of S_a(s).
 
@@ -747,10 +766,9 @@ def stationary_correlator_estimate(traj: ControlTrajectory, coupling: Coupling,
     the lag sums of the unweighted centered vectors, so its e^{+iwlh}
     transform is `_lag_transform` of D / (g - |l|).
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     s_grid, _, centered = _centered(traj, coupling, psi, n_time)
     g = s_grid.size
     h = s_grid[1] - s_grid[0]
     pairs = g - np.abs(np.arange(1 - g, g))
     cov = _lag_sums(centered) / pairs[:, None, None]
-    return _lag_transform(cov, h, omegas) * (h / (2.0 * np.pi))
+    return _lag_transform(cov, h, grid) * (h / (2.0 * np.pi))

@@ -25,8 +25,10 @@ from decofree.born import (
     quartic_gaussian_bath,
     stationary_correlator_estimate,
     tabulated_bath,
+    _centered,
     _interaction_apply,
     _lag_sums,
+    _lag_transform,
 )
 from decofree.channels import cp_check
 from decofree.operators import dag, eye, random_density, random_hermitian, sm, sx, sy, sz
@@ -354,16 +356,16 @@ class TestDeviceCorrelator:
     def test_eigenvector_gives_zero(self):
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
-        s = device_correlator(traj, coupling, KET0, [0.0, 1.0, 2.0])
+        s = device_correlator(traj, coupling, KET0, FrequencyGrid(2.0, 5))
         assert np.max(np.abs(s)) < 1e-14
 
     def test_plus_state_sinc_squared(self):
         tau = 1.0
         traj = constant_trajectory(np.zeros((2, 2)), tau)
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
-        omegas = np.array([0.3, 1.1, 4.0])
-        s = device_correlator(traj, coupling, PLUS, omegas)
-        expected = 2 * tau * (np.sin(omegas * tau) / (omegas * tau)) ** 2
+        grid = FrequencyGrid(4.0, 41)
+        s = device_correlator(traj, coupling, PLUS, grid)
+        expected = 2 * tau * np.sinc(grid.points * tau / np.pi) ** 2
         assert np.max(np.abs(s[:, 0, 0] - expected)) < 1e-8
 
     def test_psd_matrices(self, rng):
@@ -371,25 +373,57 @@ class TestDeviceCorrelator:
         coupling = Coupling(system_ops=(sx, sz), bath=gaussian_bath(1.0, 1.0, n_ops=2))
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        s = device_correlator(traj, coupling, psi, np.linspace(-3, 3, 7))
+        s = device_correlator(traj, coupling, psi, FrequencyGrid(3.0, 7))
         for mat in s:
             assert np.max(np.abs(mat - dag(mat))) < 1e-12
             assert np.linalg.eigvalsh(mat).min() > -1e-12
 
-    def test_non_uniform_omegas_match_dense_filters(self, rng):
+    def test_matches_dense_filters(self, rng):
         traj = ControlTrajectory(1.0, [(0.6, random_hermitian(3, rng)),
                                        (1.4, random_hermitian(3, rng))])
         coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
                             bath=gaussian_bath(1.0, 1.0, n_ops=2))
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi /= np.linalg.norm(psi)
-        omegas = np.array([-7.3, -0.41, 0.0, 0.05, 2.2, 2.25, 19.0])
-        y = filter_operators(traj, coupling, omegas)
+        grid = FrequencyGrid(19.0, 39)
+        y = filter_operators(traj, coupling, grid.points)
         ypsi = y @ psi
         centered = ypsi - (ypsi @ psi.conj())[..., None] * psi
         dense = np.einsum("awc,bwc->wab", centered.conj(), centered) / 2.0
-        s = device_correlator(traj, coupling, psi, omegas)
+        s = device_correlator(traj, coupling, psi, grid)
         assert np.max(np.abs(s - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+class TestLagTransform:
+    @pytest.mark.parametrize("n_points", [4001, 4000])
+    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    def test_matches_dense_sum_at_default_sizes(self, rng, n_points, lam):
+        # the CLI's grids (401 time points, frequencies out to 40/tau) and an
+        # even point count; the step 8h is what a scan to lambda = 8 transforms
+        traj = ControlTrajectory(1.0, [(0.7, random_hermitian(3, rng)),
+                                       (1.3, random_hermitian(3, rng))])
+        coupling = Coupling(system_ops=(random_hermitian(3, rng), random_hermitian(3, rng)),
+                            bath=gaussian_bath(1.0, 1.0, n_ops=2))
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        s_grid, weights, centered = _centered(traj, coupling, psi, 401)
+        d = _lag_sums(centered * weights[:, None])
+        h = lam * (s_grid[1] - s_grid[0])
+        grid = FrequencyGrid.for_trajectory(traj, n_points=n_points)
+        lags = np.arange(1 - s_grid.size, s_grid.size)
+        dense = np.einsum("wl,lab->wab", np.exp(-1j * np.outer(grid.points, lags * h)), d)
+        fast = _lag_transform(d, h, grid)
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+class TestFrequencyGrid:
+    @pytest.mark.parametrize("n_points", [201.0, True, "201"])
+    def test_rejects_non_integer_point_count(self, n_points):
+        with pytest.raises(ValueError, match="integer"):
+            FrequencyGrid(10.0, n_points)
+
+    def test_accepts_numpy_integer_point_count(self):
+        assert FrequencyGrid(10.0, np.int64(201)).points.size == 201
 
 
 class TestFrequencyDomainError:
@@ -566,6 +600,21 @@ class TestGateSpeedScan:
         u2 = scaled.propagator(-3.0, 3.0)
         assert np.max(np.abs(u1 - u2)) < 1e-12
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_factor_before_any_work(self, monkeypatch, lam):
+        import decofree.born as born_module
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("interaction picture computed before the factors were checked")
+
+        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
+        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
+        monkeypatch.setattr(born_module, "_centered", no_work)
+        with pytest.raises(ValueError, match="positive and finite"):
+            gate_speed_scan(traj, coupling, PLUS, [1.0, lam])
+        with pytest.raises(ValueError, match="positive and finite"):
+            traj.rescaled(lam)
+
 
 class TestStationaryCorrelatorDiagnostic:
     def test_peak_position_matches_device_correlator(self):
@@ -574,9 +623,10 @@ class TestStationaryCorrelatorDiagnostic:
         tau = 8.0
         traj = constant_trajectory(0.5 * omega0 * sz, tau)
         coupling = Coupling(system_ops=(sx,), bath=gaussian_bath(1.0, 1.0))
-        omegas = np.linspace(-6.0, 6.0, 241)
-        s_dev = device_correlator(traj, coupling, KET0, omegas, n_time=801)
-        est = stationary_correlator_estimate(traj, coupling, KET0, omegas, n_time=801)
+        grid = FrequencyGrid(6.0, 241)
+        omegas = grid.points
+        s_dev = device_correlator(traj, coupling, KET0, grid, n_time=801)
+        est = stationary_correlator_estimate(traj, coupling, KET0, grid, n_time=801)
         peak_dev = omegas[np.argmax(np.abs(s_dev[:, 0, 0]))]
         peak_est = omegas[np.argmax(np.abs(est[:, 0, 0]))]
         bin_width = omegas[1] - omegas[0]
@@ -588,17 +638,18 @@ class TestStationaryCorrelatorDiagnostic:
         coupling = Coupling(system_ops=(sx, sz), bath=gaussian_bath(1.0, 1.0, n_ops=2))
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        omegas = np.linspace(-6.0, 6.0, 25)
-        est = stationary_correlator_estimate(traj, coupling, psi, omegas, n_time=41)
+        grid = FrequencyGrid(6.0, 25)
+        est = stationary_correlator_estimate(traj, coupling, psi, grid, n_time=41)
         s_grid, _, ops = interaction_ops(traj, coupling, 41)
-        ref = stationary_covariance_spectrum(s_grid, ops, psi, omegas)
+        ref = stationary_covariance_spectrum(s_grid, ops, psi, grid.points)
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_requires_normalized_state(self):
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
         with pytest.raises(ValueError, match="normalized"):
-            stationary_correlator_estimate(traj, coupling, np.array([1.0, 1.0]), [0.0])
+            stationary_correlator_estimate(traj, coupling, np.array([1.0, 1.0]),
+                                           FrequencyGrid(1.0, 3))
 
 
 class TestLagSums:
