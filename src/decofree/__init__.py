@@ -87,6 +87,7 @@ from .born import (
     gaussian_bath,
     ohmic_bath,
     quartic_gaussian_bath,
+    route_errors,
     tabulated_bath,
 )
 

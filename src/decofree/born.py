@@ -27,11 +27,14 @@ The error of a pure initial state psi against the ideal unitary is
 with the device correlator
 S_ab(w) = [<Y_a† Y_b> - <Y_a†><Y_b>] / (2 tau), a PSD matrix at every w.
 Both routes see the device only through the lag sums D_ab(l) of the centered
-vectors (S_a(s) - <S_a(s)>) psi on the uniform time grid (`_lag_sums`): the
-time route weights them with C_ab at the lags, the frequency route Fourier
-transforms them over the lags onto a uniform `FrequencyGrid`, which is one
-chirp-z FFT convolution (`_lag_transform`).  Every frequency-route function
-takes that grid.
+vectors (S_a(s) - <S_a(s)>) psi on the uniform time grid (`_lag_sums`), and
+`route_errors` reads both off one set of them: the time route weights them
+with C_ab at the lags, the frequency route Fourier transforms them over the
+lags onto a uniform `FrequencyGrid`, which is one chirp-z FFT convolution
+(`_lag_transform`).  Every frequency-route function takes that grid.  A bath
+is a short sum of terms R(w) = sum_t p_t(w) A_t (one for the analytic
+families, the n_ops^2 matrix units for a tabulated spectrum), so the error
+needs only the t contracted channels D_t = sum_ab (A_t)_ab D_ab transformed.
 
 Quadrature: composite Simpson in time (default 401 points per axis),
 trapezoid in frequency (default cutoff 40/tau, 4001 points).  No Lamb-shift
@@ -162,33 +165,66 @@ def constant_trajectory(hamiltonian: np.ndarray, tau: float) -> ControlTrajector
 class Bath:
     """Stationary bath seen through its correlation matrix and/or spectral density.
 
-    `spectral(w)` and `correlation(t)` both receive an array of any shape and
-    return the matrices [R_ab(w)] (hermitian PSD) and [C_ab(t)] (with
-    C_ab(-t) = conj(C_ba(t))), shape (..., n_ops, n_ops); a result that
-    broadcasts to that shape, such as one constant matrix, is accepted, but a
-    callable written for one scalar argument is not.  Analytic families carry
-    both as exact Fourier pairs; tabulated baths may carry only the spectrum.
+    A bath is a short sum of terms, R(w) = sum_t p_t(w) A_t and
+    C(t) = sum_t q_t(t) A_t, with the amplitudes A_t stacked in `amplitude`,
+    shape (*terms, n_ops, n_ops).  `spectral(w)` and `correlation(t)` both
+    receive an array of any shape and return the profiles p and q, shape
+    (..., *terms); a result that broadcasts to that shape, such as one
+    constant, is accepted, but a callable written for one scalar argument is
+    not.  The default amplitude, None, stands for the n_ops^2 matrix units:
+    the profiles are then the matrices [R_ab(w)] (hermitian PSD) and [C_ab(t)]
+    (with C_ab(-t) = conj(C_ba(t))) themselves.  The analytic families are one
+    term, their coupling matrix times a scalar profile, and carry both as
+    exact Fourier pairs; tabulated baths carry only the spectrum, as matrices.
     """
 
     n_ops: int
     label: str
-    spectral: object = None     # callable w (array) -> (..., n_ops, n_ops)
-    correlation: object = None  # callable t (array) -> (..., n_ops, n_ops)
+    spectral: object = None     # callable w (array) -> profiles (..., *terms)
+    correlation: object = None  # callable t (array) -> profiles (..., *terms)
+    amplitude: object = None    # (*terms, n_ops, n_ops); None: the n_ops^2 matrix units
 
-    def _evaluate(self, func, what: str, x) -> np.ndarray:
+    def __post_init__(self):
+        if self.amplitude is not None:
+            amp = np.asarray(self.amplitude, dtype=complex)
+            if amp.shape[-2:] != (self.n_ops, self.n_ops):
+                raise ValueError("bath amplitude must have shape (*terms, n_ops, n_ops)")
+            object.__setattr__(self, "amplitude", amp)
+
+    @property
+    def terms(self) -> np.ndarray:
+        """The amplitudes A_t as one stack, shape (t, n_ops, n_ops)."""
+        r = self.n_ops
+        if self.amplitude is None:
+            return np.eye(r * r, dtype=complex).reshape(r * r, r, r)
+        return self.amplitude.reshape(-1, r, r)
+
+    def _profiles(self, func, what: str, x) -> np.ndarray:
+        """func at the points x, shape x.shape + (*terms)."""
         if func is None:
             raise ValueError(f"bath '{self.label}' has no {what}")
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(func(x), dtype=complex),
-                               x.shape + (self.n_ops, self.n_ops))
+        shape = (self.n_ops, self.n_ops) if self.amplitude is None else self.amplitude.shape[:-2]
+        return np.broadcast_to(np.asarray(func(x), dtype=complex), x.shape + shape)
+
+    def _matrices(self, profiles: np.ndarray) -> np.ndarray:
+        """sum_t profile_t A_t: one tensordot, or the profiles themselves for matrix units."""
+        if self.amplitude is None:
+            return profiles
+        return np.tensordot(profiles, self.amplitude, axes=self.amplitude.ndim - 2)
+
+    def spectral_profiles(self, omega) -> np.ndarray:
+        """p_t(w) at a frequency or an array of them, shape (..., t) over `terms`."""
+        return self._profiles(self.spectral, "spectral density", omega).reshape(
+            np.shape(omega) + (-1,))
 
     def spectral_matrix(self, omega) -> np.ndarray:
         """[R_ab(w)] at a frequency or an array of them, shape (..., n_ops, n_ops)."""
-        return self._evaluate(self.spectral, "spectral density", omega)
+        return self._matrices(self._profiles(self.spectral, "spectral density", omega))
 
     def correlation_matrix(self, t) -> np.ndarray:
         """[C_ab(t)] at a time or an array of them, shape (..., n_ops, n_ops)."""
-        return self._evaluate(self.correlation, "correlation function", t)
+        return self._matrices(self._profiles(self.correlation, "correlation function", t))
 
 
 def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
@@ -202,11 +238,6 @@ def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
     return m
 
 
-def _times(m: np.ndarray, profile) -> np.ndarray:
-    """The coupling matrix m scaled by a scalar profile at every frequency or time."""
-    return m * np.asarray(profile)[..., None, None]
-
-
 def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
     """R(w) = amplitude * exp(-w^2 / 2 width^2); C(t) = amplitude * width sqrt(2 pi) exp(-width^2 t^2 / 2)."""
     m = _coupling_matrix(amplitude, n_ops)
@@ -214,9 +245,9 @@ def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
     return Bath(
         n_ops=n_ops,
         label="gaussian",
-        spectral=lambda omega: _times(m, np.exp(-omega ** 2 / (2.0 * w ** 2))),
-        correlation=lambda t: _times(m, w * np.sqrt(2.0 * np.pi)
-                                     * np.exp(-0.5 * (w * t) ** 2)),
+        spectral=lambda omega: np.exp(-omega ** 2 / (2.0 * w ** 2)),
+        correlation=lambda t: w * np.sqrt(2.0 * np.pi) * np.exp(-0.5 * (w * t) ** 2),
+        amplitude=m,
     )
 
 
@@ -227,8 +258,9 @@ def flat_bath(level=1.0, cutoff: float = 50.0, n_ops: int = 1) -> Bath:
     return Bath(
         n_ops=n_ops,
         label="flat",
-        spectral=lambda omega: _times(m, np.where(np.abs(omega) <= wc, 1.0, 0.0)),
-        correlation=lambda t: _times(m, 2.0 * wc * np.sinc(wc * t / np.pi)),
+        spectral=lambda omega: np.where(np.abs(omega) <= wc, 1.0, 0.0),
+        correlation=lambda t: 2.0 * wc * np.sinc(wc * t / np.pi),
+        amplitude=m,
     )
 
 
@@ -248,11 +280,12 @@ def ohmic_bath(coupling: float = 1.0, exponent: float = 1.0, cutoff: float = 1.0
     def spec(omega):
         positive = omega > 0.0
         w = np.where(positive, omega, 1.0)  # no power of a negative base
-        return _times(m, np.where(positive, g2 * w ** k * np.exp(-w / wc), 0.0))
+        return np.where(positive, g2 * w ** k * np.exp(-w / wc), 0.0)
 
     pref = g2 * math.gamma(k + 1.0) * wc ** (k + 1.0)
     return Bath(n_ops=n_ops, label="ohmic", spectral=spec,
-                correlation=lambda t: _times(m, pref / (1.0 + 1j * wc * t) ** (k + 1.0)))
+                correlation=lambda t: pref / (1.0 + 1j * wc * t) ** (k + 1.0),
+                amplitude=m)
 
 
 def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
@@ -269,13 +302,14 @@ def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int 
     def corr(t):
         x = 0.5 * w * t
         h4 = 16.0 * x ** 4 - 48.0 * x ** 2 + 12.0
-        return _times(m, g2 * np.sqrt(np.pi) * w * (0.5 * w) ** 4 * h4 * np.exp(-x ** 2))
+        return g2 * np.sqrt(np.pi) * w * (0.5 * w) ** 4 * h4 * np.exp(-x ** 2)
 
     return Bath(
         n_ops=n_ops,
         label="quartic-gaussian",
-        spectral=lambda omega: _times(m, g2 * omega ** 4 * np.exp(-(omega / w) ** 2)),
+        spectral=lambda omega: g2 * omega ** 4 * np.exp(-(omega / w) ** 2),
         correlation=corr,
+        amplitude=m,
     )
 
 
@@ -455,6 +489,12 @@ def _lag_sums(x: np.ndarray) -> np.ndarray:
     return circular[np.arange(1 - g, g)]
 
 
+def _device_lag_sums(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, n_time: int):
+    """Grid and lag sums D of the weighted centered vectors x_a(s_i) = w_i c_a(s_i)."""
+    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
+    return s_grid, _lag_sums(centered * weights[:, None])
+
+
 def error_map(traj: ControlTrajectory, coupling: Coupling,
               *, n_time: int = DEFAULT_TIME_POINTS) -> BornErrorMap:
     """Double time quadrature of the Born error map.
@@ -514,9 +554,13 @@ def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
         rho = np.outer(psi, psi.conj())
         val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
         return float(val.real)
-    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
-    d = _lag_sums(centered * weights[:, None])
-    return float(np.einsum("lab,lab->", _lag_correlations(coupling, traj.tau, s_grid), d).real)
+    s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
+    return _time_epsilon(coupling, traj.tau, s_grid, d)
+
+
+def _time_epsilon(coupling: Coupling, tau: float, s_grid: np.ndarray, d: np.ndarray) -> float:
+    """eps = sum_ab sum_l C_ab(lh) D_ab(l) from the lag sums D on the grid s_grid."""
+    return float(np.einsum("lab,lab->", _lag_correlations(coupling, tau, s_grid), d).real)
 
 
 # ---------------------------------------------------------------------------
@@ -563,32 +607,36 @@ def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
 
 
 def _lag_transform(d: np.ndarray, h: float, grid: FrequencyGrid) -> np.ndarray:
-    """sum_l e^{-iwlh} d[g - 1 + l] over the lags |l| < g at every grid point, shape (W, r, r).
+    """sum_l e^{-iwlh} d[g - 1 + l] over the lags |l| < g at every grid point.
 
-    The grid is symmetric, w_k = k' delta with centred k' = k - (W - 1)/2 and
-    delta = 2 omega_max / (W - 1), so with alpha = delta h the phase is
-    alpha k' l = alpha (k'^2 + l^2 - (k' - l)^2) / 2: a chirp e^{-i alpha l^2/2}
-    on the lags, one FFT convolution with e^{i alpha m^2/2} over
-    m = k' - l, and a chirp e^{-i alpha k'^2/2} on the output (the chirp
-    z-transform).  O((W + g) log(W + g) r^2), and the centred indices keep
-    every chirp argument below alpha (W/2 + g)^2 / 2.
+    d has shape (2g - 1, ...) and the result (W, ...); every trailing entry is
+    one channel.  The grid is symmetric, w_k = k' delta with centred
+    k' = k - (W - 1)/2 and delta = 2 omega_max / (W - 1), so with
+    alpha = delta h the phase is alpha k' l = alpha (k'^2 + l^2 - (k' - l)^2) / 2:
+    a chirp e^{-i alpha l^2/2} on the lags, one FFT convolution with
+    e^{i alpha m^2/2} over m = k' - l, and a chirp e^{-i alpha k'^2/2} on the
+    output (the chirp z-transform).  m runs symmetrically over
+    |m| <= (W - 1)/2 + g - 1, so one table of e^{i alpha m^2/2} for m >= 0,
+    mirrored, is the kernel, and its conjugate at m = k' is the output chirp.
+    O((W + g) log(W + g)) per channel, with every FFT along a contiguous row;
+    the centred indices keep every chirp argument below alpha (W/2 + g)^2 / 2.
     """
-    count, r, _ = d.shape
+    count = d.shape[0]
     g = (count + 1) // 2
     w = grid.n_points
     # delta exactly as linspace steps; points[1] - points[0] carries the
     # rounding of omega_max, which k' ~ W/2 multiplies at the grid edge
     alpha = 2.0 * grid.omega_max / (w - 1) * h
-    centre = 0.5 * (w - 1)
-    lags = np.arange(1 - g, g)
     # kernel entry q is m = k' - l for k - j = q - (count - 1), j = g - 1 + l
-    m = np.arange(1 - count, w) + (g - 1 - centre)
-    size = _fft_size(w + count - 1)
-    chirped = np.exp(-0.5j * alpha * lags ** 2)[:, None] * d.reshape(count, r * r)
-    kernel = np.fft.fft(np.exp(0.5j * alpha * m ** 2), n=size)
-    conv = np.fft.ifft(np.fft.fft(chirped, n=size, axis=0) * kernel[:, None], axis=0)
-    post = np.exp(-0.5j * alpha * (np.arange(w) - centre) ** 2)
-    return (post[:, None] * conv[count - 1:count - 1 + w]).reshape(w, r, r)
+    m = np.arange(w + count - 1) - (0.5 * (w - 1) + g - 1)
+    half = m.size // 2  # m[half:] holds every m >= 0
+    right = np.exp(0.5j * alpha * m[half:] ** 2)
+    table = np.concatenate([right[::-1][:half], right])
+    size = _fft_size(table.size)
+    rows = d.reshape(count, -1).T * np.exp(-0.5j * alpha * np.arange(1 - g, g) ** 2)
+    conv = np.fft.ifft(np.fft.fft(rows, n=size) * np.fft.fft(table, n=size))
+    out = conv[:, count - 1:count - 1 + w] * table[g - 1:g - 1 + w].conj()
+    return out.T.reshape((w,) + d.shape[1:])
 
 
 def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
@@ -601,8 +649,7 @@ def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
     is the transform of the lag sums D of x_a(s_i) = w_i c_a(s_i):
     S_ab(w) = sum_l e^{-iwlh} D_ab(l) / (2 tau).
     """
-    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
-    d = _lag_sums(centered * weights[:, None])
+    s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     return _lag_transform(d, s_grid[1] - s_grid[0], grid) / (2.0 * traj.tau)
 
 
@@ -622,9 +669,8 @@ def _support_mask(omegas: np.ndarray, support) -> np.ndarray:
     return np.asarray(support, dtype=bool)
 
 
-def _spectral_error(tau: float, omegas, r_bath, s_dev, mask=None) -> SpectralError:
-    """eps = 2 tau * trapezoid of sum_ab R_ab S_ab, optionally masked."""
-    overlap = np.einsum("wab,wab->w", r_bath, s_dev)
+def _spectral_error(tau: float, omegas, overlap, mask=None) -> SpectralError:
+    """eps = 2 tau * trapezoid of the overlap sum_ab R_ab S_ab, optionally masked."""
     imag_mass = float(np.max(np.abs(overlap.imag))) if overlap.size else 0.0
     if imag_mass > 1e-8 * max(float(np.max(np.abs(overlap.real))), 1e-300):
         warnings.warn("spectral overlap has a nonnegligible imaginary part")
@@ -652,9 +698,39 @@ def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.
     A warning is attached when the integrand mass at the two boundary points
     exceeds 1% of the total.
     """
-    omegas = grid.points
-    s_dev = device_correlator(traj, coupling, psi, grid, n_time=n_time)
-    return _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev)
+    s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
+    return _frequency_epsilon(*_bath_channels(coupling.bath, grid, d),
+                              s_grid[1] - s_grid[0], grid, traj.tau)
+
+
+def _bath_channels(bath: Bath, grid: FrequencyGrid, d: np.ndarray):
+    """Profiles p_t(w) on the grid, shape (W, t), and the lag sums contracted
+    with the bath terms, D_t(l) = sum_ab (A_t)_ab D_ab(l), shape (2g - 1, t)."""
+    return bath.spectral_profiles(grid.points), np.einsum("tab,lab->lt", bath.terms, d)
+
+
+def _frequency_epsilon(profiles: np.ndarray, channels: np.ndarray, h: float,
+                       grid: FrequencyGrid, tau: float) -> SpectralError:
+    """The frequency route from `_bath_channels` on the time step h: one transform
+    of t channels, as sum_ab R_ab(w) S_ab(w) = sum_t p_t(w) sum_l e^{-iwlh} D_t(l) / (2 tau)."""
+    overlap = np.einsum("wt,wt->w", profiles, _lag_transform(channels, h, grid)) / (2.0 * tau)
+    return _spectral_error(tau, grid.points, overlap)
+
+
+def route_errors(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
+                 grid: FrequencyGrid, *, n_time: int = DEFAULT_TIME_POINTS):
+    """(eps of `error_time_domain`, `SpectralError` of `error_frequency_domain`).
+
+    Both are read off one set of lag sums; each is None when the bath lacks
+    the correlation function or the spectral density its route needs.
+    """
+    s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
+    bath = coupling.bath
+    eps_time = None if bath.correlation is None else _time_epsilon(coupling, traj.tau, s_grid, d)
+    spectral = (None if bath.spectral is None
+                else _frequency_epsilon(*_bath_channels(bath, grid, d),
+                                        s_grid[1] - s_grid[0], grid, traj.tau))
+    return eps_time, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +760,8 @@ def df_state_check(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
     # |(Y_a - <Y_a>) psi|^2 = 2 tau S_aa(w)
     orth_sq = 2.0 * traj.tau * np.diagonal(s_dev[mask], axis1=1, axis2=2).real
     residual = float(np.sqrt(np.max(orth_sq))) if orth_sq.size else 0.0
-    eps = _spectral_error(traj.tau, omegas, coupling.bath.spectral_matrix(omegas), s_dev, mask)
+    overlap = np.einsum("wab,wab->w", coupling.bath.spectral_matrix(omegas), s_dev)
+    eps = _spectral_error(traj.tau, omegas, overlap, mask)
     return DFStateReport(
         max_residual=residual,
         predicted_df=residual <= tol,
@@ -720,31 +797,30 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     grows linearly in lam; for spectra vanishing faster than linearly at the
     origin, slowing down wins.  One shared frequency grid keeps the points
     comparable.  A lambda that is not positive and finite raises
-    `ValueError` before any work.
+    `ValueError` before any work.  The monotone flags compare consecutive
+    points, so a scan of fewer than two lambdas reports both as False.
 
     `traj.rescaled(lam)` satisfies S^lam(lam s) = S(s) exactly, so its grid is
     lam * s_i with weights lam * w_i and the same operators: its lag sums are
     lam^2 D on the step lam h, and one interaction-picture pass, one set of
-    lag sums and one bath evaluation serve every lambda.
+    lag sums contracted with the bath terms and one bath evaluation serve
+    every lambda, which then costs one transform of t channels.
     """
     lambdas = [_rescaling_factor(lam) for lam in lambdas]
     if grid is None:
         grid = FrequencyGrid.for_trajectory(traj)
-    omegas = grid.points
-    s_grid, weights, centered = _centered(traj, coupling, psi, n_time)
-    d = _lag_sums(centered * weights[:, None])
+    s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     h = s_grid[1] - s_grid[0]
-    r_bath = coupling.bath.spectral_matrix(omegas)
+    profiles, channels = _bath_channels(coupling.bath, grid, d)
     pts = []
     for lam in lambdas:
-        tau = lam * traj.tau
-        s_dev = _lag_transform(lam ** 2 * d, lam * h, grid) / (2.0 * tau)
-        res = _spectral_error(tau, omegas, r_bath, s_dev)
+        res = _frequency_epsilon(profiles, lam ** 2 * channels, lam * h, grid, lam * traj.tau)
         pts.append(ScanPoint(lam=lam, epsilon=res.epsilon,
                              boundary_warning=res.boundary_warning))
     eps = [p.epsilon for p in pts]
-    dec = all(b < a for a, b in zip(eps, eps[1:]))
-    inc = all(b > a for a, b in zip(eps, eps[1:]))
+    pairs = list(zip(eps, eps[1:]))
+    dec = bool(pairs) and all(b < a for a, b in pairs)
+    inc = bool(pairs) and all(b > a for a, b in pairs)
     return ScanResult(points=tuple(pts), monotone_decreasing=dec, monotone_increasing=inc)
 
 

@@ -215,16 +215,14 @@ def _born_inputs(args):
 def cmd_born_error(args) -> dict:
     traj, coupling, psi, grid, shared = _born_inputs(args)
     report = {"command": "born-error", **shared}
-    if coupling.bath.correlation is not None:
-        report["epsilon_time"] = born.error_time_domain(
-            traj, coupling, psi, n_time=args.time_points
-        )
-    if coupling.bath.spectral is not None:
-        res = born.error_frequency_domain(traj, coupling, psi, grid, n_time=args.time_points)
+    eps_time, res = born.route_errors(traj, coupling, psi, grid, n_time=args.time_points)
+    if eps_time is not None:
+        report["epsilon_time"] = eps_time
+    if res is not None:
         report["epsilon_frequency"] = res.epsilon
         report["boundary_fraction"] = res.boundary_fraction
         report["boundary_warning"] = res.boundary_warning
-    if "epsilon_time" not in report and "epsilon_frequency" not in report:
+    if eps_time is None and res is None:
         raise ValidationError("bath carries neither correlations nor a spectrum")
     return report
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,12 +24,14 @@ from decofree.born import (
     interaction_ops,
     ohmic_bath,
     quartic_gaussian_bath,
+    route_errors,
     stationary_correlator_estimate,
     tabulated_bath,
     _centered,
     _interaction_apply,
     _lag_sums,
     _lag_transform,
+    _spectral_error,
 )
 from decofree.channels import cp_check
 from decofree.operators import dag, eye, random_density, random_hermitian, sm, sx, sy, sz
@@ -474,6 +477,116 @@ class TestFrequencyDomainError:
         assert res_tab.epsilon == pytest.approx(res_exact.epsilon, rel=1e-4)
 
 
+# hermitian PSD and not diagonal, so every entry of R_ab weighs its own S_ab
+TERM_AMP = np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, 0.8]])
+TABLE_OMEGAS = np.linspace(-45.0, 45.0, 4501)
+
+
+def two_term_bath():
+    """R(w) = e^{-w^2/2} A_0 + 1_{|w| <= 3} A_1 and its Fourier pair C(t)."""
+    return Bath(
+        n_ops=2,
+        label="two-term",
+        spectral=lambda w: np.stack([np.exp(-w ** 2 / 2.0),
+                                     np.where(np.abs(w) <= 3.0, 1.0, 0.0)], axis=-1),
+        correlation=lambda t: np.stack([np.sqrt(2.0 * np.pi) * np.exp(-t ** 2 / 2.0),
+                                        6.0 * np.sinc(3.0 * t / np.pi)], axis=-1),
+        amplitude=0.01 * np.stack([TERM_AMP, np.diag([0.3, 0.1])]),
+    )
+
+
+TERM_BATHS = (
+    gaussian_bath(0.01 * TERM_AMP, 1.7, n_ops=2),
+    flat_bath(0.002 * TERM_AMP, cutoff=12.0, n_ops=2),
+    dataclasses.replace(ohmic_bath(0.2, 1.5, 1.5, n_ops=2), amplitude=TERM_AMP),
+    dataclasses.replace(quartic_gaussian_bath(0.1, 2.0, n_ops=2), amplitude=TERM_AMP),
+    two_term_bath(),
+)
+ROUTE_BATHS = TERM_BATHS + (
+    tabulated_bath(TABLE_OMEGAS,
+                   0.01 * np.exp(-TABLE_OMEGAS ** 2 / 8.0)[:, None, None] * TERM_AMP
+                   + 0.01 * np.exp(-(TABLE_OMEGAS - 1.0) ** 2)[:, None, None]
+                   * np.diag([0.2, 0.5])),
+)
+
+
+def random_two_operator_setup(rng):
+    traj = ControlTrajectory(1.0, [(0.8, random_hermitian(3, rng)),
+                                   (1.2, random_hermitian(3, rng))])
+    ops = (random_hermitian(3, rng), random_hermitian(3, rng))
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return traj, ops, psi / np.linalg.norm(psi)
+
+
+class TestBathTerms:
+    @pytest.mark.parametrize("bath", TERM_BATHS, ids=lambda b: b.label)
+    def test_matrices_are_amplitude_times_profile(self, bath):
+        x = np.array([-4.0, -0.7, 0.0, 0.9, 2.5, 13.0])
+        terms = bath.terms
+        assert terms.shape == (bath.amplitude.size // 4, 2, 2)
+        for method, func in (("spectral_matrix", bath.spectral),
+                             ("correlation_matrix", bath.correlation)):
+            profiles = np.broadcast_to(func(x), x.shape + bath.amplitude.shape[:-2])
+            expected = np.einsum("wt,tab->wab", profiles.reshape(x.size, -1), terms)
+            assert np.allclose(getattr(bath, method)(x), expected, rtol=1e-14, atol=0.0)
+
+    def test_default_amplitude_is_the_matrix_units(self):
+        bath = TERM_BATHS[-1]
+        table = ROUTE_BATHS[-1]
+        assert table.amplitude is None
+        assert np.array_equal(table.terms.reshape(4, 4), np.eye(4))
+        x = np.array([-3.0, 0.5, 2.0])
+        assert np.array_equal(table.spectral_profiles(x), table.spectral_matrix(x).reshape(3, 4))
+        assert bath.spectral_profiles(x).shape == (3, 2)
+
+    def test_rejects_amplitude_of_wrong_size(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            Bath(n_ops=2, label="bad", spectral=lambda w: w, amplitude=np.eye(3))
+
+    @pytest.mark.parametrize("bath", ROUTE_BATHS, ids=lambda b: b.label)
+    def test_contracted_route_matches_matrix_reference(self, rng, bath):
+        # the r^2-channel reference: the full device correlator against the
+        # full spectral matrix, sum_ab R_ab S_ab at every grid point
+        traj, ops, psi = random_two_operator_setup(rng)
+        coupling = Coupling(system_ops=ops, bath=bath)
+        grid = FrequencyGrid.for_trajectory(traj)
+        res = error_frequency_domain(traj, coupling, psi, grid)
+        scan = gate_speed_scan(traj, coupling, psi, [1.0, 2.0], grid=grid)
+        for lam, point in zip((1.0, 2.0), scan.points):
+            scaled = traj.rescaled(lam)
+            s_dev = device_correlator(scaled, coupling, psi, grid)
+            overlap = np.einsum("wab,wab->w", bath.spectral_matrix(grid.points), s_dev)
+            ref = _spectral_error(scaled.tau, grid.points, overlap)
+            if lam == 1.0:
+                assert abs(res.epsilon - ref.epsilon) <= 1e-13 * abs(ref.epsilon)
+                assert np.max(np.abs(res.overlap - ref.overlap)) <= 1e-13 * np.max(
+                    np.abs(ref.overlap))
+                assert res.boundary_warning == ref.boundary_warning
+            assert abs(point.epsilon - ref.epsilon) <= 1e-12 * abs(ref.epsilon)
+            assert point.boundary_warning == ref.boundary_warning
+
+    @pytest.mark.parametrize("bath, channels", [(TERM_BATHS[0], 1), (TERM_BATHS[-1], 2),
+                                                (ROUTE_BATHS[-1], 4)],
+                             ids=["gaussian", "two-term", "tabulated"])
+    def test_one_transform_of_t_channels(self, rng, monkeypatch, bath, channels):
+        import decofree.born as born_module
+
+        shapes = []
+        original = born_module._lag_transform
+
+        def counting(d, h, grid):
+            shapes.append(d.shape)
+            return original(d, h, grid)
+
+        monkeypatch.setattr(born_module, "_lag_transform", counting)
+        traj, ops, psi = random_two_operator_setup(rng)
+        coupling = Coupling(system_ops=ops, bath=bath)
+        grid = FrequencyGrid.for_trajectory(traj)
+        route_errors(traj, coupling, psi, grid)
+        gate_speed_scan(traj, coupling, psi, [1.0, 2.0, 4.0, 8.0], grid=grid)
+        assert shapes == [(801, channels)] * 5
+
+
 class TestRouteEquivalence:
     def test_gaussian_bath_random_trajectories(self, rng):
         for n in (2, 4):
@@ -555,6 +668,15 @@ class TestGateSpeedScan:
         res = gate_speed_scan(traj, coupling, PLUS, [1.0, 2.0, 4.0],
                               grid=FrequencyGrid(30.0, 4001))
         assert res.monotone_decreasing
+
+    @pytest.mark.parametrize("lambdas", [[2.0], []], ids=["one", "none"])
+    def test_fewer_than_two_points_are_not_monotone(self, lambdas):
+        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
+        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(0.01, 2.0))
+        res = gate_speed_scan(traj, coupling, PLUS, lambdas, grid=FrequencyGrid(40.0, 401))
+        assert len(res.points) == len(lambdas)
+        assert not res.monotone_decreasing
+        assert not res.monotone_increasing
 
     def test_zero_coupling_is_flat_zero(self):
         traj = constant_trajectory(np.zeros((2, 2)), 1.0)

@@ -223,6 +223,35 @@ def test_scan_monotone_flags(workdir, capsys):
     assert report["points"][0]["lambda"] == 1.0
 
 
+def test_scan_of_one_factor_reports_no_monotone_flag(workdir, capsys):
+    code = main([
+        "scan", "--traj", str(workdir["traj"]), "--coupling", str(workdir["coupling"]),
+        "--psi", str(workdir["plus"]), "--lambdas", "2",
+    ])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["lambda"] for p in report["points"]] == [2.0]
+    assert report["monotone_decreasing"] is False
+    assert report["monotone_increasing"] is False
+
+
+def test_born_error_computes_lag_sums_once(workdir, capsys, monkeypatch):
+    calls = []
+    original = cli.born._lag_sums
+
+    def counting(x):
+        calls.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(cli.born, "_lag_sums", counting)
+    code = main(["born-error", "--traj", str(workdir["traj"]),
+                 "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "epsilon_time" in report and "epsilon_frequency" in report
+    assert len(calls) == 1
+
+
 def test_evolve_generator(workdir, capsys):
     code = main([
         "evolve", "--generator", str(workdir["damping"]), "--state", str(workdir["mixed"]),
@@ -455,7 +484,7 @@ def test_bad_born_input_value_is_validation_error(workdir, capsys, name, field, 
 
 
 def test_unencodable_report_exits_one(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli.born, "error_time_domain", lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(cli.born, "_time_epsilon", lambda *args, **kwargs: float("nan"))
     code = main(["born-error", "--traj", str(workdir["traj"]),
                  "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
     assert code == 1
