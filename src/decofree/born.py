@@ -366,13 +366,6 @@ class Coupling:
     def dim(self) -> int:
         return self.system_ops[0].shape[0]
 
-    def validate_correlations(self, times, tol: float = 1e-8) -> None:
-        """Check C_ab(-t) = conj(C_ba(t)) on sample times, in one bath call."""
-        t = np.asarray(times, dtype=float)
-        c = self.bath.correlation_matrix(np.concatenate([t, -t]))
-        if np.max(np.abs(c[t.size:] - c[:t.size].conj().swapaxes(-1, -2))) > tol:
-            raise ValueError("bath correlation matrix violates hermiticity in time")
-
 
 # ---------------------------------------------------------------------------
 # Time grid, interaction picture and the state
@@ -450,14 +443,16 @@ class BornErrorMap:
         return unvec(self.phi_schrodinger @ vec(np.asarray(rho, dtype=complex)), self.dim)
 
 
-def _lag_correlations(coupling: Coupling, tau: float, s_grid: np.ndarray) -> np.ndarray:
+def _lag_correlations(coupling: Coupling, s_grid: np.ndarray) -> np.ndarray:
     """C_ab(l h) at the 2g - 1 lags |l| < g of the uniform grid, shape (2g - 1, r, r).
 
-    One bath call, after checking C(-t) = C(t)†.
+    One bath call, checked for C_ab(-lh) = conj(C_ba(lh)) at every lag.
     """
-    coupling.validate_correlations([0.0, 0.37 * tau, tau])
     g = s_grid.size
-    return coupling.bath.correlation_matrix(np.arange(1 - g, g) * (s_grid[1] - s_grid[0]))
+    c = coupling.bath.correlation_matrix(np.arange(1 - g, g) * (s_grid[1] - s_grid[0]))
+    if np.max(np.abs(c[::-1] - c.conj().swapaxes(-1, -2))) > 1e-8:
+        raise ValueError("bath correlation matrix violates hermiticity in time")
+    return c
 
 
 def _fft_size(n: int) -> int:
@@ -512,7 +507,7 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     weighted = (ops * weights[:, None, None]).reshape(r, g, n * n)
     # inner_a(u_j) is entry g - 1 + j of the linear convolution of the
     # reversed lag correlations C((g - 1 - p) h) with the weighted operators
-    spectrum = (np.fft.fft(_lag_correlations(coupling, traj.tau, s_grid)[::-1], n=size, axis=0)
+    spectrum = (np.fft.fft(_lag_correlations(coupling, s_grid)[::-1], n=size, axis=0)
                 @ np.fft.fft(weighted, n=size, axis=1).transpose(1, 0, 2))
     inner = np.fft.ifft(spectrum, axis=0)[g - 1:2 * g - 1].transpose(1, 0, 2)
     # z[(i, j), (k, l)] = sum_p inner_p[i, j] w_p[k, l]; phi[(l, i), (k, j)] is that entry
@@ -555,12 +550,12 @@ def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
         val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
         return float(val.real)
     s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
-    return _time_epsilon(coupling, traj.tau, s_grid, d)
+    return _time_epsilon(coupling, s_grid, d)
 
 
-def _time_epsilon(coupling: Coupling, tau: float, s_grid: np.ndarray, d: np.ndarray) -> float:
+def _time_epsilon(coupling: Coupling, s_grid: np.ndarray, d: np.ndarray) -> float:
     """eps = sum_ab sum_l C_ab(lh) D_ab(l) from the lag sums D on the grid s_grid."""
-    return float(np.einsum("lab,lab->", _lag_correlations(coupling, tau, s_grid), d).real)
+    return float(np.einsum("lab,lab->", _lag_correlations(coupling, s_grid), d).real)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +721,7 @@ def route_errors(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
     """
     s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     bath = coupling.bath
-    eps_time = None if bath.correlation is None else _time_epsilon(coupling, traj.tau, s_grid, d)
+    eps_time = None if bath.correlation is None else _time_epsilon(coupling, s_grid, d)
     spectral = (None if bath.spectral is None
                 else _frequency_epsilon(*_bath_channels(bath, grid, d),
                                         s_grid[1] - s_grid[0], grid, traj.tau))

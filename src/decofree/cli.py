@@ -43,12 +43,19 @@ def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
     return rep
 
 
-def _load_channel(path: str, tol: float) -> channels.KrausMap:
-    return jsonio.channel_from_json(jsonio.load_json(path), tol=tol)
-
-
-def _load_generator(path: str, tol: float):
-    return jsonio.generator_from_json(jsonio.load_json(path), tol=tol)
+def _dynamics(args):
+    """The model of --channel or --generator: a KrausMap or a GKLSGenerator, and
+    the Gibbs LiouvilleMetric of a thermal ("T") generator, otherwise None."""
+    if bool(args.channel) == bool(args.generator):
+        raise ValidationError(f"{args.command} needs exactly one of --channel or --generator")
+    if args.channel:
+        if getattr(args, "max_k", 1) < 1:  # only df has --max-k
+            raise ValidationError("--max-k must be at least 1")
+        return jsonio.channel_from_json(jsonio.load_json(args.channel), tol=args.tol), None
+    loaded = jsonio.generator_from_json(jsonio.load_json(args.generator), tol=args.tol)
+    if isinstance(loaded, lindblad.GibbsGenerator):
+        return loaded.generator, loaded.metric()
+    return loaded, None
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,7 @@ def _load_generator(path: str, tol: float):
 
 
 def cmd_analyze_channel(args) -> dict:
-    channel = _load_channel(args.channel, args.tol)
+    channel, _ = _dynamics(args)
     cp = channels.cp_check(channel, args.tol)
     reduced = channels.reduce_kraus(channel)
     nalg = algebra.multiplicative_domain(channel)
@@ -78,9 +85,7 @@ def cmd_analyze_channel(args) -> dict:
 
 
 def cmd_analyze_semigroup(args) -> dict:
-    loaded = _load_generator(args.generator, args.tol)
-    gibbs = loaded if isinstance(loaded, lindblad.GibbsGenerator) else None
-    gen = gibbs.generator if gibbs else loaded
+    gen, metric = _dynamics(args)
     rng = np.random.default_rng(args.seed)
     unit_defect = float(np.max(np.abs(gen(eye(gen.dim)))))
     worst_diss = 0.0
@@ -97,18 +102,18 @@ def cmd_analyze_semigroup(args) -> dict:
         "generator_unitality_defect": unit_defect,
         "dissipativity_min_eigenvalue": worst_diss,
     }
-    if gibbs is not None:
-        metric = gibbs.metric()
+    if metric is not None:
+        # checked once here, so df_algebra_semigroup gets no metric to check again
         db = lindblad.detailed_balance_check(gen, metric)
-        res = algebra.df_algebra_semigroup(gen, metric)
+        if not db.passed:
+            raise ValueError(f"detailed balance claimed but fails: {db.residuals}")
         report["detailed_balance"] = {
             "stationary": db.stationary,
             "commuting_parts": db.commuting_parts,
             "hermitian_dissipator": db.hermitian_dissipator,
             "residuals": {k: float(v) for k, v in db.residuals.items()},
         }
-    else:
-        res = algebra.df_algebra_semigroup(gen)
+    res = algebra.df_algebra_semigroup(gen)
     report["decoherence_free"] = _algebra_report(
         res.algebra, seed=args.seed, certificate=res.certificate, include_basis=False
     )
@@ -116,26 +121,19 @@ def cmd_analyze_semigroup(args) -> dict:
 
 
 def cmd_df(args) -> dict:
-    if bool(args.channel) == bool(args.generator):
-        raise ValidationError("df needs exactly one of --channel or --generator")
+    dyn, metric = _dynamics(args)
+    if args.metric:
+        if args.channel or metric is not None:
+            raise ValidationError('--metric applies only to a --generator without "T"')
+        metric = LiouvilleMetric(jsonio.state_from_json(jsonio.load_json(args.metric)))
     if args.channel:
-        if args.max_k < 1:
-            raise ValidationError("--max-k must be at least 1")
-        channel = _load_channel(args.channel, args.tol)
-        res = algebra.df_algebra_discrete(channel, max_k=args.max_k)
-        report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
-        report.update({"command": "df", "k_used": res.k_used})
+        res = algebra.df_algebra_discrete(dyn, max_k=args.max_k)
     else:
-        loaded = _load_generator(args.generator, args.tol)
-        if isinstance(loaded, lindblad.GibbsGenerator):
-            res = algebra.df_algebra_semigroup(loaded.generator, loaded.metric())
-        else:
-            metric = None
-            if args.metric:
-                metric = LiouvilleMetric(jsonio.state_from_json(jsonio.load_json(args.metric)))
-            res = algebra.df_algebra_semigroup(loaded, metric)
-        report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
-        report["command"] = "df"
+        res = algebra.df_algebra_semigroup(dyn, metric)
+    report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
+    report["command"] = "df"
+    if args.channel:
+        report["k_used"] = res.k_used
     return report
 
 
@@ -151,17 +149,9 @@ def cmd_blocks(args) -> dict:
 
 
 def cmd_invariance(args) -> dict:
-    if bool(args.channel) == bool(args.generator):
-        raise ValidationError("invariance needs exactly one of --channel or --generator")
-    if args.channel:
-        dyn = _load_channel(args.channel, args.tol)
-        ops = list(dyn.kraus_ops)
-        dim = dyn.dim
-    else:
-        loaded = _load_generator(args.generator, args.tol)
-        dyn = loaded.generator if isinstance(loaded, lindblad.GibbsGenerator) else loaded
-        ops = list(dyn.lindblad_ops)
-        dim = dyn.dim
+    dyn, _ = _dynamics(args)
+    ops = list(dyn.kraus_ops if args.channel else dyn.lindblad_ops)
+    dim = dyn.dim
     n_sites = args.sites
     if n_sites < 1:
         raise ValidationError("--sites must be at least 1")
@@ -252,25 +242,19 @@ def cmd_scan(args) -> dict:
 
 def cmd_evolve(args) -> dict:
     state = jsonio.state_from_json(jsonio.load_json(args.state))
-    report = {"command": "evolve", "states": []}
-    if bool(args.channel) == bool(args.generator):
-        raise ValidationError("evolve needs exactly one of --channel or --generator")
+    dyn, _ = _dynamics(args)
+    if state.shape[0] != dyn.dim:
+        kind = "channel" if args.channel else "generator"
+        raise ValidationError(f"state dimension does not match the {kind}")
+    report = {"command": "evolve", "dim": dyn.dim, "states": []}
     if args.channel:
-        channel = _load_channel(args.channel, args.tol)
-        if state.shape[0] != channel.dim:
-            raise ValidationError("state dimension does not match the channel")
         if args.steps < 0:
             raise ValidationError("--steps must be non-negative")
         current = state
         for k in range(args.steps + 1):
             report["states"].append(_state_entry(float(k), current))
-            current = channel.apply_dual(current)
-        report["dim"] = channel.dim
+            current = dyn.apply_dual(current)
     else:
-        loaded = _load_generator(args.generator, args.tol)
-        gen = loaded.generator if isinstance(loaded, lindblad.GibbsGenerator) else loaded
-        if state.shape[0] != gen.dim:
-            raise ValidationError("state dimension does not match the generator")
         try:
             times = [float(x) for x in args.times.split(",") if x]
         except ValueError as exc:
@@ -278,8 +262,7 @@ def cmd_evolve(args) -> dict:
         if not all(0.0 <= t < np.inf for t in times):
             raise ValidationError("evolution times must be finite and non-negative")
         for t in sorted(times):
-            report["states"].append(_state_entry(t, lindblad.evolve_state(gen, state, t)))
-        report["dim"] = gen.dim
+            report["states"].append(_state_entry(t, lindblad.evolve_state(dyn, state, t)))
     return report
 
 
@@ -311,6 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized algebra steps (fixed default for reproducibility)")
     common.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
+    # one declaration per flag that several subcommands read
+    dynamics = argparse.ArgumentParser(add_help=False)
+    dynamics.add_argument("--channel")
+    dynamics.add_argument("--generator")
+
+    born_inputs = argparse.ArgumentParser(add_help=False)
+    born_inputs.add_argument("--traj", required=True)
+    born_inputs.add_argument("--coupling", required=True, help='JSON {"S": [...], "bath": {...}}')
+    born_inputs.add_argument("--psi", required=True)
+    born_inputs.add_argument("--grid-omega-max", type=float, default=None, dest="grid_omega_max")
+    born_inputs.add_argument("--grid-points", type=int, default=born.DEFAULT_FREQ_POINTS,
+                             dest="grid_points")
+    born_inputs.add_argument("--time-points", type=int, default=born.DEFAULT_TIME_POINTS,
+                             dest="time_points")
+
     parser = argparse.ArgumentParser(
         prog="decofree",
         description="Decoherence-free subalgebras and Born-approximation error budgets",
@@ -320,18 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-channel", parents=[common],
                        help="validate a Kraus channel and report its structure")
     p.add_argument("--channel", required=True)
-    p.set_defaults(func=cmd_analyze_channel)
+    p.set_defaults(func=cmd_analyze_channel, generator=None)
 
     p = sub.add_parser("analyze-semigroup", parents=[common],
                        help="validate a GKLS generator and report its structure")
     p.add_argument("--generator", required=True)
-    p.set_defaults(func=cmd_analyze_semigroup)
+    p.set_defaults(func=cmd_analyze_semigroup, channel=None)
 
-    p = sub.add_parser("df", parents=[common],
+    p = sub.add_parser("df", parents=[common, dynamics],
                        help="decoherence-free subalgebra of a channel or semigroup")
-    p.add_argument("--channel")
-    p.add_argument("--generator")
-    p.add_argument("--metric", help="faithful state JSON; adds a detailed-balance check")
+    p.add_argument("--metric", help="faithful state JSON for a --generator without \"T\"; "
+                                    "adds a detailed-balance check")
     p.add_argument("--max-k", type=int, default=25, dest="max_k",
                    help="cap on recursion steps for --channel: the domains of "
                         "Gamma^k are followed up to k = MAX_K")
@@ -342,36 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", required=True, help='JSON {"ops": [<matrix>...]}')
     p.set_defaults(func=cmd_blocks)
 
-    p = sub.add_parser("invariance", parents=[common],
+    p = sub.add_parser("invariance", parents=[common, dynamics],
                        help="permutation invariance residuals of a model")
-    p.add_argument("--channel")
-    p.add_argument("--generator")
     p.add_argument("--sites", type=int, required=True, help="number of tensor factors")
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("born-error", parents=[common],
+    p = sub.add_parser("born-error", parents=[common, born_inputs],
                        help="control error of an initial state in Born approximation")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--coupling", required=True, help='JSON {"S": [...], "bath": {...}}')
-    p.add_argument("--psi", required=True)
-    p.add_argument("--grid-omega-max", type=float, default=None, dest="grid_omega_max")
-    p.add_argument("--grid-points", type=int, default=born.DEFAULT_FREQ_POINTS, dest="grid_points")
-    p.add_argument("--time-points", type=int, default=born.DEFAULT_TIME_POINTS, dest="time_points")
     p.set_defaults(func=cmd_born_error)
 
-    p = sub.add_parser("scan", parents=[common], help="error versus gate-speed rescaling")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--coupling", required=True)
-    p.add_argument("--psi", required=True)
+    p = sub.add_parser("scan", parents=[common, born_inputs],
+                       help="error versus gate-speed rescaling")
     p.add_argument("--lambdas", default="1,2,4")
-    p.add_argument("--grid-omega-max", type=float, default=None, dest="grid_omega_max")
-    p.add_argument("--grid-points", type=int, default=born.DEFAULT_FREQ_POINTS, dest="grid_points")
-    p.add_argument("--time-points", type=int, default=born.DEFAULT_TIME_POINTS, dest="time_points")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("evolve", parents=[common], help="evolve a state under a channel or semigroup")
-    p.add_argument("--channel")
-    p.add_argument("--generator")
+    p = sub.add_parser("evolve", parents=[common, dynamics],
+                       help="evolve a state under a channel or semigroup")
     p.add_argument("--state", required=True)
     p.add_argument("--times", default="0,1", help="comma-separated times (generator mode)")
     p.add_argument("--steps", type=int, default=5, help="iteration count (channel mode)")

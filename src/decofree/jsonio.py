@@ -8,7 +8,6 @@ raise :class:`ValidationError` with a machine-readable detail dict.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from typing import Any
@@ -41,19 +40,20 @@ class ValidationError(ValueError):
         return {"error": "validation", "message": str(self), **self.details}
 
 
+def _finite(value) -> bool:
+    """A finite JSON number: exactly an int or a float (bool is an int subclass)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _pair_to_complex(pair) -> complex:
     """One [re, im] entry: two finite JSON numbers, not bools or strings."""
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         re, im = pair
-        # exact types: bool is an int subclass
-        if type(re) in (int, float) and type(im) in (int, float):
-            try:
-                z = complex(re, im)
-            except OverflowError:  # an integer beyond the double range
-                pass
-            else:
-                if cmath.isfinite(z):
-                    return z
+        if _finite(re) and _finite(im):
+            return complex(re, im)
     raise ValidationError(
         f"complex entry must be a [re, im] pair of finite numbers, got {pair!r}"
     )
@@ -235,14 +235,6 @@ def trajectory_from_json(obj: Any) -> ControlTrajectory:
         )
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad trajectory: {exc}") from exc
-
-
-def _finite(value) -> bool:
-    """A finite JSON number: exactly an int or a float (bool is an int subclass)."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the double range
-        return False
 
 
 def _number(obj: dict, key: str, default: float):

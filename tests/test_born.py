@@ -229,6 +229,19 @@ class TestErrorMap:
         with pytest.raises(ValueError, match="hermiticity"):
             error_map(traj, Coupling(system_ops=(sz,), bath=bad))
 
+    def test_rejects_asymmetry_between_sample_times(self):
+        # the odd part vanishes at t = 0, 0.37 and 1, so a check at those
+        # three times alone passes this bath (and eps_time reads about 2.55);
+        # every other +-lh pair of lags breaks C(-t) = C(t)†
+        bad = Bath(n_ops=1, label="bad", correlation=lambda t: (
+            np.exp(-t ** 2) + t * (t ** 2 - 0.37 ** 2) * (t ** 2 - 1.0))[..., None, None])
+        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
+        coupling = Coupling(system_ops=(sz,), bath=bad)
+        with pytest.raises(ValueError, match="hermiticity"):
+            error_time_domain(traj, coupling, PLUS)
+        with pytest.raises(ValueError, match="hermiticity"):
+            route_errors(traj, coupling, PLUS, FrequencyGrid.for_trajectory(traj))
+
 
 class TestQuadratureRefinement:
     def test_time_grid_converges_to_closed_form(self):

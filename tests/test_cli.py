@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -569,3 +570,85 @@ def test_tolerance_env_override(workdir, monkeypatch):
     assert cli_module.DEFAULT_TOL == 1e-3
     monkeypatch.delenv("DECOFREE_TOL")
     importlib.reload(cli_module)
+
+
+
+def _thermal_qubit(path) -> str:
+    # sm lowers |1> (energy 1) to |0> (energy 0)
+    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)], "T": 1.0},
+              str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("df", []),
+    ("invariance", ["--sites", "1"]),
+    ("evolve", ["--state", "mixed"]),
+])
+@pytest.mark.parametrize("both", [True, False])
+def test_model_needs_exactly_one_of_channel_or_generator(workdir, capsys, command, extra, both):
+    extra = [str(workdir[x]) if x in workdir else x for x in extra]
+    models = ["--channel", str(workdir["dephasing"]),
+              "--generator", str(workdir["damping"])] if both else []
+    code = main([command, *models, *extra])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "validation",
+                      "message": f"{command} needs exactly one of --channel or --generator"}
+
+
+@pytest.mark.parametrize("model", ["channel", "thermal"])
+def test_df_metric_without_effect_is_validation_error(workdir, tmp_path, capsys, model):
+    models = {"channel": ["--channel", str(workdir["dephasing"])],
+              "thermal": ["--generator", _thermal_qubit(tmp_path / "thermal.json")]}
+    code = main(["df", *models[model], "--metric", str(workdir["mixed"])])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "validation",
+                      "message": '--metric applies only to a --generator without "T"'}
+
+
+def test_df_metric_with_plain_generator_checks_detailed_balance(workdir, tmp_path, capsys,
+                                                                monkeypatch):
+    # sigma_z dephasing next to H = sigma_z is detailed-balanced in the
+    # maximally mixed state, and its DF algebra is the diagonals
+    gen_path = tmp_path / "dephasing_gen.json"
+    dump_json(generator_to_json(GKLSGenerator(sz, [sz])), str(gen_path))
+    calls = []
+    original = cli.algebra.detailed_balance_check
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.algebra, "detailed_balance_check", counting)
+    code = main(["df", "--generator", str(gen_path), "--metric", str(workdir["mixed"])])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("passes", [True, False])
+def test_thermal_analyze_semigroup_checks_detailed_balance_once(tmp_path, capsys, monkeypatch,
+                                                                passes):
+    calls = []
+    original = cli.lindblad.detailed_balance_check
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        report = original(*args, **kwargs)
+        return report if passes else dataclasses.replace(report, stationary=False)
+
+    monkeypatch.setattr(cli.lindblad, "detailed_balance_check", counting)
+    monkeypatch.setattr(cli.algebra, "detailed_balance_check", counting)
+    code = main(["analyze-semigroup", "--generator", _thermal_qubit(tmp_path / "thermal.json")])
+    captured = capsys.readouterr()
+    if passes:
+        assert code == 0
+        assert json.loads(captured.out)["detailed_balance"]["stationary"] is True
+        assert len(calls) == 1
+    else:
+        # the failing check keeps its exit code and message
+        assert code == 1
+        assert captured.out == ""
+        assert "ValueError: detailed balance claimed but fails" in captured.err
