@@ -17,7 +17,7 @@ angle is at most ANGLE_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,6 +138,9 @@ class MatrixAlgebra:
     """Unital *-closed operator subspace with a Frobenius-orthonormal basis."""
 
     basis: tuple
+    # Wedderburn blocks (n_j, d_j), ordered as block_decompose orders them, when
+    # the construction already knows them (generated_algebra); otherwise None
+    _blocks: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_span(cls, mats) -> "MatrixAlgebra":
@@ -279,7 +282,7 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
     C = U (direct_sum_j M_nj kron 1_dj) U†, so C' = U (direct_sum_j
     1_nj kron M_dj) U†.  With v_is the conjugator column (i, s) of block j,
     its elements sum_i v_is v_it† / sqrt(n_j) are Frobenius-orthonormal as
-    written.
+    written, and its blocks are the commutant's with n_j and d_j swapped.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     if not ops:
@@ -296,7 +299,8 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
         offset += nj * dj
         elements = v[:, None] @ v.conj().transpose(0, 2, 1)[None, :] / np.sqrt(nj)
         basis.extend(elements.reshape(dj * dj, n, n))
-    return MatrixAlgebra(tuple(basis))
+    blocks = tuple(sorted(((dj, nj) for nj, dj in decomp.blocks), reverse=True))
+    return MatrixAlgebra(tuple(basis), _blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

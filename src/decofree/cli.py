@@ -32,10 +32,11 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
                     include_basis: bool = True) -> dict:
-    blocks = algebra.block_decompose(alg, seed=seed)
+    # a generated algebra carries the blocks its construction found
+    blocks = alg._blocks or algebra.block_decompose(alg, seed=seed).blocks
     rep = {
         "dimension": alg.dim,
-        "blocks": [[int(nj), int(dj)] for nj, dj in blocks.blocks],
+        "blocks": [[int(nj), int(dj)] for nj, dj in blocks],
         "certificate": certificate,
     }
     if include_basis:
@@ -43,11 +44,27 @@ def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
     return rep
 
 
+# flags of one model mode: (flag, dest, mode, default).  Their parser default is
+# None, so a flag given with the other mode shows; the mode's default is set here.
+_MODE_FLAGS = (("--max-k", "max_k", "channel", 25), ("--steps", "steps", "channel", 5),
+               ("--times", "times", "generator", "0,1"))
+
+
 def _dynamics(args):
     """The model of --channel or --generator: a KrausMap or a GKLSGenerator, and
-    the Gibbs LiouvilleMetric of a thermal ("T") generator, otherwise None."""
+    the Gibbs LiouvilleMetric of a thermal ("T") generator, otherwise None.
+
+    A _MODE_FLAGS flag given with the other mode is a validation error; one not
+    given is set on args to its mode's default.
+    """
     if bool(args.channel) == bool(args.generator):
         raise ValidationError(f"{args.command} needs exactly one of --channel or --generator")
+    for flag, dest, mode, default in _MODE_FLAGS:
+        given = getattr(args, dest, None)  # absent when another subcommand runs
+        if given is not None and not getattr(args, mode):
+            raise ValidationError(f"{flag} applies only to --{mode}")
+        if given is None and hasattr(args, dest):
+            setattr(args, dest, default)
     if args.channel:
         if getattr(args, "max_k", 1) < 1:  # only df has --max-k
             raise ValidationError("--max-k must be at least 1")
@@ -86,15 +103,12 @@ def cmd_analyze_channel(args) -> dict:
 
 def cmd_analyze_semigroup(args) -> dict:
     gen, metric = _dynamics(args)
-    rng = np.random.default_rng(args.seed)
     unit_defect = float(np.max(np.abs(gen(eye(gen.dim)))))
-    worst_diss = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(gen.dim,) * 2) + 1j * rng.normal(size=(gen.dim,) * 2)
-        defect = lindblad.dissipativity_defect(gen, a)
-        worst_diss = min(
-            worst_diss, float(np.linalg.eigvalsh(0.5 * (defect + dag(defect))).min())
-        )
+    # 20 random A, drawn real part then imaginary part each, as one stack
+    z = np.random.default_rng(args.seed).normal(size=(20, 2, gen.dim, gen.dim))
+    defect = lindblad.dissipativity_defect(gen, z[:, 0] + 1j * z[:, 1])
+    herm = 0.5 * (defect + defect.conj().swapaxes(-1, -2))
+    worst_diss = min(0.0, float(np.linalg.eigvalsh(herm).min()))
     report = {
         "command": "analyze-semigroup",
         "dim": gen.dim,
@@ -329,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoherence-free subalgebra of a channel or semigroup")
     p.add_argument("--metric", help="faithful state JSON for a --generator without \"T\"; "
                                     "adds a detailed-balance check")
-    p.add_argument("--max-k", type=int, default=25, dest="max_k",
-                   help="cap on recursion steps for --channel: the domains of "
-                        "Gamma^k are followed up to k = MAX_K")
+    p.add_argument("--max-k", type=int, dest="max_k",
+                   help="cap on recursion steps for --channel only: the domains of "
+                        "Gamma^k are followed up to k = MAX_K (default 25)")
     p.set_defaults(func=cmd_df)
 
     p = sub.add_parser("blocks", parents=[common],
@@ -356,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", parents=[common, dynamics],
                        help="evolve a state under a channel or semigroup")
     p.add_argument("--state", required=True)
-    p.add_argument("--times", default="0,1", help="comma-separated times (generator mode)")
-    p.add_argument("--steps", type=int, default=5, help="iteration count (channel mode)")
+    p.add_argument("--times", help="comma-separated times (--generator only; default 0,1)")
+    p.add_argument("--steps", type=int, help="iteration count (--channel only; default 5)")
     p.set_defaults(func=cmd_evolve)
 
     return parser

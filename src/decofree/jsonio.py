@@ -317,7 +317,8 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(obj: Any, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """One line of compact JSON with sorted keys; compact separators keep the C encoder."""
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

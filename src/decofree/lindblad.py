@@ -48,6 +48,7 @@ class GKLSGenerator:
         self.dim = h.shape[0]
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
+        """L(A) of one operator or of each operator in a stack (..., n, n)."""
         return self.hamiltonian_part(a) + self.dissipative_part(a)
 
     def hamiltonian_part(self, a: np.ndarray) -> np.ndarray:
@@ -56,7 +57,7 @@ class GKLSGenerator:
 
     def dissipative_part(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+        if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError("operator dimension does not match the generator")
         out = np.zeros_like(a)
         for v in self.lindblad_ops:
@@ -107,9 +108,13 @@ def evolve_state(gen: GKLSGenerator, rho: np.ndarray, t: float) -> np.ndarray:
 
 
 def dissipativity_defect(gen: GKLSGenerator, a: np.ndarray) -> np.ndarray:
-    """L(A†A) - L(A†)A - A†L(A); PSD, and equal to sum_j [V_j,A]†[V_j,A]."""
+    """L(A†A) - L(A†)A - A†L(A); PSD, and equal to sum_j [V_j,A]†[V_j,A].
+
+    a may be one operator or a stack (..., n, n); the defect is taken per operator.
+    """
     a = np.asarray(a, dtype=complex)
-    return gen(dag(a) @ a) - gen(dag(a)) @ a - dag(a) @ gen(a)
+    a_dag = a.conj().swapaxes(-1, -2)
+    return gen(a_dag @ a) - gen(a_dag) @ a - a_dag @ gen(a)
 
 
 def canonical_form(gen: GKLSGenerator) -> GKLSGenerator:

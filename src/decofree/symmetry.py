@@ -233,13 +233,15 @@ def local_invariance_check(
     When the operators are invariant, the group algebra commutes with all of
     them, so it sits inside the commutant of {X, X†} and hence inside the
     decoherence-free algebra; that containment is then verified through the
-    algebra engine.
+    algebra engine.  The commutant is a unital *-algebra, so it contains the
+    algebra the transpositions generate iff it contains every transposition.
     """
     residual = local_invariance_residual(ops, rep)
     invariant = residual <= tol
     holds = None
     if invariant:
-        holds = rep.group_algebra().is_subalgebra_of(commutant(list(ops), rep.dim))
+        comm = commutant(list(ops), rep.dim)
+        holds = all(comm.contains(r) for r in rep.generators)
     return LocalInvarianceReport(residual=residual, invariant=invariant, containment_holds=holds)
 
 

@@ -20,7 +20,7 @@ from decofree.jsonio import (
     trajectory_to_json,
     vector_to_json,
 )
-from decofree.lindblad import GKLSGenerator
+from decofree.lindblad import GKLSGenerator, dissipativity_defect
 from decofree.operators import eye, random_hermitian, sm, sx, sz
 from decofree.symmetry import build_superradiance_generator, permutation_matrix
 
@@ -652,3 +652,91 @@ def test_thermal_analyze_semigroup_checks_detailed_balance_once(tmp_path, capsys
         assert code == 1
         assert captured.out == ""
         assert "ValueError: detailed balance claimed but fails" in captured.err
+
+
+def _every_subcommand(workdir, tmp_path):
+    ops = tmp_path / "ops.json"
+    dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))), matrix_to_json(np.kron(sz, sz))]},
+              str(ops))
+    model = tmp_path / "superradiance.json"
+    dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}, str(model))
+    born_inputs = ["--traj", workdir["traj"], "--coupling", workdir["coupling"],
+                   "--psi", workdir["plus"]]
+    return {
+        "analyze-channel": ["analyze-channel", "--channel", workdir["dephasing"]],
+        "analyze-semigroup": ["analyze-semigroup", "--generator", model],
+        "df-channel": ["df", "--channel", workdir["dephasing"]],
+        "df-generator": ["df", "--generator", model],
+        "blocks": ["blocks", "--ops", ops],
+        "invariance": ["invariance", "--generator", model, "--sites", "2"],
+        "born-error": ["born-error", *born_inputs],
+        "scan": ["scan", *born_inputs, "--lambdas", "1,2"],
+        "evolve-channel": ["evolve", "--channel", workdir["dephasing"],
+                           "--state", workdir["mixed"]],
+        "evolve-generator": ["evolve", "--generator", workdir["damping"],
+                             "--state", workdir["mixed"]],
+        "validation-error": ["analyze-channel", "--channel", workdir["bad_channel"]],
+    }
+
+
+@pytest.mark.parametrize("name", ["analyze-channel", "analyze-semigroup", "df-channel",
+                                  "df-generator", "blocks", "invariance", "born-error", "scan",
+                                  "evolve-channel", "evolve-generator", "validation-error"])
+def test_report_is_one_line_of_compact_sorted_json(workdir, tmp_path, capsys, name):
+    argv = list(map(str, _every_subcommand(workdir, tmp_path)[name]))
+    code = main(argv)
+    assert code == (2 if name == "validation-error" else 0)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    # --out writes the same bytes, and a rerun repeats them
+    assert main([*argv, "--out", str(workdir["out"])]) == code
+    assert workdir["out"].read_text() == out
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--channel", "dephasing", "--times", "0,7,9"],
+     "--times applies only to --generator"),
+    (["evolve", "--generator", "damping", "--steps", "3"], "--steps applies only to --channel"),
+    (["df", "--generator", "damping", "--max-k", "3"], "--max-k applies only to --channel"),
+], ids=["evolve-channel-times", "evolve-generator-steps", "df-generator-max-k"])
+def test_flag_of_the_other_mode_is_validation_error(workdir, capsys, argv, message):
+    argv = [str(workdir[a]) if a in ("dephasing", "damping") else a for a in argv]
+    if argv[0] == "evolve":
+        argv += ["--state", str(workdir["mixed"])]
+    code = main(argv)
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "validation", "message": message}
+
+
+def test_mode_flag_defaults(workdir, capsys, monkeypatch):
+    state = ["--state", str(workdir["mixed"])]
+    assert main(["evolve", "--channel", str(workdir["dephasing"]), *state]) == 0
+    assert [e["t"] for e in json.loads(capsys.readouterr().out)["states"]] == [0, 1, 2, 3, 4, 5]
+    assert main(["evolve", "--generator", str(workdir["damping"]), *state]) == 0
+    assert [e["t"] for e in json.loads(capsys.readouterr().out)["states"]] == [0.0, 1.0]
+    seen = []
+    original = cli.algebra.df_algebra_discrete
+
+    def recording(channel, max_k):
+        seen.append(max_k)
+        return original(channel, max_k=max_k)
+
+    monkeypatch.setattr(cli.algebra, "df_algebra_discrete", recording)
+    assert main(["df", "--channel", str(workdir["dephasing"])]) == 0
+    assert seen == [25]
+
+
+def test_dissipativity_min_eigenvalue_matches_one_draw_at_a_time(tmp_path, capsys):
+    path = tmp_path / "superradiance.json"
+    dump_json({"model": "superradiance", "N": 2, "omega": 0.7, "gamma": 1.3}, str(path))
+    assert main(["analyze-semigroup", "--generator", str(path), "--seed", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    gen = build_superradiance_generator(2, 0.7, 1.3)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(20):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        defect = dissipativity_defect(gen, a)
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (defect + defect.conj().T)).min()))
+    assert report["dissipativity_min_eigenvalue"] == worst

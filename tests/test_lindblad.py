@@ -118,6 +118,14 @@ class TestDissipativity:
         gen = GKLSGenerator(np.zeros((2, 2)), [np.sqrt(gamma) * sz])
         assert np.allclose(dissipativity_defect(gen, sx), 4 * gamma * eye(2))
 
+    def test_defect_of_a_stack_is_the_defect_of_each_operator(self, rng):
+        gen = random_generator(3, 2, rng)
+        stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        defects = dissipativity_defect(gen, stack)
+        assert defects.shape == (5, 3, 3)
+        for a, defect in zip(stack, defects):
+            assert np.allclose(defect, dissipativity_defect(gen, a), rtol=0, atol=1e-12)
+
     def test_psd_and_commutator_identity(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 5))

@@ -192,3 +192,20 @@ class TestSchurWeylStructure:
         # sum of squared irrep dimensions: 9 + 1 at N = 2, 16 + 4 at N = 3
         assert su2_algebra(2).dim == 10
         assert su2_algebra(3).dim == 20
+
+
+@pytest.mark.parametrize("model", ["superradiance", "private_bath"])
+def test_generator_containment_agrees_with_group_algebra(model):
+    # containment of the transpositions alone against the whole group algebra:
+    # collective decay is invariant, one sigma_minus per site is not
+    if model == "superradiance":
+        ops = list(build_superradiance_generator(3, 1.0, 1.0).lindblad_ops)
+    else:
+        site = GKLSGenerator(np.zeros((2, 2)), [sm])
+        ops = list(build_private_bath_generator(3, np.zeros((8, 8)), site).lindblad_ops)
+    rep = build_permutation_rep(3, 2)
+    # an infinite tolerance takes every operator set as invariant, so the
+    # containment is decided in both cases
+    holds = local_invariance_check(ops, rep, tol=np.inf).containment_holds
+    expected = rep.group_algebra().is_subalgebra_of(commutant(ops, rep.dim))
+    assert holds is expected is (model == "superradiance")
