@@ -25,14 +25,13 @@ from .channels import KrausMap, compose, reduce_kraus, unitary_channel
 from .lindblad import GKLSGenerator, detailed_balance_check
 from .operators import (
     LiouvilleMetric,
-    conjugation_superop,
+    commutator_norm,
     dag,
     eye,
     hermitian_part,
     is_hermitian,
-    left_mult_superop,
     matrix_unit,
-    right_mult_superop,
+    sandwich_superop,
     unvec,
     vec,
 )
@@ -175,7 +174,7 @@ class MatrixAlgebra:
         n = self.matrix_dim
         basis = np.stack(self.basis)
         unit = float(self._residual_norms([eye(n)])[0] / np.sqrt(n))
-        adjoint = float(self._residual_norms(basis.conj().transpose(0, 2, 1)).max())
+        adjoint = float(self._residual_norms(dag(basis)).max())
         # all products a @ b of one basis element a, projected in one batch
         product = max(float(self._residual_norms(a @ basis).max()) for a in basis)
         return {"unit": unit, "adjoint": adjoint, "product": product}
@@ -297,7 +296,7 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
         # v[s] holds the columns (i, s), i = 0..n_j-1, of block j
         v = decomp.conjugator[:, offset:offset + nj * dj].reshape(n, nj, dj).transpose(2, 0, 1)
         offset += nj * dj
-        elements = v[:, None] @ v.conj().transpose(0, 2, 1)[None, :] / np.sqrt(nj)
+        elements = v[:, None] @ dag(v)[None, :] / np.sqrt(nj)
         basis.extend(elements.reshape(dj * dj, n, n))
     blocks = tuple(sorted(((dj, nj) for nj, dj in decomp.blocks), reverse=True))
     return MatrixAlgebra(tuple(basis), _blocks=blocks)
@@ -610,9 +609,8 @@ def commutant_bounds(unitary: np.ndarray, dissipative: KrausMap) -> CommutantBou
     w1 = commutant(ops, n)
     w2 = multiplicative_domain(dissipative)
 
-    s_u = conjugation_superop(np.asarray(unitary, dtype=complex))
-    s_d = dissipative.heisenberg_matrix()
-    commutes = bool(np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) <= 1e-8 * max(np.linalg.norm(s_d, 2), 1.0))
+    u = np.asarray(unitary, dtype=complex)
+    commutes = commutator_norm([(1.0, dag(u), u)], dissipative.terms()) <= 1e-8
     w3 = None
     if commutes:
         prods = [a @ b for a in ops for b in ops]
@@ -649,27 +647,22 @@ class DetailedBalanceChannel:
             raise ValueError("unitary dimension does not match the dissipative part")
         if np.linalg.norm(dag(u) @ u - eye(n)) > tol:
             raise ValueError("unitary part is not unitary within tolerance")
-        s_u = conjugation_superop(u)
-        s_d = self.dissipative.heisenberg_matrix()
-        if np.linalg.norm(s_u @ s_d - s_d @ s_u, 2) > tol * max(np.linalg.norm(s_d, 2), 1.0):
+        s_d = self.dissipative.terms()
+        if commutator_norm([(1.0, dag(u), u)], s_d) > tol:
             raise ValueError("unitary and dissipative parts do not commute")
-        g = self.metric.gram_superop()
-        if np.max(np.abs(g @ s_d - dag(s_d) @ g)) > tol:
+        if self.metric.hermiticity_residual(s_d) > tol:
             raise ValueError("dissipative part is not hermitian in the metric")
         sigma = self.metric.sigma
         if np.max(np.abs(u @ sigma - sigma @ u)) > tol:
             raise ValueError("metric state is not invariant under the unitary part")
-        total = dag(s_u @ s_d)
-        if np.max(np.abs(unvec(total @ vec(sigma), n) - sigma)) > tol:
+        # the dual of X -> U† Gamma_D(X) U is rho -> Gamma_D*(U rho U†)
+        if np.max(np.abs(self.dissipative.apply_dual(u @ sigma @ dag(u)) - sigma)) > tol:
             raise ValueError("metric state is not stationary for the channel")
         object.__setattr__(self, "unitary", u)
 
     @property
     def dim(self) -> int:
         return self.dissipative.dim
-
-    def heisenberg_matrix(self) -> np.ndarray:
-        return conjugation_superop(self.unitary) @ self.dissipative.heisenberg_matrix()
 
     def channel(self) -> KrausMap:
         """The Kraus list {W_a U} of Gamma(A) = U† Gamma_D(A) U."""
@@ -732,14 +725,13 @@ def relaxation_trace(db: DetailedBalanceChannel, a: np.ndarray, k_max: int = 20)
     basis = df_projector_basis(db)
     pa = df_project(db, a, basis)
     u = db.unitary
-    gamma = db.heisenberg_matrix()
 
     errors = []
     current = a.copy()
     rotated = pa.copy()
     for _ in range(k_max + 1):
         errors.append(db.metric.norm(current - rotated))
-        current = unvec(gamma @ vec(current), db.dim)
+        current = dag(u) @ db.dissipative(current) @ u
         rotated = dag(u) @ rotated @ u
     errors = np.array(errors)
 
@@ -775,7 +767,7 @@ def implementing_unitary(channel: KrausMap, alg: MatrixAlgebra) -> np.ndarray:
     n = channel.dim
     rows = []
     for b in alg.basis:
-        rows.append(left_mult_superop(b) - right_mult_superop(channel(b)))
+        rows.append(sandwich_superop(b, eye(n)) - sandwich_superop(eye(n), channel(b)))
     null = nullspace(np.vstack(rows))
     if null.shape[1] == 0:
         raise ValueError("no intertwiner exists; is the subspace really invariant?")

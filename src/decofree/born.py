@@ -322,7 +322,7 @@ def tabulated_bath(omegas, values) -> Bath:
     if values.ndim == 1:
         values = values[:, None, None]
     n_ops = values.shape[1]
-    adjoint = values.conj().transpose(0, 2, 1)
+    adjoint = dag(values)
     if np.max(np.abs(values - adjoint)) > 1e-10:
         raise ValueError("tabulated spectral matrices must be hermitian")
     if np.linalg.eigvalsh(0.5 * (values + adjoint)).min() < -1e-10:
@@ -450,7 +450,7 @@ def _lag_correlations(coupling: Coupling, s_grid: np.ndarray) -> np.ndarray:
     """
     g = s_grid.size
     c = coupling.bath.correlation_matrix(np.arange(1 - g, g) * (s_grid[1] - s_grid[0]))
-    if np.max(np.abs(c[::-1] - c.conj().swapaxes(-1, -2))) > 1e-8:
+    if np.max(np.abs(c[::-1] - dag(c))) > 1e-8:
         raise ValueError("bath correlation matrix violates hermiticity in time")
     return c
 

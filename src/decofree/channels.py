@@ -68,6 +68,10 @@ class KrausMap:
             out += w @ rho @ dag(w)
         return out
 
+    def terms(self) -> list:
+        """Gamma as terms (c, L, R) of X -> c L X R: (1, W†, W) per Kraus operator."""
+        return [(1.0, dag(w), w) for w in self.kraus_ops]
+
     def heisenberg_matrix(self) -> np.ndarray:
         return sum(sandwich_superop(dag(w), w) for w in self.kraus_ops)
 

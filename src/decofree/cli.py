@@ -107,7 +107,7 @@ def cmd_analyze_semigroup(args) -> dict:
     # 20 random A, drawn real part then imaginary part each, as one stack
     z = np.random.default_rng(args.seed).normal(size=(20, 2, gen.dim, gen.dim))
     defect = lindblad.dissipativity_defect(gen, z[:, 0] + 1j * z[:, 1])
-    herm = 0.5 * (defect + defect.conj().swapaxes(-1, -2))
+    herm = 0.5 * (defect + dag(defect))
     worst_diss = min(0.0, float(np.linalg.eigvalsh(herm).min()))
     report = {
         "command": "analyze-semigroup",

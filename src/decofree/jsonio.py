@@ -26,7 +26,7 @@ from .born import (
 )
 from .channels import KrausMap
 from .lindblad import GKLSGenerator, GibbsGenerator, build_gibbs_generator
-from .operators import check_density_matrix, eye
+from .operators import check_density_matrix, dag, eye
 
 
 class ValidationError(ValueError):
@@ -115,7 +115,7 @@ def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
         channel = KrausMap(ops, tol=tol)
     except ValueError as exc:
         n = ops[0].shape[0]
-        gram = sum(w.conj().T @ w for w in ops)
+        gram = sum(dag(w) @ w for w in ops)
         defect = float(np.max(np.abs(gram - eye(n))))
         raise ValidationError(
             str(exc), {"unitality_defect": defect, "tolerance": tol}

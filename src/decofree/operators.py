@@ -34,8 +34,8 @@ def eye(n: int) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.asarray(a).conj().T
+    """Hermitian conjugate, of one matrix or of each matrix in a stack (..., n, n)."""
+    return np.asarray(a).conj().mT
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -78,19 +78,27 @@ def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(right.T, left)
 
 
-def left_mult_superop(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    return np.kron(eye(a.shape[0]), a)
+def superop_norm(terms) -> float:
+    """Frobenius norm of the map X -> sum_i c_i L_i X R_i, given as terms (c_i, L_i, R_i).
+
+    Its matrix sum_i c_i kron(R_i.T, L_i) has the entries of sum_i c_i r_i l_i^T,
+    r_i and l_i the flattened R_i and L_i (Van Loan & Pitsianis 1993).  With A, B
+    the R factors of the QRs of the stacked l_i and r_i, the norm is
+    ||(A diag c) B^T||_F: no n^2 x n^2 matrix, and no Gram sums to cancel.
+    """
+    if not terms:
+        return 0.0
+    c, left, right = zip(*terms)
+    a = np.linalg.qr(np.reshape(left, (len(c), -1)).T, mode="r")
+    b = np.linalg.qr(np.reshape(right, (len(c), -1)).T, mode="r")
+    return float(np.linalg.norm((a * np.asarray(c)) @ b.T))
 
 
-def right_mult_superop(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    return np.kron(a.T, eye(a.shape[0]))
-
-
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """Matrix of the Heisenberg unitary action X -> u† X u."""
-    return sandwich_superop(dag(u), u)
+def commutator_norm(s, t) -> float:
+    """||st - ts||_F / max(||s||_F ||t||_F, 1) of two maps given as terms."""
+    terms = [(c * d, l1 @ l2, r2 @ r1) for c, l1, r1 in s for d, l2, r2 in t]
+    terms += [(-c * d, l2 @ l1, r1 @ r2) for c, l1, r1 in s for d, l2, r2 in t]
+    return superop_norm(terms) / max(superop_norm(s) * superop_norm(t), 1.0)
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -149,6 +157,14 @@ class LiouvilleMetric:
     def gram_superop(self) -> np.ndarray:
         """Matrix G with vec(A)† G vec(B) = <A, B>_sigma."""
         return np.kron(self.sigma.T, eye(self.dim))
+
+    def hermiticity_residual(self, terms) -> float:
+        """||G S - S† G||_F / max(||S||_F, 1) for S as terms, G: X -> X sigma; G S has
+        the terms (c, L, R sigma) and S† G the terms (c̄, L†, sigma R†)."""
+        sigma = self.sigma
+        moved = [(c, l, r @ sigma) for c, l, r in terms]
+        moved += [(-np.conj(c), dag(l), sigma @ dag(r)) for c, l, r in terms]
+        return superop_norm(moved) / max(superop_norm(terms), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MatrixAlgebra, commutant, generated_algebra
-from .channels import KrausMap
 from .lindblad import GKLSGenerator
-from .operators import conjugation_superop, dag, eye, sm, sx, sy, sz, tensor_product
+from .operators import dag, eye, sm, superop_norm, sx, sy, sz, tensor_product
 
 SIZE_CAP = 64  # largest product dimension d**N handled
 
@@ -32,22 +31,12 @@ def _check_size(d: int, n_sites: int) -> int:
 
 def permutation_matrix(perm, d: int) -> np.ndarray:
     """Unitary shuffling tensor factors: site i of the output is site perm[i]."""
-    perm = tuple(perm)
-    n_sites = len(perm)
-    total = d ** n_sites
+    perm = list(perm)
+    shape = (d,) * len(perm)
+    total = d ** len(perm)
+    digits = np.indices(shape).reshape(len(perm), total)  # digits[i] = basis label of site i
     r = np.zeros((total, total), dtype=complex)
-    for idx in range(total):
-        digits = []
-        rest = idx
-        for _ in range(n_sites):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()  # digits[i] = basis label of site i
-        new_digits = [digits[perm[i]] for i in range(n_sites)]
-        new_idx = 0
-        for dig in new_digits:
-            new_idx = new_idx * d + dig
-        r[new_idx, idx] = 1.0
+    r[np.ravel_multi_index(digits[perm], shape), np.arange(total)] = 1.0
     return r
 
 
@@ -185,24 +174,16 @@ def build_superradiance_generator(n_sites: int, omega: float, gamma_rate: float)
 # Invariance checks
 
 
-def _heisenberg_superop(obj) -> np.ndarray:
-    if isinstance(obj, KrausMap) or isinstance(obj, GKLSGenerator):
-        return obj.heisenberg_matrix()
-    return np.asarray(obj, dtype=complex)
-
-
 def global_invariance_residual(dynamics, rep: PermutationRep) -> float:
-    """max_g || R_g Gamma R_g^-1 - Gamma || over the group generators.
+    """max_g || R_g Gamma R_g^-1 - Gamma ||_F over the group generators.
 
-    `dynamics` may be a KrausMap, a GKLSGenerator, or a raw Heisenberg
-    superoperator matrix; the norm is the spectral norm.
+    `dynamics` is a KrausMap or a GKLSGenerator.  Conjugating the map by R
+    sends each term (c, L, R_op) to (c, R† L R, R† R_op R), so the residual is
+    the Frobenius norm of one Kronecker sum (`superop_norm`) per generator.
     """
-    s = _heisenberg_superop(dynamics)
-    worst = 0.0
-    for r in rep.generators:
-        sg = conjugation_superop(r)
-        worst = max(worst, float(np.linalg.norm(sg @ s @ dag(sg) - s, 2)))
-    return worst
+    terms = dynamics.terms()
+    return max(superop_norm([(c, dag(r) @ l @ r, dag(r) @ x @ r) for c, l, x in terms]
+                            + [(-c, l, x) for c, l, x in terms]) for r in rep.generators)
 
 
 @dataclass(frozen=True)

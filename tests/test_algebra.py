@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from decofree.algebra import (
+    DetailedBalanceChannel,
     MatrixAlgebra,
     block_decompose,
     commutant,
@@ -33,8 +34,9 @@ from decofree.channels import (
     reduce_kraus,
     unitary_channel,
 )
-from decofree.lindblad import GKLSGenerator, build_gibbs_generator
+from decofree.lindblad import GKLSGenerator, build_gibbs_generator, detailed_balance_check
 from decofree.operators import (
+    LiouvilleMetric,
     dag,
     eye,
     random_hermitian,
@@ -45,7 +47,13 @@ from decofree.operators import (
     unvec,
     vec,
 )
-from decofree.symmetry import build_superradiance_generator, collective_op, collective_spin
+from decofree.symmetry import (
+    build_permutation_rep,
+    build_superradiance_generator,
+    collective_op,
+    collective_spin,
+    global_invariance_residual,
+)
 from oracles import (
     commutant_dimension,
     definitional_df_subalgebra,
@@ -706,6 +714,28 @@ class TestCommutantBounds:
         assert bounds.of_ops.is_subalgebra_of(bounds.of_pair_products)
         assert bounds.of_all_products is not None
         assert bounds.of_ops.is_subalgebra_of(bounds.of_all_products)
+
+
+def test_checks_build_no_superoperator(monkeypatch, gibbs_channel):
+    # every commutation, hermiticity and stationarity check works on operator
+    # terms; the dense builders are refused while the checks run
+    def refuse(self):
+        raise AssertionError("n^2 x n^2 superoperator built")
+
+    for cls, names in ((GKLSGenerator, ("heisenberg_matrix", "schrodinger_matrix",
+                                        "hamiltonian_matrix", "dissipator_matrix")),
+                       (KrausMap, ("heisenberg_matrix", "schrodinger_matrix")),
+                       (LiouvilleMetric, ("gram_superop",))):
+        for name in names:
+            monkeypatch.setattr(cls, name, refuse)
+    ladder = _ladder(1.0, 0.7)  # build_gibbs_generator checks stationarity
+    assert detailed_balance_check(ladder.generator, ladder.metric()).passed
+    rep = build_permutation_rep(2, 2)
+    assert global_invariance_residual(build_superradiance_generator(2, 1.0, 1.0), rep) < 1e-10
+    assert global_invariance_residual(KrausMap([eye(4)]), rep) < 1e-10
+    assert commutant_bounds(gibbs_channel.unitary, gibbs_channel.dissipative).unitary_commutes
+    DetailedBalanceChannel(unitary=gibbs_channel.unitary, dissipative=gibbs_channel.dissipative,
+                           metric=gibbs_channel.metric)
 
 
 class TestRelaxation:

@@ -178,6 +178,46 @@ def test_df_generator_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
     assert (report["dimension"], report["certificate"]) == (1, "exact")
 
 
+def test_invariance_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
+    # the global residual is a Kronecker-sum norm of the generator's terms:
+    # the n^2 x n^2 generator alone takes 268 MB at n = 64
+    path = tmp_path / "private_bath.json"
+    path.write_text(json.dumps({"model": "private_bath", "N": 6, "v_site": [matrix_to_json(sm)]}))
+    run = run_within_one_gib(CLI_CHILD, "invariance", "--generator", str(path), "--sites", "6")
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["global_residual"] <= 1e-10
+    assert report["locally_invariant"] is False
+
+
+@pytest.fixture
+def thermal_ladder_64(tmp_path):
+    # 64 equally spaced levels, one lowering operator through all of them, T = 1
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({"H": matrix_to_json(np.diag(0.3 * np.arange(64))),
+                                "V": [matrix_to_json(np.diag(np.ones(63), 1))], "T": 1.0}))
+    return str(path)
+
+
+def test_thermal_df_dimension_64_within_one_gib(thermal_ladder_64, run_within_one_gib):
+    # stationarity is L*(sigma) on one matrix and the detailed-balance
+    # residuals are Kronecker-sum norms: no n^2 x n^2 matrix
+    run = run_within_one_gib(CLI_CHILD, "df", "--generator", thermal_ladder_64)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert (report["dimension"], report["certificate"]) == (1, "exact")
+
+
+def test_thermal_analyze_semigroup_dimension_64_within_one_gib(thermal_ladder_64,
+                                                               run_within_one_gib):
+    run = run_within_one_gib(CLI_CHILD, "analyze-semigroup", "--generator", thermal_ladder_64)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    balance = report["detailed_balance"]
+    assert balance["stationary"] and balance["commuting_parts"] and balance["hermitian_dissipator"]
+    assert report["decoherence_free"]["dimension"] == 1
+
+
 def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
     # every route applies the interaction picture to psi only: O(r g n)
     # memory, where an (r, g, n, n) operator stack alone would take 840 MB

@@ -49,6 +49,17 @@ class TestApplyGenerator:
         a = sx + 2 * sz
         assert np.allclose(gen(a), 0)
 
+    def test_no_jump_operators_no_dissipator(self):
+        # the dissipator's term list is empty; its action is still a zero stack
+        out = GKLSGenerator(sz).dissipative_part(np.stack([sx, sy, sz]))
+        assert out.shape == (3, 2, 2) and not out.any()
+
+    def test_apply_dual_is_the_schrodinger_matrix(self, rng):
+        gen = random_generator(3, 2, rng)
+        rho = random_density(3, rng)
+        expected = unvec(gen.schrodinger_matrix() @ vec(rho), 3)
+        assert np.max(np.abs(gen.apply_dual(rho) - expected)) < 1e-12
+
     def test_hamiltonian_sign(self):
         omega = 1.3
         gen = GKLSGenerator(0.5 * omega * sz)
@@ -176,6 +187,27 @@ class TestDetailedBalance:
         report = detailed_balance_check(gen, metric)
         assert not report.stationary
         assert not report.passed
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_drive_off_the_energy_basis_fails_commuting_parts(self, n):
+        # H + 0.3 (V + V†) mixes the ladder's levels, so its commutator no
+        # longer commutes with the thermal dissipator of H
+        h = np.diag(np.arange(n) * 3.0 / n)
+        v = np.diag(np.ones(n - 1), 1).astype(complex)
+        gg = build_gibbs_generator(h, 1.0, [v])
+        gen = GKLSGenerator(h + 0.3 * (v + dag(v)), gg.generator.lindblad_ops)
+        report = detailed_balance_check(gen, gg.metric())
+        assert not report.commuting_parts
+        assert report.residuals["parts_commute"] > 1e-6
+        assert report.hermitian_dissipator
+
+    def test_wrong_thermal_ratio_fails_hermiticity(self):
+        # rates 1 and 1/4 balance populations 4:1, not the metric's 2:3
+        gen = GKLSGenerator(np.zeros((2, 2)), [sm, 0.5 * sp])
+        report = detailed_balance_check(gen, LiouvilleMetric(np.diag([0.4, 0.6]).astype(complex)))
+        assert report.commuting_parts
+        assert not report.hermitian_dissipator
+        assert report.residuals["dissipator_hermiticity"] > 0.1
 
     def test_hermiticity_via_basis_pairs(self, gibbs_qubit):
         # same statement as the superoperator identity, written out elementwise

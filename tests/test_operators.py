@@ -4,22 +4,26 @@ import pytest
 from decofree.operators import (
     LiouvilleMetric,
     check_density_matrix,
+    commutator_norm,
     dag,
     eye,
     is_hermitian,
     is_psd,
     random_density,
     random_hermitian,
+    random_unitary,
     sandwich_superop,
     sm,
     sp,
     sx,
     sy,
+    superop_norm,
     sz,
     tensor_product,
     unvec,
     vec,
 )
+from decofree.channels import random_unital_channel
 
 
 def kron_by_hand(a, b):
@@ -173,3 +177,52 @@ def test_pauli_constants():
     assert np.allclose(sm, (sx + 1j * sy) / 2)
     assert np.allclose(sp, dag(sm))
     assert np.allclose(sm @ sp, np.diag([1.0, 0.0]))
+
+
+def test_dag_of_a_stack(rng):
+    a = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+    out = dag(a)
+    assert out.shape == (20, 4, 4)
+    assert all(np.array_equal(out[k], a[k].conj().T) for k in range(20))
+
+
+def _random_terms(n, count, rng):
+    def mat():
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    return [(complex(*rng.normal(size=2)), mat(), mat()) for _ in range(count)]
+
+
+def _dense(terms):
+    return sum(c * sandwich_superop(l, r) for c, l, r in terms)
+
+
+class TestKroneckerSumNorms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_superop_norm_is_the_dense_frobenius_norm(self, n, rng):
+        terms = _random_terms(n, 2 * n, rng)  # more terms than n^2 at n = 2
+        assert superop_norm(terms) == pytest.approx(np.linalg.norm(_dense(terms)), rel=1e-12)
+
+    def test_empty_list_is_the_zero_map(self):
+        assert superop_norm([]) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cancelling_list_is_zero(self, n, rng):
+        # a unitary remixing of a Kraus list gives the same channel through
+        # other factors: the difference of the two lists is the zero map
+        ops = random_unital_channel(n, 3, rng).kraus_ops
+        u = random_unitary(3, rng)
+        mixed = np.tensordot(u, np.stack(ops), axes=1)
+        terms = [(1.0, dag(w), w) for w in ops] + [(-1.0, dag(w), w) for w in mixed]
+        assert superop_norm(terms) <= 1e-13 * superop_norm(terms[:3])
+
+    def test_commutator_and_hermiticity_residuals_match_dense(self, rng):
+        s, t = _random_terms(3, 3, rng), _random_terms(3, 2, rng)
+        ds, dt = _dense(s), _dense(t)
+        scale = max(np.linalg.norm(ds) * np.linalg.norm(dt), 1.0)
+        assert commutator_norm(s, t) == pytest.approx(
+            np.linalg.norm(ds @ dt - dt @ ds) / scale, rel=1e-10)
+        metric = LiouvilleMetric(random_density(3, rng))
+        g = metric.gram_superop()
+        assert metric.hermiticity_residual(s) == pytest.approx(
+            np.linalg.norm(g @ ds - dag(ds) @ g) / max(np.linalg.norm(ds), 1.0), rel=1e-10)

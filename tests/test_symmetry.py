@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from decofree.algebra import block_decompose, commutant, df_algebra_semigroup, subspace_contains
+from decofree.channels import KrausMap, random_unital_channel
 from decofree.lindblad import GKLSGenerator, evolve_state
-from decofree.operators import eye, sm, sx, sz
+from decofree.operators import dag, eye, random_hermitian, sandwich_superop, sm, sx, sz
 from decofree.symmetry import (
     build_collective_ops,
     build_permutation_rep,
@@ -143,6 +144,27 @@ class TestSuperradiance:
     def test_biased_coupling_breaks_global_invariance(self):
         gen = GKLSGenerator(np.zeros((4, 4)), [np.kron(sm, eye(2))])
         assert global_invariance_residual(gen, build_permutation_rep(2, 2)) > 0.1
+
+
+class TestGlobalResidual:
+    def test_is_the_frobenius_norm_of_the_dense_difference(self, rng):
+        # R Gamma R^-1 - Gamma as an n^2 x n^2 matrix, for a channel and a generator
+        rep = build_permutation_rep(2, 2)
+        swap = sandwich_superop(dag(rep.generators[0]), rep.generators[0])
+        gen = GKLSGenerator(random_hermitian(4, rng), [np.kron(sm, eye(2)), np.kron(sx, sz)])
+        for dyn in (gen, random_unital_channel(4, 2, rng)):
+            dense = dyn.heisenberg_matrix()
+            expected = np.linalg.norm(swap @ dense @ dag(swap) - dense)
+            assert expected > 0.1
+            assert global_invariance_residual(dyn, rep) == pytest.approx(expected, rel=1e-10)
+
+    def test_kraus_map(self):
+        rep = build_permutation_rep(3, 2)
+        phase = np.diag(np.exp(0.7j * np.diag(collective_op(sz, 3))))
+        sym = KrausMap([np.sqrt(0.5) * eye(8), np.sqrt(0.5) * phase])
+        assert global_invariance_residual(sym, rep) < 1e-10
+        biased = KrausMap([np.sqrt(0.5) * eye(8), np.sqrt(0.5) * embed_at_site(sz, 0, 3)])
+        assert global_invariance_residual(biased, rep) > 0.1
 
 
 class TestInvarianceChecks:
