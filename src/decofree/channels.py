@@ -14,9 +14,9 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
+    TermMap,
     dag,
     eye,
-    sandwich_superop,
     unvec,
     vec,
 )
@@ -27,8 +27,8 @@ KRAUS_CUT = 1e-11
 REDUCED_TOL = 1e-8  # unitality tolerance of a reduced list, far above what the cut drops
 
 
-class KrausMap:
-    """Completely positive unital map in Heisenberg-picture Kraus form."""
+class KrausMap(TermMap):
+    """Completely positive unital map in Heisenberg-picture Kraus form: the terms (1, W†, W)."""
 
     def __init__(self, kraus_ops, *, tol: float = DEFAULT_TOL):
         ops = tuple(np.asarray(w, dtype=complex) for w in kraus_ops)
@@ -38,45 +38,15 @@ class KrausMap:
         for w in ops:
             if w.shape != (n, n):
                 raise ValueError("all Kraus operators must be square with equal dims")
-        gram = sum(dag(w) @ w for w in ops)
-        defect = float(np.max(np.abs(gram - eye(n))))
+        terms = [(1.0, dag(w), w) for w in ops]
+        defect = float(np.max(np.abs(sum(l @ r for _, l, r in terms) - eye(n))))
         if defect > tol:
             raise ValueError(
                 f"Kraus set is not unital: sum W†W deviates from identity by {defect:.3e}"
             )
+        super().__init__(n, terms)
         self.kraus_ops = ops
-        self.dim = n
         self.unitality_defect = defect
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        """Heisenberg action Gamma(A) = sum W† A W, on one operator or a stack (..., n, n)."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape[-2:] != (self.dim, self.dim):
-            raise ValueError("operator dimension does not match the channel")
-        out = np.zeros_like(a)
-        for w in self.kraus_ops:
-            out += dag(w) @ a @ w
-        return out
-
-    def apply_dual(self, rho: np.ndarray) -> np.ndarray:
-        """Schrodinger action Gamma*(rho) = sum W rho W†."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError("state dimension does not match the channel")
-        out = np.zeros_like(rho)
-        for w in self.kraus_ops:
-            out += w @ rho @ dag(w)
-        return out
-
-    def terms(self) -> list:
-        """Gamma as terms (c, L, R) of X -> c L X R: (1, W†, W) per Kraus operator."""
-        return [(1.0, dag(w), w) for w in self.kraus_ops]
-
-    def heisenberg_matrix(self) -> np.ndarray:
-        return sum(sandwich_superop(dag(w), w) for w in self.kraus_ops)
-
-    def schrodinger_matrix(self) -> np.ndarray:
-        return sum(sandwich_superop(w, dag(w)) for w in self.kraus_ops)
 
     def __repr__(self):
         return f"KrausMap(dim={self.dim}, rank={len(self.kraus_ops)})"
@@ -142,11 +112,22 @@ class CPCheck:
 
 
 def cp_check(channel, tol: float = DEFAULT_TOL) -> CPCheck:
-    """Complete positivity test: the Choi matrix must be PSD within tol."""
-    c = choi_matrix(channel)
-    evals = np.linalg.eigvalsh(0.5 * (c + dag(c)))
-    lo = float(evals.min())
+    """Complete positivity test: the Choi matrix must be PSD within tol.  A KrausMap's
+    Choi matrix is A A†, A = [vec W_a] (n^2 x k): its least eigenvalue is 0 for k < n^2,
+    else A's least squared singular value; only a raw superoperator gets one built."""
+    if not isinstance(channel, KrausMap):
+        c = choi_matrix(channel)
+        lo = float(np.linalg.eigvalsh(0.5 * (c + dag(c))).min())
+    elif len(channel.kraus_ops) < channel.dim ** 2:
+        lo = 0.0
+    else:
+        lo = float(np.linalg.svd(_kraus_columns(channel), compute_uv=False)[-1] ** 2)
     return CPCheck(is_cp=lo >= -tol, min_eigenvalue=lo)
+
+
+def _kraus_columns(channel: KrausMap) -> np.ndarray:
+    """The n^2 x k matrix A = [vec W_a] of a KrausMap, whose Choi matrix is A A†."""
+    return np.stack([vec(w) for w in channel.kraus_ops], axis=1)
 
 
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
@@ -168,11 +149,9 @@ def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
 
 
 def reduce_kraus(channel: KrausMap) -> KrausMap:
-    """Canonical Kraus list (at most dim**2 operators), with no n^2 x n^2 matrix:
-    Choi = A A† for the n^2 x k matrix A = [vec W_a], so the columns of U Sigma
-    in A's thin SVD, cut on the Choi eigenvalues s^2, are the new operators."""
-    u, s, _ = np.linalg.svd(np.stack([vec(w) for w in channel.kraus_ops], axis=1),
-                            full_matrices=False)
+    """Canonical Kraus list (at most dim**2 operators), with no n^2 x n^2 matrix: the
+    columns of U Sigma in A's thin SVD, cut on the Choi eigenvalues s^2."""
+    u, s, _ = np.linalg.svd(_kraus_columns(channel), full_matrices=False)
     keep = s**2 > KRAUS_CUT * s[0] ** 2
     return KrausMap([unvec(c, channel.dim) for c in (u[:, keep] * s[keep]).T], tol=REDUCED_TOL)
 

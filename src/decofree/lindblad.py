@@ -18,19 +18,20 @@ import numpy as np
 from .operators import (
     DEFAULT_TOL,
     LiouvilleMetric,
+    TermMap,
     commutator_norm,
     dag,
     eye,
     hermitian_part,
     is_hermitian,
-    sandwich_superop,
     unvec,
     vec,
 )
 
 
-class GKLSGenerator:
-    """Semigroup generator given by a hermitian H and a list of Lindblad operators."""
+class GKLSGenerator(TermMap):
+    """GKLS generator L(X) = K† X + X K + sum_j V_j† X V_j with K = -iH + K_D and
+    K_D = -1/2 sum_j V_j† V_j; `hamiltonian_part` is i[H, X] and `dissipator` L_D."""
 
     def __init__(self, hamiltonian, lindblad_ops=(), *, tol: float = DEFAULT_TOL):
         h = np.asarray(hamiltonian, dtype=complex)
@@ -42,56 +43,24 @@ class GKLSGenerator:
         for v in ops:
             if v.shape != h.shape:
                 raise ValueError("Lindblad operator dimension does not match H")
+        n = h.shape[0]
+        jumps = [(1.0, dag(v), v) for v in ops]
+        k_d = -0.5 * sum((l @ r for _, l, r in jumps), np.zeros_like(h))
+        k = k_d - 1j * h
+        super().__init__(n, [(1.0, dag(k), None), (1.0, None, k)] + jumps)
         self.hamiltonian = h
         self.lindblad_ops = ops
-        self.dim = h.shape[0]
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        """L(A) of one operator or of each operator in a stack (..., n, n)."""
-        return self._act(self.terms(), a)
+        self.hamiltonian_part = TermMap(n, [(1j, h, None), (-1j, None, h)])
+        self.dissipator = TermMap(n, [(1.0, k_d, None), (1.0, None, k_d)] + jumps if ops else [])
 
     def dissipative_part(self, a: np.ndarray) -> np.ndarray:
-        return self._act(self.dissipator_terms(), a)
-
-    def _act(self, terms, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        if a.shape[-2:] != (self.dim, self.dim):
-            raise ValueError("operator dimension does not match the generator")
-        return sum((c * (l @ a @ r) for c, l, r in terms), np.zeros_like(a))
-
-    def hamiltonian_terms(self) -> list:
-        """L_H as terms (c, L, R) of X -> c L X R: i H X - i X H."""
-        one = eye(self.dim)
-        return [(1j, self.hamiltonian, one), (-1j, one, self.hamiltonian)]
-
-    def dissipator_terms(self) -> list:
-        """L_D as terms (c, L, R): V† X V - 1/2 V†V X - 1/2 X V†V per V."""
-        one = eye(self.dim)
-        pairs = [(v, dag(v) @ v) for v in self.lindblad_ops]
-        return [t for v, vv in pairs for t in ((1.0, dag(v), v), (-0.5, vv, one), (-0.5, one, vv))]
-
-    def terms(self) -> list:
-        return self.hamiltonian_terms() + self.dissipator_terms()
-
-    def apply_dual(self, rho: np.ndarray) -> np.ndarray:
-        """Schrodinger action L*(rho) = sum c̄ L† rho R† over the terms."""
-        return self._act([(np.conj(c), dag(l), dag(r)) for c, l, r in self.terms()], rho)
-
-    def _matrix(self, terms) -> np.ndarray:
-        zero = np.zeros((self.dim ** 2, self.dim ** 2), dtype=complex)
-        return sum((c * sandwich_superop(l, r) for c, l, r in terms), zero)
+        return self.dissipator(a)
 
     def hamiltonian_matrix(self) -> np.ndarray:
-        return self._matrix(self.hamiltonian_terms())
+        return self.hamiltonian_part.heisenberg_matrix()
 
     def dissipator_matrix(self) -> np.ndarray:
-        return self._matrix(self.dissipator_terms())
-
-    def heisenberg_matrix(self) -> np.ndarray:
-        return self.hamiltonian_matrix() + self.dissipator_matrix()
-
-    def schrodinger_matrix(self) -> np.ndarray:
-        return dag(self.heisenberg_matrix())
+        return self.dissipator.heisenberg_matrix()
 
     def __repr__(self):
         return f"GKLSGenerator(dim={self.dim}, n_lindblad={len(self.lindblad_ops)})"
@@ -191,8 +160,8 @@ def detailed_balance_check(
     sigma = metric.sigma
     stat_res = float(np.max(np.abs(gen.apply_dual(sigma))))
     ham_res = float(np.max(np.abs(gen.hamiltonian @ sigma - sigma @ gen.hamiltonian)))
-    s_d = gen.dissipator_terms()
-    comm_res = commutator_norm(gen.hamiltonian_terms(), s_d)
+    s_d = gen.dissipator.terms()
+    comm_res = commutator_norm(gen.hamiltonian_part.terms(), s_d)
     herm_res = metric.hermiticity_residual(s_d)
 
     return DetailedBalanceReport(

@@ -78,6 +78,55 @@ def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(right.T, left)
 
 
+class TermMap:
+    """The map X -> sum_i c_i L_i X R_i on n x n operators, from terms (c_i, L_i, R_i) fixed
+    at construction.  A factor None is the identity: the action skips its product."""
+
+    def __init__(self, dim: int, terms):
+        self.dim = dim
+        self._terms = tuple(terms)
+        self._dual = None
+        self._dense = None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """Heisenberg action on one operator or on each operator of a stack (..., n, n)."""
+        return self._act(self._terms, a)
+
+    def apply_dual(self, rho: np.ndarray) -> np.ndarray:
+        """Schrodinger action sum_i conj(c_i) L_i† rho R_i†, on one state or a stack."""
+        if self._dual is None:
+            self._dual = tuple((np.conj(c), l if l is None else dag(l), r if r is None else dag(r))
+                               for c, l, r in self._terms)
+        return self._act(self._dual, rho)
+
+    def _act(self, terms, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=complex)
+        if a.shape[-2:] != (self.dim, self.dim):
+            raise ValueError("operator dimension does not match the map")
+        out = np.zeros_like(a)
+        for c, l, r in terms:
+            x = a if l is None else l @ a
+            x = x if r is None else x @ r
+            out += x if c == 1 else c * x
+        return out
+
+    def terms(self) -> list:
+        """The terms (c, L, R), with eye(n) in place of an identity factor."""
+        one = eye(self.dim)
+        return [(c, one if l is None else l, one if r is None else r) for c, l, r in self._terms]
+
+    def heisenberg_matrix(self) -> np.ndarray:
+        """The read-only n^2 x n^2 matrix sum_i c_i kron(R_i.T, L_i), built once."""
+        if self._dense is None:
+            self._dense = sum((c * sandwich_superop(l, r) for c, l, r in self.terms()),
+                              np.zeros((self.dim ** 2, self.dim ** 2), dtype=complex))
+            self._dense.flags.writeable = False
+        return self._dense
+
+    def schrodinger_matrix(self) -> np.ndarray:
+        return dag(self.heisenberg_matrix())
+
+
 def superop_norm(terms) -> float:
     """Frobenius norm of the map X -> sum_i c_i L_i X R_i, given as terms (c_i, L_i, R_i).
 

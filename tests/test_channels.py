@@ -104,6 +104,22 @@ class TestChoi:
             assert check.is_cp
             assert check.min_eigenvalue > -1e-12
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 4), (2, 6)], ids=["k<n2", "k=n2", "k>n2"])
+    def test_kraus_cp_check_builds_no_choi_matrix(self, monkeypatch, n, k):
+        # Choi = A A† for A = [vec W_a]: its least eigenvalue is 0 for k < n^2 and
+        # the least squared singular value of A otherwise
+        chan = random_unital_channel(n, k, np.random.default_rng(10 * n + k))
+        dense = float(np.linalg.eigvalsh(choi_matrix(chan)).min())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("n^2 x n^2 Choi matrix built")
+
+        monkeypatch.setattr("decofree.channels.choi_matrix", refuse)
+        check = cp_check(chan)
+        assert check.is_cp
+        assert check.min_eigenvalue == pytest.approx(dense, abs=1e-12)
+        assert (check.min_eigenvalue > 1e-3) == (k >= n * n)
+
     def test_kraus_from_choi_round_trip(self, rng):
         chan = random_unital_channel(3, 2, rng)
         rebuilt = KrausMap(kraus_from_choi(choi_matrix(chan)), tol=1e-8)

@@ -306,6 +306,24 @@ def test_evolve_generator(workdir, capsys):
         assert entry["min_eigenvalue"] > -1e-10
 
 
+def test_evolve_builds_the_generator_matrix_once(workdir, monkeypatch, capsys):
+    # one dense build per job, not one per time: at most one np.kron per generator term
+    kron, calls = np.kron, []
+
+    def counting_kron(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    code = main([
+        "evolve", "--generator", str(workdir["damping"]), "--state", str(workdir["mixed"]),
+        "--times", "0,0.5,1,2",
+    ])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["states"]) == 4
+    assert 0 < len(calls) <= len(GKLSGenerator(np.zeros((2, 2)), [sm]).terms())
+
+
 def test_evolve_channel(workdir, capsys):
     code = main([
         "evolve", "--channel", str(workdir["dephasing"]), "--state", str(workdir["mixed"]),

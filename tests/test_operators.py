@@ -24,6 +24,7 @@ from decofree.operators import (
     vec,
 )
 from decofree.channels import random_unital_channel
+from decofree.lindblad import GKLSGenerator
 
 
 def kron_by_hand(a, b):
@@ -226,3 +227,44 @@ class TestKroneckerSumNorms:
         g = metric.gram_superop()
         assert metric.hermiticity_residual(s) == pytest.approx(
             np.linalg.norm(g @ ds - dag(ds) @ g) / max(np.linalg.norm(ds), 1.0), rel=1e-10)
+
+
+def _term_maps():
+    rng = np.random.default_rng(7)
+    jumps = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    gen = GKLSGenerator(random_hermitian(3, rng), jumps)
+    return {"kraus": random_unital_channel(3, 2, rng), "generator": gen,
+            "hamiltonian_part": gen.hamiltonian_part, "dissipator": gen.dissipator}
+
+
+class TestTermMap:
+    @pytest.mark.parametrize("name", ["kraus", "generator", "hamiltonian_part", "dissipator"])
+    def test_action_and_dual_on_a_stack_are_the_dense_matrices(self, name, rng):
+        m = _term_maps()[name]
+        stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        heisenberg, schrodinger = m.heisenberg_matrix(), m.schrodinger_matrix()
+        scale = np.linalg.norm(heisenberg) * np.max(np.abs(stack))
+        for x, y, z in zip(stack, m(stack), m.apply_dual(stack)):
+            assert np.max(np.abs(y - unvec(heisenberg @ vec(x), 3))) < 1e-13 * scale
+            assert np.max(np.abs(z - unvec(schrodinger @ vec(x), 3))) < 1e-13 * scale
+
+    @pytest.mark.parametrize("name", ["kraus", "generator", "hamiltonian_part", "dissipator"])
+    def test_dense_matrix_is_built_once_and_read_only(self, name):
+        m = _term_maps()[name]
+        dense = m.heisenberg_matrix()
+        assert m.heisenberg_matrix() is dense
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
+
+    def test_generator_has_two_terms_plus_one_per_jump_operator(self):
+        gen = _term_maps()["generator"]
+        assert len(gen.terms()) == 2 + len(gen.lindblad_ops) == 4
+        assert len(gen.hamiltonian_part.terms()) == 2
+        assert len(gen.dissipator.terms()) == 4
+        assert GKLSGenerator(sz).dissipator.terms() == []
+
+    def test_generator_matrix_is_the_sum_of_its_parts(self):
+        gen = _term_maps()["generator"]
+        total = gen.heisenberg_matrix()
+        parts = gen.hamiltonian_matrix() + gen.dissipator_matrix()
+        assert np.linalg.norm(total - parts) <= 1e-14 * np.linalg.norm(total)
