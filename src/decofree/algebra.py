@@ -7,16 +7,16 @@ map, its largest invariant subspace (the domain of every iterate), the
 largest generator-invariant part of the Lindblad operators' commutant,
 fixed-point spaces, and the relaxation profile onto the decoherence-free part.
 
-All subspaces of M_n live as Frobenius-orthonormal matrix bases.  Every rank
-decision is one rule, applied to input of unit scale: a singular value s
-counts as zero when s <= NULLSPACE_RTOL * max(s_max, 1).  Two subspaces are
-equal, or one contains the other, when the sine of their largest principal
-angle is at most ANGLE_TOL.
+All subspaces of M_n live as Frobenius-orthonormal matrix bases, each one
+(d, n, n) array whose vec, transposed, is the n^2 x d matrix of orthonormal
+columns.  Every rank decision is one rule, applied to input of unit scale: a
+singular value s counts as zero when s <= NULLSPACE_RTOL * max(s_max, 1).
+Two subspaces are equal, or one contains the other, when the sine of their
+largest principal angle is at most ANGLE_TOL.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +24,12 @@ import numpy as np
 from .channels import KrausMap, compose, reduce_kraus, unitary_channel
 from .lindblad import GKLSGenerator, detailed_balance_check
 from .operators import (
+    DEFAULT_TOL,
     LiouvilleMetric,
     commutator_norm,
     dag,
     eye,
     hermitian_part,
-    is_hermitian,
-    matrix_unit,
     sandwich_superop,
     unvec,
     vec,
@@ -65,27 +64,21 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     return vh[_rank(s):].conj().T
 
 
-def orthonormal_matrix_basis(mats) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the span of the given matrices.
+def orthonormal_matrix_basis(mats) -> np.ndarray:
+    """Frobenius-orthonormal basis of the span of the given matrices, as an (r, n, n) stack.
 
     The stacked rows are divided by the largest row norm, so s_max >= 1 and
     the shared cut is relative to s_max: the result does not depend on scale.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return []
-    rows = np.stack([vec(m) for m in mats])
+    mats = np.asarray(mats, dtype=complex)
+    if not mats.size:
+        return mats
+    rows = vec(mats)
     top = float(np.max(np.linalg.norm(rows, axis=1)))
-    if top == 0.0:
-        return []
-    # economy SVD: the full right factor of a dim x m^2 stack has m^4 entries
-    _, s, vh = np.linalg.svd(rows / top, full_matrices=False)
-    n = mats[0].shape[0]
-    return [unvec(v, n) for v in vh[:_rank(s)]]
-
-
-def _basis_columns(basis) -> np.ndarray:
-    return np.stack([vec(b) for b in basis], axis=1)
+    # economy SVD: the full right factor of a dim x m^2 stack has m^4 entries;
+    # all-zero rows have no singular value above the cut
+    _, s, vh = np.linalg.svd(rows / (top or 1.0), full_matrices=False)
+    return unvec(vh[:_rank(s)], mats.shape[-1])
 
 
 def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
@@ -94,12 +87,12 @@ def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
     For orthonormal bases ||Q_s - Q_b Q_b† Q_s||_2 is the sine of the largest
     principal angle of span(small) against span(big).
     """
-    if not small:
+    if not len(small):
         return True
-    if not big:
+    if not len(big):
         return False
-    qs = _basis_columns(small)
-    qb = _basis_columns(big)
+    qs = vec(small).T
+    qb = vec(big).T
     residual = qs - qb @ (qb.conj().T @ qs)
     return bool(np.linalg.norm(residual, 2) <= tol)
 
@@ -116,16 +109,15 @@ def intersect_spans(basis_a, basis_b) -> list[np.ndarray]:
     the x parts have full column rank, and a QR of Q_a x orthonormalizes the
     intersection without a second rank decision.
     """
-    if not basis_a or not basis_b:
+    if not len(basis_a) or not len(basis_b):
         return []
-    qa = _basis_columns(basis_a)
-    qb = _basis_columns(basis_b)
+    qa = vec(basis_a).T
+    qb = vec(basis_b).T
     null = nullspace(np.hstack([qa, -qb]))
     if null.shape[1] == 0:
         return []
     q, _ = np.linalg.qr(qa @ null[: qa.shape[1]])
-    n = basis_a[0].shape[0]
-    return [unvec(v, n) for v in q.T]
+    return list(unvec(q.T))
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +126,27 @@ def intersect_spans(basis_a, basis_b) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
-    """Unital *-closed operator subspace with a Frobenius-orthonormal basis."""
+    """Unital *-closed operator subspace with a Frobenius-orthonormal basis,
+    held as one read-only (d, n, n) array."""
 
-    basis: tuple
+    basis: np.ndarray
     # Wedderburn blocks (n_j, d_j), ordered as block_decompose orders them, when
     # the construction already knows them (generated_algebra); otherwise None
     _blocks: tuple | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        # a read-only view, so an array the caller passed in stays writable
+        basis = np.asarray(self.basis, dtype=complex).view()
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+
     @classmethod
     def from_span(cls, mats) -> "MatrixAlgebra":
-        return cls(tuple(orthonormal_matrix_basis(mats)))
+        return cls(orthonormal_matrix_basis(mats))
 
     @property
     def matrix_dim(self) -> int:
-        return self.basis[0].shape[0]
+        return self.basis.shape[-1]
 
     @property
     def dim(self) -> int:
@@ -156,12 +155,12 @@ class MatrixAlgebra:
 
     def _residual_norms(self, mats) -> np.ndarray:
         """Frobenius distances of the matrices from the span, v - Q(Q† v) per column."""
-        q = _basis_columns(self.basis)
-        v = _basis_columns(mats)
+        q = vec(self.basis).T
+        v = vec(mats).T
         return np.linalg.norm(v - q @ (dag(q) @ v), axis=0)
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        q = _basis_columns(self.basis)
+        q = vec(self.basis).T
         return unvec(q @ (dag(q) @ vec(np.asarray(a, dtype=complex))), self.matrix_dim)
 
     def contains(self, a: np.ndarray, tol: float = ANGLE_TOL) -> bool:
@@ -172,11 +171,10 @@ class MatrixAlgebra:
     def closure_residuals(self) -> dict:
         """Residuals of the unital *-algebra axioms; all should be ~0."""
         n = self.matrix_dim
-        basis = np.stack(self.basis)
         unit = float(self._residual_norms([eye(n)])[0] / np.sqrt(n))
-        adjoint = float(self._residual_norms(dag(basis)).max())
+        adjoint = float(self._residual_norms(dag(self.basis)).max())
         # all products a @ b of one basis element a, projected in one batch
-        product = max(float(self._residual_norms(a @ basis).max()) for a in basis)
+        product = max(float(self._residual_norms(a @ self.basis).max()) for a in self.basis)
         return {"unit": unit, "adjoint": adjoint, "product": product}
 
     def validate(self, tol: float = 1e-7) -> None:
@@ -186,38 +184,36 @@ class MatrixAlgebra:
             raise ValueError(f"subspace violates algebra axioms: {bad}")
 
     def is_subalgebra_of(self, other: "MatrixAlgebra", tol: float = ANGLE_TOL) -> bool:
-        return subspace_contains(list(other.basis), list(self.basis), tol)
+        return subspace_contains(other.basis, self.basis, tol)
 
 
 def full_algebra(n: int) -> MatrixAlgebra:
-    return MatrixAlgebra(tuple(matrix_unit(n, i, j) for i in range(n) for j in range(n)))
+    """M_n with the matrix units as basis, E_ij at index i * n + j."""
+    return MatrixAlgebra(eye(n * n).reshape(n * n, n, n))
 
 
 # ---------------------------------------------------------------------------
 # Commutants and generated algebras
 
 
-def _columns_algebra(q: np.ndarray, n: int) -> MatrixAlgebra:
-    return MatrixAlgebra(tuple(unvec(q[:, k], n) for k in range(q.shape[1])))
-
-
 def _commuting_part(q: np.ndarray, ops) -> np.ndarray:
     """Orthonormal columns spanning the largest subspace of span(q) commuting with every op.
 
-    q holds vectorized matrices X_j as orthonormal columns and the ops have
-    unit Frobenius norm.  The constraints X a - a X of each op, n x n products
-    over all X_j at once, are folded into the R factor of the QR of all
-    constraints stacked, so memory stays at one n^2 x dim q block; one
-    nullspace rank decision over every constraint is taken at the end.
+    q holds vectorized matrices X_j as orthonormal columns and the ops, a
+    (k, n, n) stack, have unit Frobenius norm.  The constraints X a - a X of
+    each op, n x n products over all X_j at once, are folded into the R factor
+    of the QR of all constraints stacked, so memory stays at one n^2 x dim q
+    block; one nullspace rank decision over every constraint is taken at the
+    end.  The constraint rows may list the n^2 entries in any fixed order, so
+    each block is flattened as it lies in memory.
     """
     m = q.shape[1]
-    n = ops[0].shape[0]
-    mats = q.T.reshape(m, n, n).transpose(0, 2, 1)  # mats[j] = unvec(q[:, j])
+    mats = unvec(q.T)
     r = np.zeros((0, m), dtype=complex)
     for a in ops:
         rows = mats @ a
         rows -= a @ mats
-        r = np.linalg.qr(np.vstack([r, rows.reshape(m, n * n).T]), mode="r")
+        r = np.linalg.qr(np.vstack([r, rows.reshape(m, -1).T]), mode="r")
     return q @ nullspace(r)
 
 
@@ -254,23 +250,26 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     the gap keeps the computed eigenspaces within about 1e-16/gap of the true
     ones, far inside the nullspace floor.
     """
-    ops = [np.asarray(a, dtype=complex) for a in ops]
+    ops = np.asarray(ops, dtype=complex)
     # unit scale so the rank floor is meaningful; numerically-zero operators
     # impose no constraint, and normalizing them would amplify rounding dirt
-    if ops:
-        top = max(np.linalg.norm(a) for a in ops)
-        ops = [a / np.linalg.norm(a) for a in ops if np.linalg.norm(a) > NULLSPACE_RTOL * top]
-    if not ops:
+    if ops.size:
+        norms = np.linalg.norm(ops, axis=(1, 2))
+        keep = norms > NULLSPACE_RTOL * norms.max()
+        ops = ops[keep] / norms[keep, None, None]
+    if not len(ops):
         if dim is None:
             raise ValueError("dim required for the commutant of the empty set")
         return full_algebra(dim)
-    ops += [dag(a) for a in ops if not is_hermitian(a)]
-    n = ops[0].shape[0]
+    hermitian = np.max(np.abs(ops - dag(ops)), axis=(1, 2)) <= DEFAULT_TOL
+    ops = np.concatenate([ops, dag(ops[~hermitian])])
+    n = ops.shape[-1]
     evals, evecs = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
-    # vec(v_i v_j†) = conj(v_j) kron v_i over each eigenspace's columns v
-    q = np.hstack([np.kron(evecs[:, g].conj(), evecs[:, g])
-                   for g in _cluster_eigenvalues(evals, 1e-5)])
-    return _columns_algebra(_commuting_part(q, ops), n)
+    # column (j, i) over the index pairs of each eigenspace is vec(v_i v_j†) = conj(v_j) kron v_i
+    j, i = np.hstack([np.reshape(np.meshgrid(g, g, indexing="ij"), (2, -1))
+                      for g in _cluster_eigenvalues(evals, 1e-5)])
+    q = (evecs.conj()[:, None, j] * evecs[None, :, i]).reshape(n * n, -1)
+    return MatrixAlgebra(unvec(_commuting_part(q, ops).T, n))
 
 
 def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
@@ -283,12 +282,12 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
     its elements sum_i v_is v_it† / sqrt(n_j) are Frobenius-orthonormal as
     written, and its blocks are the commutant's with n_j and d_j swapped.
     """
-    ops = [np.asarray(a, dtype=complex) for a in ops]
-    if not ops:
+    ops = np.asarray(ops, dtype=complex)
+    if not len(ops):
         if dim is None:
             raise ValueError("dim required for the algebra generated by nothing")
-        return MatrixAlgebra((eye(dim) / np.sqrt(dim),))
-    n = ops[0].shape[0]
+        return MatrixAlgebra(eye(dim)[None] / np.sqrt(dim))
+    n = ops.shape[-1]
     decomp = block_decompose(commutant(ops, n))
     basis = []
     offset = 0
@@ -297,9 +296,9 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
         v = decomp.conjugator[:, offset:offset + nj * dj].reshape(n, nj, dj).transpose(2, 0, 1)
         offset += nj * dj
         elements = v[:, None] @ dag(v)[None, :] / np.sqrt(nj)
-        basis.extend(elements.reshape(dj * dj, n, n))
+        basis.append(elements.reshape(dj * dj, n, n))
     blocks = tuple(sorted(((dj, nj) for nj, dj in decomp.blocks), reverse=True))
-    return MatrixAlgebra(tuple(basis), _blocks=blocks)
+    return MatrixAlgebra(np.concatenate(basis), _blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
                                     conjugator=conj)
         # slices of 64 basis elements bound the memory of the U† b U stack
         if (np.linalg.norm(dag(conj) @ conj - eye(n)) <= 1e-8
-                and all(decomp.off_block_mass(np.stack(alg.basis[k:k + 64])) <= 1e-8
+                and all(decomp.off_block_mass(alg.basis[k:k + 64]) <= 1e-8
                         for k in range(0, alg.dim, 64))):
             return decomp
     raise ValueError("block decomposition did not converge; the span may not be a "
@@ -417,25 +416,23 @@ def multiplicative_domain(channel: KrausMap) -> MatrixAlgebra:
     iff A commutes with every W_a W_b† of any Kraus list.  The reduced list keeps
     the pairs few; pairs a <= b suffice, as commutant adjoins W_b W_a†.
     """
-    ops = reduce_kraus(channel).kraus_ops
-    return commutant([a @ dag(b) for i, a in enumerate(ops) for b in ops[i:]], channel.dim)
+    ops = np.asarray(reduce_kraus(channel).kraus_ops)
+    a, b = np.triu_indices(len(ops))
+    return commutant(ops[a] @ dag(ops[b]), channel.dim)
 
 
 def _largest_invariant_subspace(apply, q, max_steps: int) -> tuple:
     """Largest subspace of span(q) invariant under a map of unit scale.
 
     apply maps a stack of operators (m, n, n) to the stack of their images;
-    column j of q is vec(X_j) = X_j.T.ravel(), so the stack is reshaped here,
-    once.  S_0 = span(q), S_{j+1} = {A in S_j : apply(A) in S_j}, one nullspace
-    solve per step, as (columns, steps, reached); reached is False when
-    max_steps stops the chain before its fixed point.  A one-dimensional span
+    column j of q is vec(X_j).  S_0 = span(q), S_{j+1} = {A in S_j : apply(A)
+    in S_j}, one nullspace solve per step, as (columns, steps, reached);
+    reached is False when max_steps stops the chain before its fixed point.  A one-dimensional span
     is span{1}, which the maps of both callers keep.
     """
-    n = math.isqrt(q.shape[0])
     steps = 0
     while q.shape[1] > 1 and steps < max_steps:
-        img = apply(q.T.reshape(-1, n, n).transpose(0, 2, 1))
-        img = img.transpose(0, 2, 1).reshape(-1, n * n).T
+        img = vec(apply(unvec(q.T))).T
         c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
@@ -478,9 +475,9 @@ def df_algebra_discrete(channel: KrausMap, max_k: int = 25) -> DiscreteDFResult:
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    q = _basis_columns(multiplicative_domain(channel).basis)
+    q = vec(multiplicative_domain(channel).basis).T
     q, steps, reached = _largest_invariant_subspace(channel, q, max_k - 1)
-    return DiscreteDFResult(algebra=_columns_algebra(q, channel.dim), k_used=1 + steps,
+    return DiscreteDFResult(algebra=MatrixAlgebra(unvec(q.T, channel.dim)), k_used=1 + steps,
                             certificate="exact" if reached else "max-k")
 
 
@@ -510,14 +507,14 @@ def df_algebra_semigroup(
         report = detailed_balance_check(gen, metric)
         if not report.passed:
             raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
-    q = _basis_columns(commutant(list(gen.lindblad_ops), gen.dim).basis)
+    q = vec(commutant(gen.lindblad_ops, gen.dim).basis).T
     # on S_0 the generator is i[H, .], whose 2-norm is the spread of H's spectrum;
     # H less the centre of that spectrum gives the same map, rounded at that scale
     evals = np.linalg.eigvalsh(gen.hamiltonian)
     h = gen.hamiltonian - 0.5 * (evals[0] + evals[-1]) * eye(gen.dim)
     h = h / (np.ptp(evals) or 1.0)
     q, _, _ = _largest_invariant_subspace(lambda x: 1j * (h @ x - x @ h), q, q.shape[1])
-    return SemigroupDFResult(algebra=_columns_algebra(q, gen.dim), certificate="exact")
+    return SemigroupDFResult(algebra=MatrixAlgebra(unvec(q.T, gen.dim)), certificate="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +523,7 @@ def df_algebra_semigroup(
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    basis: tuple
+    basis: np.ndarray  # (d, n, n)
     stationary_state: np.ndarray | None
     faithful: bool
     certified_algebra: bool
@@ -552,7 +549,7 @@ def fixed_points(channel: KrausMap) -> FixedPointResult:
     ident = eye(n * n)
     right = nullspace(s - ident)  # fixed observables
     left = nullspace(dag(s) - ident)  # stationary-state subspace
-    basis = tuple(unvec(right[:, k], n) for k in range(right.shape[1]))
+    basis = unvec(right.T, n)
 
     sigma = None
     faithful = False
@@ -574,7 +571,7 @@ def fixed_points(channel: KrausMap) -> FixedPointResult:
             sigma = None
 
     certified = False
-    if faithful and basis:
+    if faithful and len(basis):
         algebra = MatrixAlgebra(basis)
         certified = algebra.closure_residuals()["product"] <= 1e-7
     return FixedPointResult(
@@ -604,7 +601,7 @@ class CommutantBounds:
 
 
 def commutant_bounds(unitary: np.ndarray, dissipative: KrausMap) -> CommutantBounds:
-    ops = list(dissipative.kraus_ops)
+    ops = np.asarray(dissipative.kraus_ops)
     n = dissipative.dim
     w1 = commutant(ops, n)
     w2 = multiplicative_domain(dissipative)
@@ -613,10 +610,8 @@ def commutant_bounds(unitary: np.ndarray, dissipative: KrausMap) -> CommutantBou
     commutes = commutator_norm([(1.0, dag(u), u)], dissipative.terms()) <= 1e-8
     w3 = None
     if commutes:
-        prods = [a @ b for a in ops for b in ops]
-        prods += [a @ dag(b) for a in ops for b in ops]
-        prods += [dag(a) @ dag(b) for a in ops for b in ops]
-        w3 = commutant(prods, n)
+        a, b = ops[:, None], ops[None]
+        w3 = commutant(np.concatenate([a @ b, a @ dag(b), dag(a) @ dag(b)]).reshape(-1, n, n), n)
     return CommutantBounds(
         of_ops=w1, of_pair_products=w2, of_all_products=w3, unitary_commutes=commutes
     )
@@ -696,7 +691,7 @@ def df_projector_basis(db: DetailedBalanceChannel):
     null = nullspace(db.dissipative.heisenberg_matrix() - eye(n * n))
     chol = np.linalg.cholesky(dag(null) @ db.metric.gram_superop() @ null)
     cols = dag(np.linalg.solve(chol, dag(null)))
-    return [unvec(cols[:, k], n) for k in range(cols.shape[1])]
+    return list(unvec(cols.T, n))
 
 
 def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis=None) -> np.ndarray:

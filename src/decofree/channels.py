@@ -100,9 +100,10 @@ def choi_matrix(channel) -> np.ndarray:
         s = channel.schrodinger_matrix()
     else:
         s = np.asarray(channel, dtype=complex)
-    n = int(round(np.sqrt(s.shape[0])))
-    # column stacking: S[(q, p), (j, i)] = Phi*(E_ij)[p, q], which is C[(i, p), (j, q)]
-    return s.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    # Phi*(E_ij) = unvec(S vec(E_ij)) = blocks[j n + i] is the block (i, j) of C
+    blocks = unvec(s.T)
+    n = blocks.shape[-1]
+    return blocks.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -121,39 +122,31 @@ def cp_check(channel, tol: float = DEFAULT_TOL) -> CPCheck:
     elif len(channel.kraus_ops) < channel.dim ** 2:
         lo = 0.0
     else:
-        lo = float(np.linalg.svd(_kraus_columns(channel), compute_uv=False)[-1] ** 2)
+        lo = float(np.linalg.svd(vec(channel.kraus_ops).T, compute_uv=False)[-1] ** 2)
     return CPCheck(is_cp=lo >= -tol, min_eigenvalue=lo)
-
-
-def _kraus_columns(channel: KrausMap) -> np.ndarray:
-    """The n^2 x k matrix A = [vec W_a] of a KrausMap, whose Choi matrix is A A†."""
-    return np.stack([vec(w) for w in channel.kraus_ops], axis=1)
 
 
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a CP map from its (PSD) Choi matrix."""
     choi = 0.5 * (choi + dag(choi))
-    n = int(round(np.sqrt(choi.shape[0])))
     evals, evecs = np.linalg.eigh(choi)
     top = evals.max() if evals.size else 0.0
     if top <= 0.0:
         raise ValueError("Choi matrix has no positive part; map is not CP")
     if evals.min() < -1e-7 * top:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {evals.min():.3e})")
-    ops = []
-    for lam, v in zip(evals, evecs.T):
-        if lam > KRAUS_CUT * top:
-            # choi eigenvector v = sum_i |i> (x) W|i>, so W[r, i] = v[i*n + r]
-            ops.append(np.sqrt(lam) * v.reshape(n, n).T)
-    return ops
+    keep = evals > KRAUS_CUT * top
+    # a Choi eigenvector sum_i |i> (x) W|i> is vec(W)
+    return list(unvec((evecs[:, keep] * np.sqrt(evals[keep])).T))
 
 
 def reduce_kraus(channel: KrausMap) -> KrausMap:
     """Canonical Kraus list (at most dim**2 operators), with no n^2 x n^2 matrix: the
-    columns of U Sigma in A's thin SVD, cut on the Choi eigenvalues s^2."""
-    u, s, _ = np.linalg.svd(_kraus_columns(channel), full_matrices=False)
+    columns of U Sigma in the thin SVD of A = [vec W_a] (n^2 x k, Choi matrix A A†),
+    cut on the Choi eigenvalues s^2."""
+    u, s, _ = np.linalg.svd(vec(channel.kraus_ops).T, full_matrices=False)
     keep = s**2 > KRAUS_CUT * s[0] ** 2
-    return KrausMap([unvec(c, channel.dim) for c in (u[:, keep] * s[keep]).T], tol=REDUCED_TOL)
+    return KrausMap(unvec((u[:, keep] * s[keep]).T, channel.dim), tol=REDUCED_TOL)
 
 
 def channel_from_superop(heisenberg: np.ndarray, *, tol: float = DEFAULT_TOL) -> KrausMap:

@@ -155,7 +155,7 @@ def generator_from_json(obj: Any, *, tol: float = 1e-9):
 
 def _model_generator(obj: dict) -> GKLSGenerator:
     """Registry of named N-particle models: superradiance and private_bath."""
-    from .symmetry import build_private_bath_generator, build_superradiance_generator
+    from .symmetry import _check_size, build_private_bath_generator, build_superradiance_generator
 
     name = obj["model"]
     try:
@@ -165,12 +165,12 @@ def _model_generator(obj: dict) -> GKLSGenerator:
             )
         if name == "private_bath":
             n_sites = int(obj["N"])
-            site_gen = GKLSGenerator(
-                matrix_from_json(obj["h_site"]) if "h_site" in obj
-                else np.zeros((int(obj.get("d", 2)),) * 2),
-                [matrix_from_json(m) for m in obj.get("v_site", [])],
-            )
-            dim = site_gen.dim ** n_sites
+            site_h = matrix_from_json(obj["h_site"]) if "h_site" in obj else None
+            d = int(obj.get("d", 2)) if site_h is None else site_h.shape[0]
+            # the size cap holds before any d x d or d**N x d**N array is allocated
+            dim = _check_size(d, n_sites)
+            site_gen = GKLSGenerator(np.zeros((d, d)) if site_h is None else site_h,
+                                     [matrix_from_json(m) for m in obj.get("v_site", [])])
             ham = matrix_from_json(obj["H"]) if "H" in obj else np.zeros((dim, dim))
             return build_private_bath_generator(n_sites, ham, site_gen)
     except (KeyError, ValueError) as exc:

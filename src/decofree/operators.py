@@ -4,7 +4,8 @@ Conventions shared by the whole package:
 
 * Vectorization is column-stacking, ``vec(A) = A.T.ravel()``, so that
   ``vec(L @ X @ R) = kron(R.T, L) @ vec(X)``.  Every superoperator matrix
-  built here acts on column-stacked operators.
+  built here acts on column-stacked operators, and only :func:`vec` and
+  :func:`unvec` spell the convention out; both act on stacks (..., n, n).
 * Maps on observables (Heisenberg picture) are the primary objects; the
   Schrodinger-picture action of a hermiticity-preserving map is the
   conjugate transpose of its superoperator matrix.
@@ -38,25 +39,21 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().mT
 
 
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(a).T.ravel()
+    """Column-stack a matrix, or each matrix of a stack (..., n, n), into (..., n^2)."""
+    a = np.asarray(a)
+    return a.mT.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
 def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; square by default."""
-    v = np.asarray(v).ravel()
+    """Inverse of :func:`vec` on (..., n^2), square by default; a view of v where
+    numpy can reshape without a copy."""
+    v = np.asarray(v)
     if n is None:
-        n = int(round(np.sqrt(v.size)))
-        if n * n != v.size:
-            raise ValueError(f"vector of size {v.size} is not a square matrix")
-    return v.reshape((n, n), order="F").copy()
+        n = int(round(np.sqrt(v.shape[-1])))
+        if n * n != v.shape[-1]:
+            raise ValueError(f"vector of size {v.shape[-1]} is not a square matrix")
+    return v.reshape(v.shape[:-1] + (n, n)).mT
 
 
 def tensor_product(*ops: np.ndarray) -> np.ndarray:

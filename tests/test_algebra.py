@@ -247,6 +247,15 @@ class TestCommutant:
         assert subspaces_equal(list(commutant(hermitian).basis),
                                stacked_commutant(hermitian, n), tol=1e-7)
 
+    def test_operator_list_or_stack(self):
+        ops = [sz, np.zeros((2, 2)), 1e-12 * sx]
+        assert np.array_equal(commutant(ops).basis, commutant(np.stack(ops)).basis)
+        # numerically zero operators impose no constraint
+        assert np.array_equal(commutant(ops).basis, commutant([sz]).basis)
+        # {J}' holds J - 1 as well; with J† adjoined only the scalars are left
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        assert commutant([jordan]).dim == 1
+
     def test_anti_monotone(self, rng):
         small = [random_hermitian(4, rng)]
         big = small + [random_hermitian(4, rng)]
@@ -298,6 +307,24 @@ class TestGeneratedAlgebra:
             assert subspaces_equal(list(alg.basis), list(hidden.basis))
             decomp = block_decompose(alg)
             assert tuple(sorted(decomp.blocks, reverse=True)) == tuple(sorted(shape, reverse=True))
+
+
+class TestMatrixAlgebra:
+    def test_basis_is_one_read_only_stack(self):
+        given = np.stack([eye(2), sz]) / np.sqrt(2.0)
+        alg = MatrixAlgebra(given)
+        assert alg.basis.shape == (2, 2, 2)
+        with pytest.raises(ValueError):
+            alg.basis[0, 0, 0] = 0.0
+        assert given.flags.writeable
+
+    def test_full_algebra_orders_matrix_units(self):
+        basis = full_algebra(3).basis
+        for i in range(3):
+            for j in range(3):
+                unit = np.zeros((3, 3))
+                unit[i, j] = 1.0
+                assert np.array_equal(basis[i * 3 + j], unit)
 
 
 class TestBlockDecompose:

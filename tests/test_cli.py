@@ -190,6 +190,23 @@ def test_invariance_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
     assert report["locally_invariant"] is False
 
 
+def test_private_bath_over_the_size_cap_allocates_nothing(tmp_path, run_within_one_gib):
+    # d**N is checked before the d x d site and d**N x d**N zero Hamiltonians exist
+    paths = []
+    for k, model in enumerate([{"N": 25}, {"N": 2, "d": 300000}, {"N": 30}]):
+        paths.append(tmp_path / f"model{k}.json")
+        paths[-1].write_text(json.dumps({"model": "private_bath", **model}))
+    child = ("import json, sys\nfrom decofree.cli import main\n"
+             "codes = [main(['df', '--generator', path]) for path in sys.argv[1:]]\n"
+             "print(json.dumps(codes))\n")
+    run = run_within_one_gib(child, *map(str, paths))
+    assert run.returncode == 0, run.stderr
+    *reports, codes = run.stdout.splitlines()
+    assert json.loads(codes) == [2, 2, 2]
+    for line in reports:
+        assert "size cap" in json.loads(line)["message"]
+
+
 @pytest.fixture
 def thermal_ladder_64(tmp_path):
     # 64 equally spaced levels, one lowering operator through all of them, T = 1
@@ -347,6 +364,17 @@ def test_blocks_command(workdir, tmp_path, capsys):
 def test_blocks_without_ops_is_validation_error(tmp_path, capsys):
     ops_path = tmp_path / "ops.json"
     dump_json({"dim": 2}, str(ops_path))
+    code = main(["blocks", "--ops", str(ops_path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("ops", [[], 5, [matrix_to_json(eye(2)), matrix_to_json(eye(3))]],
+                         ids=["no-ops", "ops-number", "mixed-sizes"])
+def test_malformed_blocks_ops_is_validation_error(tmp_path, capsys, ops):
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps({"ops": ops}))
     code = main(["blocks", "--ops", str(ops_path)])
     assert code == 2
     report = json.loads(capsys.readouterr().out)

@@ -68,6 +68,18 @@ class TestVectorization:
     def test_column_stacking(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         assert np.array_equal(vec(a), np.array([1, 3, 2, 4], dtype=complex))
+        assert np.array_equal(unvec(np.array([1, 3, 2, 4], dtype=complex)), a)
+
+    def test_stacks(self, rng):
+        stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        rows = vec(stack)
+        assert rows.shape == (4, 9)
+        for j in range(4):
+            assert np.array_equal(rows[j], vec(stack[j]))
+            # a single vector unvecs as the Fortran-order reshape it always was
+            assert np.array_equal(unvec(rows[j], 3), rows[j].reshape((3, 3), order="F"))
+        assert np.array_equal(unvec(rows, 3), stack)
+        assert np.shares_memory(unvec(rows, 3), rows)
 
 
 class TestSandwich:
