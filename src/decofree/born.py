@@ -319,6 +319,11 @@ def tabulated_bath(omegas, values) -> Bath:
     values = np.asarray(values, dtype=complex)
     if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
         raise ValueError("tabulated frequencies and spectral matrices must be finite")
+    # np.interp reads strictly increasing frequencies, each with one number or r x r matrix
+    one_each = values.shape[:1] == omegas.shape and values.shape[1:] in ((), values.shape[1:2] * 2)
+    if omegas.ndim != 1 or not omegas.size or np.any(np.diff(omegas) <= 0) or not one_each:
+        raise ValueError("tabulated frequencies must increase strictly, each with one spectral "
+                         "value or r x r matrix")
     if values.ndim == 1:
         values = values[:, None, None]
     n_ops = values.shape[1]

@@ -152,12 +152,7 @@ def cmd_df(args) -> dict:
 
 
 def cmd_blocks(args) -> dict:
-    obj = jsonio.load_json(args.ops)
-    if not isinstance(obj, dict) or not isinstance(obj.get("ops"), list) or not obj["ops"]:
-        raise ValidationError("ops object must have a nonempty 'ops' list")
-    mats = [jsonio.matrix_from_json(m) for m in obj["ops"]]
-    if len({m.shape for m in mats}) > 1:
-        raise ValidationError("all operators must have one dimension")
+    mats = jsonio.matrices_from_json(jsonio.load_json(args.ops), "ops", "ops")
     alg = algebra.generated_algebra(mats)
     report = _algebra_report(alg, seed=args.seed, certificate="exact")
     report.update({"command": "blocks", "n_generators": len(mats)})

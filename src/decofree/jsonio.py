@@ -40,23 +40,61 @@ class ValidationError(ValueError):
         return {"error": "validation", "message": str(self), **self.details}
 
 
-def _finite(value) -> bool:
-    """A finite JSON number: exactly an int or a float (bool is an int subclass)."""
+def _finite(leaves: list) -> bool:
+    """Every leaf a finite JSON number: exactly an int or a float (bool is an int
+    subclass), finite as a double.  Both tests run at C speed over the list."""
     try:
-        return type(value) in (int, float) and math.isfinite(value)
+        return set(map(type, leaves)) <= {int, float} and all(map(math.isfinite, leaves))
     except OverflowError:  # an integer beyond the double range
         return False
 
 
-def _pair_to_complex(pair) -> complex:
-    """One [re, im] entry: two finite JSON numbers, not bools or strings."""
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        re, im = pair
-        if _finite(re) and _finite(im):
-            return complex(re, im)
-    raise ValidationError(
-        f"complex entry must be a [re, im] pair of finite numbers, got {pair!r}"
-    )
+def _number(obj: dict, key: str, default=None, *, integer: bool = False):
+    """obj[key], or `default` when absent: a finite JSON number, integral if `integer`."""
+    value = obj.get(key, default)
+    if not _finite([value]) or integer and value % 1:
+        raise ValidationError(f"{key!r} must be {'an integer' if integer else 'a finite number'}, "
+                              f"got {value!r}")
+    return round(value) if integer else value  # round: exact on an integral value
+
+
+def _real_array(value, message: str, *shapes) -> np.ndarray:
+    """`value`, lists nested to one depth with finite JSON numbers as leaves, as a
+    float array shaped like one of `shapes` (None matches any length)."""
+    leaves = value if type(value) is list else [value]
+    try:  # descend by first rows; np.array refuses rows of another depth or length
+        while leaves and type(leaves[0]) is list:
+            leaves = [x for row in leaves for x in row]
+        arr = np.array(value, dtype=float) if _finite(leaves) else None
+    except (TypeError, ValueError):  # a number where a row belongs, or ragged rows
+        arr = None
+    if arr is not None:
+        for shape in shapes:
+            if len(shape) == arr.ndim and all(k in (None, m) for k, m in zip(shape, arr.shape)):
+                return arr
+    raise ValidationError(message)
+
+
+def _checked(build, prefix: str = "", details: dict | None = None):
+    """build(), with a ValueError the library raises reported as invalid input."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValidationError(prefix + str(exc), details) from exc
+
+
+def _complex_array(obj: Any, kind: str, key: str, ndim: int) -> np.ndarray:
+    """obj[key]: [re, im] pairs nested `ndim` lists deep, n entries per list with
+    n = obj["dim"] when given.  A complex view of the pairs keeps every bit."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{kind} object must have a {key!r} field")
+    pairs = _real_array(obj[key], f"{kind} {key!r} must hold [re, im] pairs of finite numbers",
+                        (None,) * ndim + (2,))
+    z = pairs.view(complex)[..., 0]
+    n = _number(obj, "dim", len(z), integer=True)
+    if z.shape != (n,) * ndim:
+        raise ValidationError(f"{kind} {key!r} do not match the {kind} 'dim' {n}")
+    return z
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -65,18 +103,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:
-    if not isinstance(obj, dict) or "rows" not in obj:
-        raise ValidationError("matrix object must have a 'rows' field")
-    rows = obj["rows"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValidationError("matrix 'rows' must be a list of rows")
-    try:
-        n = int(obj.get("dim", len(rows)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"matrix 'dim' must be an integer: {exc}") from exc
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValidationError(f"matrix rows do not form a {n}x{n} array")
-    return np.array([[_pair_to_complex(z) for z in row] for row in rows], dtype=complex)
+    return _complex_array(obj, "matrix", "rows", 2)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
@@ -85,13 +112,7 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ValidationError("vector object must have an 'entries' field")
-    v = np.array([_pair_to_complex(z) for z in obj["entries"]], dtype=complex)
-    # compared without int(), so a non-numeric dim is a mismatch, not a crash
-    if "dim" in obj and obj["dim"] != v.size:
-        raise ValidationError("vector length does not match its declared dim")
-    return v
+    return _complex_array(obj, "vector", "entries", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +126,20 @@ def channel_to_json(channel: KrausMap) -> dict:
     }
 
 
+def matrices_from_json(obj: Any, key: str, owner: str, *, required: bool = True) -> list:
+    """obj[key] as a list of matrices of one dimension: nonempty when required,
+    else an absent key reads as no matrices."""
+    value = obj.get(key, None if required else []) if isinstance(obj, dict) else None
+    if not isinstance(value, list) or required and not value:
+        raise ValidationError(f"{owner} object must have a {'nonempty ' * required}{key!r} list")
+    ops = [matrix_from_json(m) for m in value]
+    if len({m.shape for m in ops}) > 1:
+        raise ValidationError(f"all {key!r} matrices of the {owner} object must have one dimension")
+    return ops
+
+
 def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
-    if not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list) or not obj["kraus"]:
-        raise ValidationError("channel object must have a nonempty 'kraus' list")
-    ops = [matrix_from_json(m) for m in obj["kraus"]]
-    if len({w.shape for w in ops}) > 1:
-        raise ValidationError("all Kraus operators must have one dimension")
+    ops = matrices_from_json(obj, "kraus", "channel")
     try:
         channel = KrausMap(ops, tol=tol)
     except ValueError as exc:
@@ -141,16 +170,12 @@ def generator_from_json(obj: Any, *, tol: float = 1e-9):
     if not isinstance(obj, dict) or "H" not in obj:
         raise ValidationError("generator object must have an 'H' field")
     h = matrix_from_json(obj["H"])
-    ops = [matrix_from_json(m) for m in obj.get("V", [])]
+    ops = matrices_from_json(obj, "V", "generator", required=False)
     if "T" in obj:
-        try:
-            return build_gibbs_generator(h, float(obj["T"]), ops)
-        except ValueError as exc:
-            raise ValidationError(str(exc), {"temperature": obj["T"]}) from exc
-    try:
-        return GKLSGenerator(h, ops, tol=tol)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        temperature = _number(obj, "T")
+        return _checked(lambda: build_gibbs_generator(h, temperature, ops),
+                        details={"temperature": temperature})
+    return _checked(lambda: GKLSGenerator(h, ops, tol=tol))
 
 
 def _model_generator(obj: dict) -> GKLSGenerator:
@@ -160,20 +185,20 @@ def _model_generator(obj: dict) -> GKLSGenerator:
     name = obj["model"]
     try:
         if name == "superradiance":
-            return build_superradiance_generator(
-                int(obj["N"]), float(obj.get("omega", 1.0)), float(obj.get("gamma", 1.0))
-            )
+            n_sites = _number(obj, "N", integer=True)
+            return build_superradiance_generator(n_sites, _number(obj, "omega", 1.0),
+                                                 _number(obj, "gamma", 1.0))
         if name == "private_bath":
-            n_sites = int(obj["N"])
+            n_sites = _number(obj, "N", integer=True)
             site_h = matrix_from_json(obj["h_site"]) if "h_site" in obj else None
-            d = int(obj.get("d", 2)) if site_h is None else site_h.shape[0]
+            d = _number(obj, "d", 2, integer=True) if site_h is None else site_h.shape[0]
             # the size cap holds before any d x d or d**N x d**N array is allocated
             dim = _check_size(d, n_sites)
             site_gen = GKLSGenerator(np.zeros((d, d)) if site_h is None else site_h,
-                                     [matrix_from_json(m) for m in obj.get("v_site", [])])
+                                     matrices_from_json(obj, "v_site", "model", required=False))
             ham = matrix_from_json(obj["H"]) if "H" in obj else np.zeros((dim, dim))
             return build_private_bath_generator(n_sites, ham, site_gen)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"bad model parameters: {exc}") from exc
     raise ValidationError(
         f"unknown model {name!r}", {"known_models": ["superradiance", "private_bath"]}
@@ -196,10 +221,7 @@ def gibbs_to_json(gibbs: GibbsGenerator) -> dict:
 
 def state_from_json(obj: Any, *, tol: float = 1e-8) -> np.ndarray:
     rho = matrix_from_json(obj)
-    try:
-        check_density_matrix(rho, tol)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    _checked(lambda: check_density_matrix(rho, tol))
     return rho
 
 
@@ -226,41 +248,26 @@ def trajectory_to_json(traj: ControlTrajectory) -> dict:
 
 
 def trajectory_from_json(obj: Any) -> ControlTrajectory:
-    if not isinstance(obj, dict) or "tau" not in obj or "segments" not in obj:
-        raise ValidationError("trajectory object must have 'tau' and 'segments'")
-    try:
-        return ControlTrajectory(
-            float(obj["tau"]),
-            [(float(seg["dt"]), matrix_from_json(seg["H"])) for seg in obj["segments"]],
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad trajectory: {exc}") from exc
+    segs = obj.get("segments") if isinstance(obj, dict) else None
+    if not isinstance(segs, list) or not all(isinstance(seg, dict) for seg in segs):
+        raise ValidationError("trajectory object must have 'tau' and a 'segments' list of objects")
+    return _checked(lambda: ControlTrajectory(
+        _number(obj, "tau"), [(_number(seg, "dt"), matrix_from_json(seg.get("H"))) for seg in segs]
+    ), "bad trajectory: ")
 
 
-def _number(obj: dict, key: str, default: float):
-    """A bath family parameter that must be one finite number."""
-    value = obj.get(key, default)
-    if not _finite(value):
-        raise ValidationError(f"bath parameter {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-def _amplitude(obj: dict, key: str, default: float):
+def _amplitude(obj: dict, key: str):
     """A coupling amplitude: one finite number, or a matrix of them as a list of rows."""
-    value = obj.get(key, default)
-    if isinstance(value, list) and all(
-        isinstance(row, list) and all(_finite(x) for x in row) for row in value
-    ):
-        return value
-    return _number(obj, key, default)
+    return _real_array(obj.get(key, 1.0), f"bath parameter {key!r} must be a finite number "
+                       "or a matrix of them as a list of rows", (), (None, None))
 
 
 _BATH_FAMILIES = {
     "gaussian": lambda obj, n: gaussian_bath(
-        _amplitude(obj, "coupling", 1.0), _number(obj, "width", 1.0), n_ops=n
+        _amplitude(obj, "coupling"), _number(obj, "width", 1.0), n_ops=n
     ),
     "flat": lambda obj, n: flat_bath(
-        _amplitude(obj, "level" if "level" in obj else "coupling", 1.0),
+        _amplitude(obj, "level" if "level" in obj else "coupling"),
         _number(obj, "cutoff", 50.0), n_ops=n
     ),
     "ohmic": lambda obj, n: ohmic_bath(
@@ -277,31 +284,23 @@ def bath_from_json(obj: Any, n_ops: int = 1) -> Bath:
     if not isinstance(obj, dict):
         raise ValidationError("bath object must be a JSON object")
     if "omega" in obj and "R" in obj:
-        try:
-            return tabulated_bath(obj["omega"], np.asarray(obj["R"], dtype=float))
-        except ValueError as exc:
-            raise ValidationError(f"bad tabulated bath: {exc}") from exc
+        return _checked(lambda: tabulated_bath(
+            _real_array(obj["omega"], "'omega' must list finite numbers", (None,)),
+            _real_array(obj["R"], "'R' must list finite numbers or real matrices",
+                        (None,), (None, None, None))), "bad tabulated bath: ")
     kind = obj.get("type")
     if kind not in _BATH_FAMILIES:
         raise ValidationError(
             f"unknown bath type {kind!r}", {"known_types": sorted(_BATH_FAMILIES)}
         )
-    try:
-        return _BATH_FAMILIES[kind](obj, n_ops)
-    except ValueError as exc:
-        raise ValidationError(f"bad bath parameters: {exc}") from exc
+    return _checked(lambda: _BATH_FAMILIES[kind](obj, n_ops), "bad bath parameters: ")
 
 
 def coupling_from_json(obj: Any) -> Coupling:
     """{"S": [<matrix>...], "bath": <bath>} -> Coupling."""
-    if not isinstance(obj, dict) or "S" not in obj or "bath" not in obj:
-        raise ValidationError("coupling object must have 'S' and 'bath'")
-    ops = [matrix_from_json(m) for m in obj["S"]]
-    bath = bath_from_json(obj["bath"], n_ops=len(ops))
-    try:
-        return Coupling(system_ops=tuple(ops), bath=bath)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    ops = matrices_from_json(obj, "S", "coupling")
+    bath = bath_from_json(obj.get("bath"), n_ops=len(ops))
+    return _checked(lambda: Coupling(system_ops=tuple(ops), bath=bath))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ SIZE_CAP = 64  # largest product dimension d**N handled
 
 
 def _check_size(d: int, n_sites: int) -> int:
-    total = d ** n_sites
-    if total > SIZE_CAP:
-        raise ValueError(f"product dimension {total} exceeds the size cap {SIZE_CAP}")
-    return total
+    # d >= 2 passes the cap from n_sites = SIZE_CAP.bit_length() on, so a larger
+    # n_sites is refused before d**n_sites, whose digits grow with it, is formed
+    if n_sites < 1 or d > 1 and n_sites >= SIZE_CAP.bit_length() or d ** n_sites > SIZE_CAP:
+        raise ValueError(f"need n_sites >= 1 and {d}**{n_sites} within the size cap {SIZE_CAP}")
+    return d ** n_sites
 
 
 def permutation_matrix(perm, d: int) -> np.ndarray:

@@ -855,3 +855,16 @@ class TestBathArrays:
         indefinite[3] = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="PSD"):
             tabulated_bath(omegas, indefinite)
+
+    @pytest.mark.parametrize("omegas, values", [
+        ([1.0, 0.0, -1.0], [0.1, 0.5, 0.9]),
+        ([-1.0, 1.0, 1.0], [0.1, 0.5, 0.9]),
+        ([-1.0, 0.0, 1.0], [0.1, 0.5]),
+        (1.0, 0.5),
+        ([[-1.0, 0.0, 1.0]], [[0.1, 0.5, 0.9]]),
+        ([-1.0, 1.0], np.ones((2, 1, 2))),
+    ], ids=["decreasing", "repeated", "unequal-lengths", "scalars", "two-dimensional",
+            "non-square"])
+    def test_tabulated_table_np_interp_cannot_read(self, omegas, values):
+        with pytest.raises(ValueError, match="increase strictly"):
+            tabulated_bath(omegas, values)

@@ -207,6 +207,28 @@ def test_private_bath_over_the_size_cap_allocates_nothing(tmp_path, run_within_o
         assert "size cap" in json.loads(line)["message"]
 
 
+def test_huge_site_count_meets_the_size_cap_at_once(tmp_path, run_within_one_gib):
+    # N beyond the cap is refused before d**N is formed as an exact integer
+    paths = []
+    for model in ("superradiance", "private_bath"):
+        for n_sites in (10 ** 9, 10 ** 10):
+            paths.append(tmp_path / f"{model}-{n_sites}.json")
+            paths[-1].write_text(json.dumps({"model": model, "N": n_sites}))
+    child = ("import json, sys, time\nfrom decofree.cli import main\nresults = []\n"
+             "for path in sys.argv[1:]:\n    t0 = time.perf_counter()\n"
+             "    code = main(['df', '--generator', path])\n"
+             "    results.append([code, time.perf_counter() - t0])\n"
+             "print(json.dumps(results))\n")
+    run = run_within_one_gib(child, *map(str, paths))
+    assert run.returncode == 0, run.stderr
+    *reports, results = run.stdout.splitlines()
+    for line in reports:
+        assert "size cap" in json.loads(line)["message"]
+    for code, seconds in json.loads(results):
+        assert code == 2
+        assert seconds < 2.0
+
+
 @pytest.fixture
 def thermal_ladder_64(tmp_path):
     # 64 equally spaced levels, one lowering operator through all of them, T = 1
@@ -548,6 +570,48 @@ def test_malformed_channel_structure_is_validation_error(tmp_path, capsys, kraus
     path = tmp_path / "channel.json"
     path.write_text(json.dumps({"dim": 1, "kraus": kraus}))
     code = main(["analyze-channel", "--channel", str(path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("bath", [
+    {"omega": [1.0, 0.0, -1.0], "R": [0.1, 0.5, 0.9]},
+    {"omega": [-1.0, 0.0, 1.0], "R": [0.1, 0.5]},
+    {"omega": 1.0, "R": 0.5},
+    {"omega": ["-1", True, "1"], "R": [0.5, "0.5", False]},
+], ids=["decreasing", "unequal-lengths", "scalars", "strings-and-bools"])
+def test_unreadable_tabulated_spectrum_is_validation_error(workdir, capsys, bath):
+    workdir["coupling"].write_text(json.dumps({"S": [matrix_to_json(sz)], "bath": bath}))
+    code = main(["born-error", "--traj", str(workdir["traj"]),
+                 "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "validation"
+
+
+GAUSSIAN_BATH = {"type": "gaussian", "coupling": 0.01, "width": 2.0}
+
+
+@pytest.mark.parametrize("name, obj", [
+    ("damping", {"H": matrix_to_json(sz), "V": 5}),
+    ("traj", {"tau": 1.0, "segments": 5}),
+    ("traj", {"tau": 1.0, "segments": [5]}),
+    ("coupling", {"S": 5, "bath": GAUSSIAN_BATH}),
+    ("damping", {"model": "private_bath", "N": 2, "v_site": 5}),
+    ("damping", {"model": "superradiance", "N": [2]}),
+    ("coupling", {"S": [matrix_to_json(sz), matrix_to_json(np.diag([1.0, 0.0, -1.0]))],
+                  "bath": GAUSSIAN_BATH}),
+], ids=["V-number", "segments-number", "segment-number", "S-number", "v_site-number",
+        "N-list", "S-mixed-dimensions"])
+def test_malformed_model_container_is_validation_error(workdir, capsys, name, obj):
+    workdir[name].write_text(json.dumps(obj))
+    if name == "damping":
+        argv = ["df", "--generator", str(workdir["damping"])]
+    else:
+        argv = ["born-error", "--traj", str(workdir["traj"]),
+                "--coupling", str(workdir["coupling"]), "--psi", str(workdir["plus"])]
+    code = main(argv)
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"

@@ -90,6 +90,45 @@ class TestEntryValidation:
     def test_integers_accepted(self):
         assert vector_from_json({"entries": [[1, -2]]})[0] == 1 - 2j
 
+    # every scalar field of a model file: its loader and a value it accepts
+    FIELDS = {
+        "tau": (lambda v: trajectory_from_json(
+            {"tau": v, "segments": [{"dt": 2.0, "H": matrix_to_json(sz)}]}), 1.0),
+        "dt": (lambda v: trajectory_from_json(
+            {"tau": 1.0, "segments": [{"dt": v, "H": matrix_to_json(sz)}]}), 2.0),
+        "T": (lambda v: generator_from_json(
+            {"H": matrix_to_json(-0.5 * sz), "V": [matrix_to_json(sm)], "T": v}), 1.0),
+        "N": (lambda v: generator_from_json({"model": "superradiance", "N": v}), 2),
+        "d": (lambda v: generator_from_json({"model": "private_bath", "N": 2, "d": v}), 2),
+        "omega": (lambda v: generator_from_json(
+            {"model": "superradiance", "N": 2, "omega": v}), 1.0),
+        "gamma": (lambda v: generator_from_json(
+            {"model": "superradiance", "N": 2, "gamma": v}), 1.0),
+        "matrix-dim": (lambda v: matrix_from_json({"dim": v, "rows": [[[1.0, 0.0]]]}), 1),
+        "vector-dim": (lambda v: vector_from_json({"dim": v, "entries": [[1.0, 0.0]]}), 1),
+        "tabulated-omega": (lambda v: bath_from_json(
+            {"omega": [-1.0, v, 1.0], "R": [0.0, 1.0, 0.0]}), 0.0),
+        "tabulated-R": (lambda v: bath_from_json(
+            {"omega": [-1.0, 0.0, 1.0], "R": [0.0, v, 0.0]}), 1.0),
+    }
+    INTEGER_FIELDS = ["N", "d", "matrix-dim", "vector-dim"]
+
+    @pytest.mark.parametrize("leaf", [float("nan"), float("-inf"), "1", True, None, 10 ** 400],
+                             ids=["nan", "-inf", "string", "bool", "null", "huge-int"])
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_scalar_field_rejected(self, field, leaf):
+        load, good = self.FIELDS[field]
+        load(good)
+        with pytest.raises(ValidationError):
+            load(leaf)
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_field_needs_an_integral_value(self, field):
+        load, good = self.FIELDS[field]
+        load(float(good))  # an integral float is an integer
+        with pytest.raises(ValidationError, match="integer"):
+            load(good + 0.5)
+
 
 class TestChannelIO:
     def test_round_trip(self, rng):

@@ -145,6 +145,11 @@ class TestSuperradiance:
         gen = GKLSGenerator(np.zeros((4, 4)), [np.kron(sm, eye(2))])
         assert global_invariance_residual(gen, build_permutation_rep(2, 2)) > 0.1
 
+    @pytest.mark.parametrize("n_sites", [0, -1])
+    def test_needs_at_least_one_atom(self, n_sites):
+        with pytest.raises(ValueError, match="n_sites >= 1"):
+            build_superradiance_generator(n_sites, 1.0, 1.0)
+
 
 class TestGlobalResidual:
     def test_is_the_frobenius_norm_of_the_dense_difference(self, rng):
