@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands load JSON model files, run one analysis and emit a JSON report
-that is a pure function of (input files, flags, seed): byte-identical across
-runs.  Exit codes: 0 success, 2 input validation failure (with a
-machine-readable diagnostic on stdout), 1 internal error.
+Subcommands load JSON model files, run one analysis and return their own report
+fields; ``main`` alone adds the envelope (command, tolerances, seed) and writes the
+report, a pure function of (input files, flags, seed) and byte-identical across
+runs.  Exit codes: 0 success, 2 invalid input (a diagnostic), 1 internal error.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from .operators import LiouvilleMetric, dag, eye
 
 DEFAULT_SEED = 1234
 DEFAULT_TOL = float(os.environ.get("DECOFREE_TOL", "1e-9"))
-
-
-def _emit(report: dict, out: str | None) -> None:
-    text = jsonio.dump_json(report, out)
-    if out is None:
-        sys.stdout.write(text)
 
 
 def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
@@ -85,8 +79,7 @@ def cmd_analyze_channel(args) -> dict:
     reduced = channels.reduce_kraus(channel)
     nalg = algebra.multiplicative_domain(channel)
     fixed = algebra.fixed_points(channel)
-    report = {
-        "command": "analyze-channel",
+    return {
         "dim": channel.dim,
         "unitality_defect": channel.unitality_defect,
         "completely_positive": cp.is_cp,
@@ -98,7 +91,6 @@ def cmd_analyze_channel(args) -> dict:
         "fixed_point_dimension": fixed.dim,
         "faithful_stationary_state": fixed.faithful,
     }
-    return report
 
 
 def cmd_analyze_semigroup(args) -> dict:
@@ -110,7 +102,6 @@ def cmd_analyze_semigroup(args) -> dict:
     herm = 0.5 * (defect + dag(defect))
     worst_diss = min(0.0, float(np.linalg.eigvalsh(herm).min()))
     report = {
-        "command": "analyze-semigroup",
         "dim": gen.dim,
         "n_lindblad": len(gen.lindblad_ops),
         "generator_unitality_defect": unit_defect,
@@ -145,18 +136,15 @@ def cmd_df(args) -> dict:
     else:
         res = algebra.df_algebra_semigroup(dyn, metric)
     report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
-    report["command"] = "df"
     if args.channel:
         report["k_used"] = res.k_used
     return report
 
 
 def cmd_blocks(args) -> dict:
-    mats = jsonio.matrices_from_json(jsonio.load_json(args.ops), "ops", "ops")
+    mats = jsonio.ops_from_json(jsonio.load_json(args.ops))
     alg = algebra.generated_algebra(mats)
-    report = _algebra_report(alg, seed=args.seed, certificate="exact")
-    report.update({"command": "blocks", "n_generators": len(mats)})
-    return report
+    return {**_algebra_report(alg, seed=args.seed, certificate="exact"), "n_generators": len(mats)}
 
 
 def cmd_invariance(args) -> dict:
@@ -173,8 +161,7 @@ def cmd_invariance(args) -> dict:
         )
     rep = symmetry.build_permutation_rep(n_sites, site_dim)
     local = symmetry.local_invariance_check(ops, rep, tol=args.tol * 10)
-    report = {
-        "command": "invariance",
+    return {
         "dim": dim,
         "sites": n_sites,
         "site_dim": site_dim,
@@ -183,7 +170,6 @@ def cmd_invariance(args) -> dict:
         "locally_invariant": local.invariant,
         "group_algebra_inside_commutant": local.containment_holds,
     }
-    return report
 
 
 def _born_inputs(args):
@@ -214,8 +200,7 @@ def _born_inputs(args):
 
 
 def cmd_born_error(args) -> dict:
-    traj, coupling, psi, grid, shared = _born_inputs(args)
-    report = {"command": "born-error", **shared}
+    traj, coupling, psi, grid, report = _born_inputs(args)
     eps_time, res = born.route_errors(traj, coupling, psi, grid, n_time=args.time_points)
     if eps_time is not None:
         report["epsilon_time"] = eps_time
@@ -240,7 +225,6 @@ def cmd_scan(args) -> dict:
         traj, coupling, psi, lambdas, grid=grid, n_time=args.time_points
     )
     return {
-        "command": "scan",
         **shared,
         "points": [
             {"lambda": p.lam, "epsilon": p.epsilon, "boundary_warning": p.boundary_warning}
@@ -257,7 +241,7 @@ def cmd_evolve(args) -> dict:
     if state.shape[0] != dyn.dim:
         kind = "channel" if args.channel else "generator"
         raise ValidationError(f"state dimension does not match the {kind}")
-    report = {"command": "evolve", "dim": dyn.dim, "states": []}
+    report = {"dim": dyn.dim, "states": []}
     if args.channel:
         if args.steps < 0:
             raise ValidationError("--steps must be non-negative")
@@ -377,22 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
-            raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
-        report = args.func(args)
-        report.update(tolerances={"tol": args.tol}, seed=args.seed)
+        try:
+            if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
+                raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
+            report, code = {"command": args.command, **args.func(args),
+                            "tolerances": {"tol": args.tol}, "seed": args.seed}, 0
+        except ValidationError as exc:
+            report, code = exc.as_json(), 2
         # inside the try: a report value the encoder refuses is an internal error
-        _emit(report, args.out)
-    except ValidationError as exc:
-        _emit(exc.as_json(), args.out)
-        return 2
-    except (OSError, FileNotFoundError) as exc:
-        _emit({"error": "validation", "message": str(exc)}, args.out)
-        return 2
+        text = jsonio.dump_json(report)
     except Exception:
         sys.stderr.write(traceback.format_exc())
         return 1
-    return 0
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:  # the diagnostic goes where it can be read
+            text, code = jsonio.dump_json(ValidationError(str(exc)).as_json()), 2
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

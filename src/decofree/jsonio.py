@@ -58,6 +58,17 @@ def _number(obj: dict, key: str, default=None, *, integer: bool = False):
     return round(value) if integer else value  # round: exact on an integral value
 
 
+def _fields(obj: dict, kind: str, fields: tuple, **found: int) -> None:
+    """Refuse a key outside `fields`, which the loader reads (a misspelt optional field
+    would run its default), and a restated dimension key=n in `found` other than n."""
+    unknown = obj.keys() - fields
+    if unknown:
+        raise ValidationError(f"unknown {kind} field(s): {', '.join(map(repr, sorted(unknown)))}")
+    for key, n in found.items():
+        if _number(obj, key, n, integer=True) != n:
+            raise ValidationError(f"{kind} {key!r} is {obj[key]}, but its data have dimension {n}")
+
+
 def _real_array(value, message: str, *shapes) -> np.ndarray:
     """`value`, lists nested to one depth with finite JSON numbers as leaves, as a
     float array shaped like one of `shapes` (None matches any length)."""
@@ -91,9 +102,9 @@ def _complex_array(obj: Any, kind: str, key: str, ndim: int) -> np.ndarray:
     pairs = _real_array(obj[key], f"{kind} {key!r} must hold [re, im] pairs of finite numbers",
                         (None,) * ndim + (2,))
     z = pairs.view(complex)[..., 0]
-    n = _number(obj, "dim", len(z), integer=True)
-    if z.shape != (n,) * ndim:
-        raise ValidationError(f"{kind} {key!r} do not match the {kind} 'dim' {n}")
+    _fields(obj, kind, ("dim", key), dim=len(z))
+    if z.shape != (len(z),) * ndim:
+        raise ValidationError(f"{kind} {key!r} must be square")
     return z
 
 
@@ -140,6 +151,7 @@ def matrices_from_json(obj: Any, key: str, owner: str, *, required: bool = True)
 
 def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
     ops = matrices_from_json(obj, "kraus", "channel")
+    _fields(obj, "channel", ("dim", "kraus"), dim=ops[0].shape[0])
     try:
         channel = KrausMap(ops, tol=tol)
     except ValueError as exc:
@@ -170,12 +182,21 @@ def generator_from_json(obj: Any, *, tol: float = 1e-9):
     if not isinstance(obj, dict) or "H" not in obj:
         raise ValidationError("generator object must have an 'H' field")
     h = matrix_from_json(obj["H"])
+    _fields(obj, "generator", ("dim", "H", "V", *(("T", "omega") if "T" in obj else ())),
+            dim=h.shape[0])
     ops = matrices_from_json(obj, "V", "generator", required=False)
-    if "T" in obj:
-        temperature = _number(obj, "T")
-        return _checked(lambda: build_gibbs_generator(h, temperature, ops),
-                        details={"temperature": temperature})
-    return _checked(lambda: GKLSGenerator(h, ops, tol=tol))
+    if "T" not in obj:
+        return _checked(lambda: GKLSGenerator(h, ops, tol=tol))
+    temperature = _number(obj, "T")
+    gibbs = _checked(lambda: build_gibbs_generator(h, temperature, ops),
+                     details={"temperature": temperature})
+    bohr = [w for _, w in gibbs.eigen_ops]  # "omega", as gibbs_to_json writes it, restates them
+    omega = _real_array(obj.get("omega", bohr), "generator 'omega' must list one finite "
+                        "number per 'V' operator", (len(ops),))
+    if np.any(np.abs(omega - bohr) > 1e-8):  # the tolerance of bohr_frequency
+        raise ValidationError("generator 'omega' disagrees with the Bohr frequencies of its "
+                              "'V' operators", {"bohr_frequencies": bohr})
+    return gibbs
 
 
 def _model_generator(obj: dict) -> GKLSGenerator:
@@ -185,6 +206,7 @@ def _model_generator(obj: dict) -> GKLSGenerator:
     name = obj["model"]
     try:
         if name == "superradiance":
+            _fields(obj, name, ("model", "N", "omega", "gamma"))
             n_sites = _number(obj, "N", integer=True)
             return build_superradiance_generator(n_sites, _number(obj, "omega", 1.0),
                                                  _number(obj, "gamma", 1.0))
@@ -192,6 +214,7 @@ def _model_generator(obj: dict) -> GKLSGenerator:
             n_sites = _number(obj, "N", integer=True)
             site_h = matrix_from_json(obj["h_site"]) if "h_site" in obj else None
             d = _number(obj, "d", 2, integer=True) if site_h is None else site_h.shape[0]
+            _fields(obj, name, ("model", "N", "d", "h_site", "v_site", "H"), d=d)
             # the size cap holds before any d x d or d**N x d**N array is allocated
             dim = _check_size(d, n_sites)
             site_gen = GKLSGenerator(np.zeros((d, d)) if site_h is None else site_h,
@@ -251,6 +274,9 @@ def trajectory_from_json(obj: Any) -> ControlTrajectory:
     segs = obj.get("segments") if isinstance(obj, dict) else None
     if not isinstance(segs, list) or not all(isinstance(seg, dict) for seg in segs):
         raise ValidationError("trajectory object must have 'tau' and a 'segments' list of objects")
+    _fields(obj, "trajectory", ("tau", "segments"))
+    for seg in segs:
+        _fields(seg, "segment", ("dt", "H"))
     return _checked(lambda: ControlTrajectory(
         _number(obj, "tau"), [(_number(seg, "dt"), matrix_from_json(seg.get("H"))) for seg in segs]
     ), "bad trajectory: ")
@@ -262,43 +288,51 @@ def _amplitude(obj: dict, key: str):
                        "or a matrix of them as a list of rows", (), (None, None))
 
 
+# bath "type" (None for a bath without one, a tabulated spectrum) -> (the fields of
+# its object, its builder from that object and the number of coupling operators)
 _BATH_FAMILIES = {
-    "gaussian": lambda obj, n: gaussian_bath(
-        _amplitude(obj, "coupling"), _number(obj, "width", 1.0), n_ops=n
-    ),
-    "flat": lambda obj, n: flat_bath(
+    None: (("omega", "R"), lambda obj, n: tabulated_bath(
+        _real_array(obj.get("omega"), "'omega' must list finite numbers", (None,)),
+        _real_array(obj.get("R"), "'R' must list finite numbers or real matrices",
+                    (None,), (None, None, None)))),
+    "gaussian": (("type", "coupling", "width"), lambda obj, n: gaussian_bath(
+        _amplitude(obj, "coupling"), _number(obj, "width", 1.0), n_ops=n)),
+    "flat": (("type", "level", "coupling", "cutoff"), lambda obj, n: flat_bath(
         _amplitude(obj, "level" if "level" in obj else "coupling"),
-        _number(obj, "cutoff", 50.0), n_ops=n
-    ),
-    "ohmic": lambda obj, n: ohmic_bath(
+        _number(obj, "cutoff", 50.0), n_ops=n)),
+    "ohmic": (("type", "coupling", "kappa", "cutoff"), lambda obj, n: ohmic_bath(
         _number(obj, "coupling", 1.0), _number(obj, "kappa", 1.0),
-        _number(obj, "cutoff", 1.0), n_ops=n
-    ),
-    "quartic-gaussian": lambda obj, n: quartic_gaussian_bath(
-        _number(obj, "coupling", 1.0), _number(obj, "width", 1.0), n_ops=n
-    ),
+        _number(obj, "cutoff", 1.0), n_ops=n)),
+    "quartic-gaussian": (("type", "coupling", "width"), lambda obj, n: quartic_gaussian_bath(
+        _number(obj, "coupling", 1.0), _number(obj, "width", 1.0), n_ops=n)),
 }
 
 
 def bath_from_json(obj: Any, n_ops: int = 1) -> Bath:
     if not isinstance(obj, dict):
         raise ValidationError("bath object must be a JSON object")
-    if "omega" in obj and "R" in obj:
-        return _checked(lambda: tabulated_bath(
-            _real_array(obj["omega"], "'omega' must list finite numbers", (None,)),
-            _real_array(obj["R"], "'R' must list finite numbers or real matrices",
-                        (None,), (None, None, None))), "bad tabulated bath: ")
     kind = obj.get("type")
-    if kind not in _BATH_FAMILIES:
-        raise ValidationError(
-            f"unknown bath type {kind!r}", {"known_types": sorted(_BATH_FAMILIES)}
-        )
-    return _checked(lambda: _BATH_FAMILIES[kind](obj, n_ops), "bad bath parameters: ")
+    if not (kind is None or isinstance(kind, str) and kind in _BATH_FAMILIES):
+        raise ValidationError(f"unknown bath type {kind!r}",
+                              {"known_types": sorted(filter(None, _BATH_FAMILIES))})
+    fields, build = _BATH_FAMILIES[kind]
+    name = f"{kind} bath" if kind else "tabulated bath (no 'type')"
+    _fields(obj, name, fields)
+    if "level" in obj and "coupling" in obj:  # the two names of the flat amplitude
+        raise ValidationError("flat bath takes 'level' or 'coupling', not both")
+    return _checked(lambda: build(obj, n_ops), f"bad {name}: ")
+
+
+def ops_from_json(obj: Any) -> list:
+    ops = matrices_from_json(obj, "ops", "ops")  # {"ops": [<matrix>...]} of `blocks --ops`
+    _fields(obj, "ops", ("ops",))
+    return ops
 
 
 def coupling_from_json(obj: Any) -> Coupling:
     """{"S": [<matrix>...], "bath": <bath>} -> Coupling."""
     ops = matrices_from_json(obj, "S", "coupling")
+    _fields(obj, "coupling", ("S", "bath"))
     bath = bath_from_json(obj.get("bath"), n_ops=len(ops))
     return _checked(lambda: Coupling(system_ops=tuple(ops), bath=bath))
 
@@ -308,11 +342,13 @@ def coupling_from_json(obj: Any) -> Coupling:
 
 
 def load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def dump_json(obj: Any, path: str | None = None) -> str:

@@ -890,3 +890,137 @@ def test_dissipativity_min_eigenvalue_matches_one_draw_at_a_time(tmp_path, capsy
         defect = dissipativity_defect(gen, a)
         worst = min(worst, float(np.linalg.eigvalsh(0.5 * (defect + defect.conj().T)).min()))
     assert report["dissipativity_min_eigenvalue"] == worst
+
+
+def test_subcommands_return_only_their_own_fields(workdir, tmp_path, capsys):
+    # main alone wraps a subcommand's fields in the envelope
+    for name, argv in _every_subcommand(workdir, tmp_path).items():
+        if name == "validation-error":
+            continue
+        args = cli.build_parser().parse_args(list(map(str, argv)))
+        fields = args.func(args)
+        assert not fields.keys() & {"command", "tolerances", "seed"}, name
+        assert main(list(map(str, argv))) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(
+            {"command": argv[0], **fields, "tolerances": {"tol": cli.DEFAULT_TOL},
+             "seed": cli.DEFAULT_SEED}))
+
+
+def test_unreadable_path_is_one_diagnostic_on_stdout(workdir, tmp_path, capsys):
+    # a missing input, one that is not JSON (Latin-1 bytes, nesting beyond the
+    # decoder's depth) and an --out that cannot be opened each exit 2 with the
+    # diagnostic on stdout, and main raises nothing
+    missing = tmp_path / "missing.json"
+    assert main(["df", "--channel", str(missing)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "validation", "message": f"[Errno 2] No such file or directory: '{missing}'"}
+    for name, data in [("latin", b'{"dim": 1, "kraus": [], "note": "\xe9"}'),
+                       ("deep", b"[" * 100000 + b"]" * 100000)]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert main(["df", "--channel", str(path)]) == 2
+        message = json.loads(capsys.readouterr().out)["message"]
+        assert message.startswith(f"{path} is not valid JSON")
+    out = tmp_path / "no-such-dir" / "x.json"
+    assert main(["df", "--channel", str(workdir["dephasing"]), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "error": "validation", "message": f"[Errno 2] No such file or directory: '{out}'"}
+    assert captured.err == ""
+    assert not out.parent.exists()
+
+
+# one object of every kind a model file holds, as (file it replaces, object):
+# each loads as it is, and exits 2 naming a field its loader does not read
+_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+_ZERO_SEGMENT = {"dt": 2.0, "H": matrix_to_json(np.zeros((2, 2)))}
+_TABULATED = {"omega": [-40.0, 0.0, 40.0], "R": [0.0, 0.01, 0.0]}
+FIELD_CASES = {
+    "matrix": ("mixed", matrix_to_json(eye(2) / 2)),
+    "vector": ("plus", vector_to_json(_PLUS)),
+    "channel": ("dephasing", channel_to_json(dephasing_channel(0.25))),
+    "generator": ("damping", generator_to_json(GKLSGenerator(np.zeros((2, 2)), [sm]))),
+    "thermal-generator": ("damping", {"H": matrix_to_json(np.diag([0.0, 1.0])),
+                                      "V": [matrix_to_json(sm)], "T": 1.0, "omega": [1.0]}),
+    "superradiance": ("damping", {"model": "superradiance", "N": 2, "omega": 1.0,
+                                  "gamma": 1.0}),
+    "private_bath": ("damping", {"model": "private_bath", "N": 2, "d": 2,
+                                 "h_site": matrix_to_json(sz), "v_site": [matrix_to_json(sm)],
+                                 "H": matrix_to_json(np.zeros((4, 4)))}),
+    "trajectory": ("traj", {"tau": 1.0, "segments": [_ZERO_SEGMENT]}),
+    "coupling": ("coupling", {"S": [matrix_to_json(sz)], "bath": GAUSSIAN_BATH}),
+    "ops": ("ops", {"ops": [matrix_to_json(sx)]}),
+}
+BATHS = {
+    "tabulated": _TABULATED,
+    "gaussian": GAUSSIAN_BATH,
+    "flat": {"type": "flat", "level": 0.01, "cutoff": 20.0},
+    "ohmic": {"type": "ohmic", "coupling": 0.1, "kappa": 1.0, "cutoff": 2.0},
+    "quartic-gaussian": {"type": "quartic-gaussian", "coupling": 0.1, "width": 2.0},
+}
+
+
+def _run_model_file(capsys, workdir, tmp_path, name, obj):
+    """Exit code and report of the subcommand that reads `obj` as the file `name`."""
+    paths = {**workdir, "ops": tmp_path / "ops.json"}
+    paths[name].write_text(json.dumps(obj))
+    argv = {"mixed": ["evolve", "--channel", paths["dephasing"], "--state", paths["mixed"]],
+            "dephasing": ["analyze-channel", "--channel", paths["dephasing"]],
+            "damping": ["df", "--generator", paths["damping"]],
+            "ops": ["blocks", "--ops", paths["ops"]]}.get(name, [
+                "born-error", "--traj", paths["traj"], "--coupling", paths["coupling"],
+                "--psi", paths["plus"]])
+    code = main(list(map(str, argv)))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _unknown_field_cases():
+    for kind, (name, obj) in FIELD_CASES.items():
+        yield pytest.param(name, obj, lambda o: {**o, "gama": 0.1}, "gama", id=kind)
+    yield pytest.param("traj", FIELD_CASES["trajectory"][1],
+                       lambda o: {**o, "segments": [{**_ZERO_SEGMENT, "t0": 0.0}]}, "t0",
+                       id="segment")
+    yield pytest.param("damping", FIELD_CASES["generator"][1],
+                       lambda o: {**o, "omega": [1.0]}, "omega", id="generator-omega-without-T")
+    for family, bath in BATHS.items():
+        yield pytest.param("coupling", {"S": [matrix_to_json(sz)], "bath": bath},
+                           lambda o: {**o, "bath": {**o["bath"], "widht": 3.0}}, "widht",
+                           id=f"{family}-bath")
+    yield pytest.param("coupling", {"S": [matrix_to_json(sz)], "bath": GAUSSIAN_BATH},
+                       lambda o: {**o, "bath": {**o["bath"], **_TABULATED}}, "omega",
+                       id="gaussian-bath-with-table")
+    yield pytest.param("coupling", {"S": [matrix_to_json(sz)], "bath": _TABULATED},
+                       lambda o: {**o, "bath": {**o["bath"], "type": None}}, "type",
+                       id="tabulated-bath-with-type")
+
+
+@pytest.mark.parametrize("name, obj, spoil, field", _unknown_field_cases())
+def test_unknown_model_file_field_is_validation_error(workdir, tmp_path, capsys, name, obj,
+                                                      spoil, field):
+    assert _run_model_file(capsys, workdir, tmp_path, name, obj)[0] == 0
+    code, report = _run_model_file(capsys, workdir, tmp_path, name, spoil(obj))
+    assert code == 2
+    assert report["error"] == "validation"
+    assert repr(field) in report["message"]
+
+
+@pytest.mark.parametrize("name, obj, agreeing, field", [
+    ("dephasing", {"dim": 3, "kraus": [matrix_to_json(eye(2))]}, 2, "dim"),
+    ("damping", {"dim": 5, "H": matrix_to_json(sz)}, 2, "dim"),
+    ("damping", {"model": "private_bath", "N": 2, "d": 3, "h_site": matrix_to_json(sz)}, 2,
+     "d"),
+    ("damping", FIELD_CASES["thermal-generator"][1] | {"omega": [2.0]}, [1.0 + 1e-10], "omega"),
+    ("damping", FIELD_CASES["thermal-generator"][1] | {"omega": [1.0, 1.0]}, [1.0], "omega"),
+    ("coupling", {"S": [matrix_to_json(sz)],
+                  "bath": {"type": "flat", "level": 0.01, "coupling": 0.01}}, None, "level"),
+], ids=["channel-dim", "generator-dim", "private_bath-d", "thermal-omega",
+        "thermal-omega-count", "flat-level-and-coupling"])
+def test_disagreeing_model_file_field_is_validation_error(workdir, tmp_path, capsys, name, obj,
+                                                          agreeing, field):
+    # a field that restates what the loader computes must agree with it
+    code, report = _run_model_file(capsys, workdir, tmp_path, name, obj)
+    assert code == 2
+    assert report["error"] == "validation"
+    assert repr(field) in report["message"]
+    if agreeing is not None:
+        assert _run_model_file(capsys, workdir, tmp_path, name, {**obj, field: agreeing})[0] == 0

@@ -220,3 +220,8 @@ class TestTrajectoryAndBathIO:
         assert coupling.bath.spectral_matrix(1.3)[0, 0] == pytest.approx(
             reference.spectral_matrix(1.3)[0, 0]
         )
+
+
+def test_bath_type_that_is_no_string_is_validation_error():
+    with pytest.raises(ValidationError, match="unknown bath type"):
+        bath_from_json({"type": ["gaussian"], "coupling": 0.1})
