@@ -11,7 +11,6 @@ from .operators import (
     dag,
     eye,
     is_hermitian,
-    is_psd,
     sandwich_superop,
     tensor_product,
     unvec,
@@ -23,11 +22,7 @@ from .channels import (
     compose,
     cp_check,
     dephasing_channel,
-    depolarizing_channel,
-    dissipation_function,
-    identity_channel,
     kadison_defect,
-    power,
     random_unital_channel,
     unitary_channel,
 )
@@ -35,12 +30,10 @@ from .lindblad import (
     GKLSGenerator,
     GibbsGenerator,
     build_gibbs_generator,
-    canonical_form,
     detailed_balance_check,
     dissipativity_defect,
     evolve_state,
     gibbs_state,
-    semigroup,
 )
 from .algebra import (
     BlockDecomposition,
@@ -54,12 +47,10 @@ from .algebra import (
     df_algebra_semigroup,
     fixed_points,
     generated_algebra,
-    implementing_unitary,
     multiplicative_domain,
     relaxation_trace,
 )
 from .symmetry import (
-    build_collective_ops,
     build_permutation_rep,
     build_private_bath_generator,
     build_superradiance_generator,
@@ -77,7 +68,6 @@ from .born import (
     born_state,
     constant_trajectory,
     device_correlator,
-    df_state_check,
     error_frequency_domain,
     error_map,
     error_time_domain,

@@ -11,8 +11,8 @@ All subspaces of M_n live as Frobenius-orthonormal matrix bases, each one
 (d, n, n) array whose vec, transposed, is the n^2 x d matrix of orthonormal
 columns.  Every rank decision is one rule, applied to input of unit scale: a
 singular value s counts as zero when s <= NULLSPACE_RTOL * max(s_max, 1).
-Two subspaces are equal, or one contains the other, when the sine of their
-largest principal angle is at most ANGLE_TOL.
+One subspace contains another when the sine of their largest principal angle
+is at most ANGLE_TOL.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .operators import (
     dag,
     eye,
     hermitian_part,
-    sandwich_superop,
     unvec,
     vec,
 )
@@ -95,11 +94,6 @@ def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
     qb = vec(big).T
     residual = qs - qb @ (qb.conj().T @ qs)
     return bool(np.linalg.norm(residual, 2) <= tol)
-
-
-def subspaces_equal(basis_a, basis_b, tol: float = ANGLE_TOL) -> bool:
-    """Equal dimension, and the largest principal angle's sine at most tol."""
-    return len(basis_a) == len(basis_b) and subspace_contains(basis_a, basis_b, tol)
 
 
 def intersect_spans(basis_a, basis_b) -> list[np.ndarray]:
@@ -532,9 +526,6 @@ class FixedPointResult:
     def dim(self) -> int:
         return len(self.basis)
 
-    def as_algebra(self) -> MatrixAlgebra:
-        return MatrixAlgebra(self.basis)
-
 
 def fixed_points(channel: KrausMap) -> FixedPointResult:
     """Fixed-point space {A : Gamma(A) = A}, with an algebra certificate.
@@ -744,38 +735,3 @@ def relaxation_trace(db: DetailedBalanceChannel, a: np.ndarray, k_max: int = 20)
     return RelaxationTrace(
         errors=errors, projected=pa, dissipative_gap=gap, rate_estimate=rate
     )
-
-
-# ---------------------------------------------------------------------------
-# Unitary implementing a channel on its multiplicative domain
-
-
-def implementing_unitary(channel: KrausMap, alg: MatrixAlgebra) -> np.ndarray:
-    """A unitary U with Gamma(A) = U† A U for all A in the algebra.
-
-    The solution space of the linear intertwining condition
-    A X = X Gamma(A) contains an invertible element whenever the channel acts
-    as an automorphism on the algebra; the polar factor of a generic element
-    is then a valid unitary.  The returned unitary is one valid choice, fixed
-    by a seeded draw (the block phase freedom is not canonicalized).
-    """
-    n = channel.dim
-    rows = []
-    for b in alg.basis:
-        rows.append(sandwich_superop(b, eye(n)) - sandwich_superop(eye(n), channel(b)))
-    null = nullspace(np.vstack(rows))
-    if null.shape[1] == 0:
-        raise ValueError("no intertwiner exists; is the subspace really invariant?")
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        coeffs = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
-        w, s, vh = np.linalg.svd(unvec(null @ coeffs, n))
-        if s[0] > 1e10 * s[-1]:  # condition number above 1e10
-            continue
-        u = w @ vh  # polar factor
-        residual = max(
-            float(np.max(np.abs(dag(u) @ b @ u - channel(b)))) for b in alg.basis
-        )
-        if residual <= 1e-8:
-            return u
-    raise ValueError("failed to find a unitary intertwiner")

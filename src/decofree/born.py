@@ -662,19 +662,12 @@ class SpectralError:
     boundary_warning: bool
 
 
-def _support_mask(omegas: np.ndarray, support) -> np.ndarray:
-    """A sub-band (w_lo, w_hi) or a boolean mask over the grid, as a mask."""
-    if isinstance(support, tuple):
-        return (omegas >= support[0]) & (omegas <= support[1])
-    return np.asarray(support, dtype=bool)
-
-
-def _spectral_error(tau: float, omegas, overlap, mask=None) -> SpectralError:
-    """eps = 2 tau * trapezoid of the overlap sum_ab R_ab S_ab, optionally masked."""
+def _spectral_error(tau: float, omegas, overlap) -> SpectralError:
+    """eps = 2 tau * trapezoid of the overlap sum_ab R_ab S_ab."""
     imag_mass = float(np.max(np.abs(overlap.imag))) if overlap.size else 0.0
     if imag_mass > 1e-8 * max(float(np.max(np.abs(overlap.real))), 1e-300):
         warnings.warn("spectral overlap has a nonnegligible imaginary part")
-    values = overlap.real if mask is None else np.where(mask, overlap.real, 0.0)
+    values = overlap.real
 
     eps = 2.0 * tau * float(np.trapezoid(values, omegas))
     # integrand still at >1% of its peak at the window edge means the grid is
@@ -734,42 +727,6 @@ def route_errors(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Decoherence-free state criterion
-
-
-@dataclass(frozen=True)
-class DFStateReport:
-    max_residual: float
-    predicted_df: bool
-    epsilon_in_support: float
-
-
-def df_state_check(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
-                   grid: FrequencyGrid, support, *, n_time: int = DEFAULT_TIME_POINTS,
-                   tol: float = 1e-8) -> DFStateReport:
-    """Eigenvector criterion for an error-free initial state.
-
-    On the band where the bath spectrum is strictly positive, psi must be an
-    eigenvector of every filter operator: the report carries the largest norm
-    of the component of Y_a(w) psi orthogonal to psi, and the error integral
-    restricted to that band as a cross-check (zero when the criterion holds).
-    """
-    omegas = grid.points
-    mask = _support_mask(omegas, support)
-    s_dev = device_correlator(traj, coupling, psi, grid, n_time=n_time)
-    # |(Y_a - <Y_a>) psi|^2 = 2 tau S_aa(w)
-    orth_sq = 2.0 * traj.tau * np.diagonal(s_dev[mask], axis1=1, axis2=2).real
-    residual = float(np.sqrt(np.max(orth_sq))) if orth_sq.size else 0.0
-    overlap = np.einsum("wab,wab->w", coupling.bath.spectral_matrix(omegas), s_dev)
-    eps = _spectral_error(traj.tau, omegas, overlap, mask)
-    return DFStateReport(
-        max_residual=residual,
-        predicted_df=residual <= tol,
-        epsilon_in_support=eps.epsilon,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Gate-speed scan
 
 
@@ -822,29 +779,3 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     dec = bool(pairs) and all(b < a for a, b in pairs)
     inc = bool(pairs) and all(b > a for a, b in pairs)
     return ScanResult(points=tuple(pts), monotone_decreasing=dec, monotone_increasing=inc)
-
-
-# ---------------------------------------------------------------------------
-# Time-average correlator (diagnostic estimator only)
-
-
-def stationary_correlator_estimate(traj: ControlTrajectory, coupling: Coupling,
-                                   psi: np.ndarray, grid: FrequencyGrid,
-                                   *, n_time: int = DEFAULT_TIME_POINTS) -> np.ndarray:
-    """Spectral estimate from the window-averaged covariance of S_a(s).
-
-    Mirrors the construction of the device correlator as the transform of
-    lim (1/2 tau) integral ds [<S_a(t+s) S_b(s)> - <S_a(t+s)><S_b(s)>]; the
-    limit of an infinite window is only approximated here, so this is a
-    shape diagnostic (peak positions), not a calibrated quantity.  On the grid
-    the covariance at lag lh is the mean over its g - |l| pairs,
-    sum_j <c_a(s_j + lh)|c_b(s_j)> / (g - |l|) = D_ab(-l) / (g - |l|) with D
-    the lag sums of the unweighted centered vectors, so its e^{+iwlh}
-    transform is `_lag_transform` of D / (g - |l|).
-    """
-    s_grid, _, centered = _centered(traj, coupling, psi, n_time)
-    g = s_grid.size
-    h = s_grid[1] - s_grid[0]
-    pairs = g - np.abs(np.arange(1 - g, g))
-    cov = _lag_sums(centered) / pairs[:, None, None]
-    return _lag_transform(cov, h, grid) * (h / (2.0 * np.pi))

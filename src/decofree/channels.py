@@ -52,10 +52,6 @@ class KrausMap(TermMap):
         return f"KrausMap(dim={self.dim}, rank={len(self.kraus_ops)})"
 
 
-def identity_channel(n: int) -> KrausMap:
-    return KrausMap([eye(n)])
-
-
 def unitary_channel(u: np.ndarray) -> KrausMap:
     return KrausMap([u])
 
@@ -67,13 +63,6 @@ def dephasing_channel(p: float) -> KrausMap:
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     return KrausMap([np.sqrt(1.0 - p) * eye(2), np.sqrt(p) * sz])
-
-
-def depolarizing_channel() -> KrausMap:
-    """Completely depolarizing qubit channel, Gamma(A) = Tr(A)/2 * 1."""
-    from .operators import sx, sy, sz
-
-    return KrausMap([0.5 * eye(2), 0.5 * sx, 0.5 * sy, 0.5 * sz])
 
 
 def random_unital_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> KrausMap:
@@ -175,15 +164,6 @@ def kadison_defect(channel: KrausMap, a: np.ndarray) -> np.ndarray:
     return channel(dag(a) @ a) - channel(dag(a)) @ channel(a)
 
 
-def dissipation_function(channel: KrausMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sesquilinear dissipation form Gamma(A†B) - Gamma(A†)Gamma(B)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("operator dimensions do not match")
-    return channel(dag(a) @ b) - channel(dag(a)) @ channel(b)
-
-
 # ---------------------------------------------------------------------------
 # Composition
 
@@ -202,13 +182,3 @@ def compose(g1: KrausMap, g2: KrausMap) -> KrausMap:
     if len(ops) > g1.dim ** 2:
         out = reduce_kraus(out)
     return out
-
-
-def power(channel: KrausMap, k: int) -> KrausMap:
-    """k-fold Heisenberg composition, with rank reduction at every step."""
-    if k < 0:
-        raise ValueError("power requires k >= 0")
-    result = identity_channel(channel.dim)
-    for _ in range(k):
-        result = compose(channel, result)
-    return result

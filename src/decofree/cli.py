@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import traceback
 
@@ -18,10 +17,9 @@ import numpy as np
 
 from . import algebra, born, channels, jsonio, lindblad, symmetry
 from .jsonio import ValidationError
-from .operators import LiouvilleMetric, dag, eye
+from .operators import DEFAULT_TOL, LiouvilleMetric, dag, eye
 
 DEFAULT_SEED = 1234
-DEFAULT_TOL = float(os.environ.get("DECOFREE_TOL", "1e-9"))
 
 
 def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="validation tolerance (env DECOFREE_TOL overrides the default)")
+                        help="validation tolerance")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized algebra steps (fixed default for reproducibility)")
     common.add_argument("--out", type=str, default=None, help="write the JSON report here")

@@ -37,7 +37,10 @@ class ValidationError(ValueError):
         self.details = details or {}
 
     def as_json(self) -> dict:
-        return {"error": "validation", "message": str(self), **self.details}
+        # the encoder refuses inf and nan, so a non-finite detail is written as its string
+        details = {key: str(value) if isinstance(value, float) and not math.isfinite(value)
+                   else value for key, value in self.details.items()}
+        return {"error": "validation", "message": str(self), **details}
 
 
 def _finite(leaves: list) -> bool:

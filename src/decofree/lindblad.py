@@ -21,8 +21,6 @@ from .operators import (
     TermMap,
     commutator_norm,
     dag,
-    eye,
-    hermitian_part,
     is_hermitian,
     unvec,
     vec,
@@ -66,15 +64,6 @@ class GKLSGenerator(TermMap):
         return f"GKLSGenerator(dim={self.dim}, n_lindblad={len(self.lindblad_ops)})"
 
 
-def semigroup(gen: GKLSGenerator, t: float) -> np.ndarray:
-    """Heisenberg superoperator matrix of T_t = exp(t L); requires t >= 0."""
-    if t < 0:
-        raise ValueError("semigroup parameter must be non-negative")
-    from scipy.linalg import expm  # a generator is not normal in general
-
-    return expm(t * gen.heisenberg_matrix())
-
-
 def evolve_state(gen: GKLSGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """Schrodinger evolution exp(t L*) applied to a state."""
     if t < 0:
@@ -93,38 +82,6 @@ def dissipativity_defect(gen: GKLSGenerator, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     a_dag = dag(a)
     return gen(a_dag @ a) - gen(a_dag) @ a - a_dag @ gen(a)
-
-
-def canonical_form(gen: GKLSGenerator) -> GKLSGenerator:
-    """Equivalent generator with at most dim**2 - 1 traceless Lindblad operators.
-
-    Traces of the V_j are absorbed into the Hamiltonian, the remaining
-    traceless parts are re-mixed through the eigendecomposition of their
-    (PSD) coefficient matrix over a traceless operator basis, and zero modes
-    are dropped.  The superoperator is unchanged to rounding.
-    """
-    n = gen.dim
-    if not gen.lindblad_ops:
-        return gen
-    # vec(1) and e_0 .. e_{n^2-2} are independent (vec(1) ends in a 1), so
-    # the last n^2 - 1 columns of their QR are an orthonormal basis of the
-    # matrices orthogonal to 1, the traceless ones
-    q, _ = np.linalg.qr(np.column_stack([vec(eye(n)), eye(n * n)[:, :-1]]))
-    basis = q[:, 1:]
-
-    h_extra = np.zeros((n, n), dtype=complex)
-    coeffs = []
-    for v in gen.lindblad_ops:
-        c = np.trace(v) / np.sqrt(n)
-        w = v - c * eye(n) / np.sqrt(n)
-        # the scalar/traceless cross terms act as a Hamiltonian shift
-        h_extra += 1j * (np.conj(c) * w - c * dag(w)) / (2.0 * np.sqrt(n))
-        coeffs.append(dag(basis) @ vec(w))
-    kossakowski = sum(np.outer(c, c.conj()) for c in coeffs)
-    evals, evecs = np.linalg.eigh(0.5 * (kossakowski + dag(kossakowski)))
-    ops = [np.sqrt(lam) * unvec(basis @ col, n)
-           for lam, col in zip(evals, evecs.T) if lam > 1e-12 * max(evals.max(), 1.0)]
-    return GKLSGenerator(gen.hamiltonian + hermitian_part(h_extra), ops)
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - dag(a))) <= tol)
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    if not is_hermitian(a, tol):
-        return False
-    return bool(np.linalg.eigvalsh(0.5 * (a + dag(a))).min() >= -tol)
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     return 0.5 * (a + dag(a))

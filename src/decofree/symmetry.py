@@ -91,37 +91,9 @@ def collective_op(op: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CollectiveOps:
-    n_sites: int
-    single_site_ops: tuple
-    collective: tuple
-
-    def __post_init__(self):
-        rep = build_permutation_rep(self.n_sites, self.single_site_ops[0].shape[0])
-        worst = local_invariance_residual(list(self.collective), rep)
-        if worst > 1e-12:
-            raise ValueError(f"collective operators are not permutation invariant ({worst:.3e})")
-
-
-def build_collective_ops(n_sites: int, single_site_ops) -> CollectiveOps:
-    ops = tuple(np.asarray(v, dtype=complex) for v in single_site_ops)
-    _check_size(ops[0].shape[0], n_sites)
-    return CollectiveOps(
-        n_sites=n_sites,
-        single_site_ops=ops,
-        collective=tuple(collective_op(v, n_sites) for v in ops),
-    )
-
-
 def collective_spin(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collective (J_x, J_y, J_z) for N qubits."""
     return tuple(collective_op(0.5 * p, n_sites) for p in (sx, sy, sz))
-
-
-def su2_algebra(n_sites: int) -> MatrixAlgebra:
-    """Algebra generated by the collective spin components."""
-    return generated_algebra(list(collective_spin(n_sites)))
 
 
 # ---------------------------------------------------------------------------

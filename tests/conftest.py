@@ -12,6 +12,15 @@ def rng():
 
 
 @pytest.fixture
+def depolarizing():
+    """Completely depolarizing qubit channel, Gamma(A) = Tr(A)/2 * 1."""
+    from decofree.channels import KrausMap
+    from decofree.operators import eye, sx, sy, sz
+
+    return KrausMap([0.5 * eye(2), 0.5 * sx, 0.5 * sy, 0.5 * sz])
+
+
+@pytest.fixture
 def run_within_one_gib():
     """Run Python source in a child interpreter whose address space is capped at 1 GiB.
 

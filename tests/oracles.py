@@ -7,12 +7,12 @@ quadratic form instead of the commutant of the Kraus pair products
 from an eigendecomposition of a stacked Gram operator, commutants from the SVD
 of the stacked n^2 x n^2 commutator matrices instead of an eigenspace-restricted
 solve, generated algebras by product enrichment instead of a double commutant,
-principal angles from scipy instead of a projection residual,
-propagators from brute-force substepping or from one matrix exponential per
-segment instead of one eigendecomposition per segment, lag sums pair by pair
-instead of by FFT, the Born error map from its g x g Toeplitz kernel one
-grid point at a time instead of by an FFT convolution and one GEMM, the
-stationary covariance one lag at a time, and integrals from closed forms.
+principal angles and subspace equality from scipy instead of a projection
+residual, propagators from brute-force substepping or from one matrix
+exponential per segment instead of one eigendecomposition per segment, lag
+sums pair by pair instead of by FFT, the Born error map from its g x g
+Toeplitz kernel one grid point at a time instead of by an FFT convolution and
+one GEMM, and integrals from closed forms.
 Nothing here imports `decofree.born`.
 """
 
@@ -107,6 +107,12 @@ def principal_angles(basis_a, basis_b):
                            np.stack([m.ravel() for m in basis_b], axis=1))
 
 
+def subspaces_equal(basis_a, basis_b, tol=1e-7):
+    """Equal dimension, and the largest principal angle (scipy) at most tol."""
+    angles = principal_angles(list(basis_a), list(basis_b))
+    return len(basis_a) == len(basis_b) and (angles.size == 0 or angles.max() <= tol)
+
+
 def product_closure(ops, n, rtol=1e-9):
     """Basis of the unital *-algebra generated by ops: span enrichment by products."""
     seed = [np.eye(n, dtype=complex)]
@@ -184,33 +190,6 @@ def lag_sums_double_loop(x):
                 for b in range(r):
                     d[g - 1 + i - j, a, b] += np.vdot(x[a, j], x[b, i])
     return d
-
-
-def stationary_covariance_spectrum(s_grid, ops, psi, omegas):
-    """Window-averaged covariance of ops[a, i] = S_a(s_i) in psi, lag by lag.
-
-    cov_ab(t) averages <S_a(s + t) S_b(s)> - <S_a(s + t)><S_b(s)> over the
-    grid pairs at lag t; the result is sum_t e^{iwt} cov_ab(t) h / (2 pi).
-    """
-    psi = np.asarray(psi, dtype=complex)
-    omegas = np.asarray(omegas, dtype=float)
-    g = len(s_grid)
-    h = s_grid[1] - s_grid[0]
-    r = ops.shape[0]
-    means = np.einsum("c,aicd,d->ai", psi.conj(), ops, psi)
-    lags = np.arange(-(g - 1), g)
-    cov = np.zeros((r, r, lags.size), dtype=complex)
-    for li, lag in enumerate(lags):
-        if lag >= 0:
-            idx_t, idx_s = np.arange(lag, g), np.arange(0, g - lag)
-        else:
-            idx_t, idx_s = np.arange(0, g + lag), np.arange(-lag, g)
-        prod = np.einsum("c,aicd,bidf,f->abi", psi.conj(), ops[:, idx_t],
-                         ops[:, idx_s], psi, optimize=True)
-        mean_term = np.einsum("ai,bi->abi", means[:, idx_t], means[:, idx_s])
-        cov[:, :, li] = (prod - mean_term).mean(axis=2)
-    phases = np.exp(1j * omegas[:, None] * (lags * h)[None, :]) * h / (2.0 * np.pi)
-    return np.einsum("wl,abl->wab", phases, cov)
 
 
 def exp_corr_square_integral(g, t_c, tau):

@@ -13,7 +13,6 @@ from decofree.born import (
     born_state,
     constant_trajectory,
     device_correlator,
-    df_state_check,
     error_frequency_domain,
     error_map,
     error_time_domain,
@@ -25,7 +24,6 @@ from decofree.born import (
     ohmic_bath,
     quartic_gaussian_bath,
     route_errors,
-    stationary_correlator_estimate,
     tabulated_bath,
     _centered,
     _interaction_apply,
@@ -43,7 +41,6 @@ from oracles import (
     lag_sums_double_loop,
     qubit_rotation_interaction_op,
     segment_propagator,
-    stationary_covariance_spectrum,
     substep_propagator,
 )
 
@@ -639,29 +636,35 @@ class TestBornVersusExact:
 
 
 class TestDFStateCheck:
+    """Eigenvector criterion: psi is error-free when (Y_a(w) - <Y_a(w)>) psi = 0 on
+    the band where the bath spectrum is positive; its squared norm is 2 tau S_aa(w)."""
+
+    @staticmethod
+    def _criterion(ops, psi):
+        n = ops[0].shape[0]
+        traj = constant_trajectory(np.zeros((n, n)), 1.0)
+        coupling = Coupling(system_ops=ops, bath=gaussian_bath(0.05, 1.0))
+        grid = FrequencyGrid(8.0, 801)
+        band = np.abs(grid.points) <= 4.0
+        s_dev = device_correlator(traj, coupling, psi, grid)
+        orth_sq = 2.0 * traj.tau * np.diagonal(s_dev[band], axis1=1, axis2=2).real
+        residual = float(np.sqrt(max(orth_sq.max(), 0.0)))
+        return residual, error_frequency_domain(traj, coupling, psi, grid).epsilon
+
     def test_pointer_state(self):
-        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
-        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(0.05, 1.0))
-        report = df_state_check(traj, coupling, KET0, FrequencyGrid(8.0, 801), (-4.0, 4.0))
-        assert report.predicted_df
-        assert abs(report.epsilon_in_support) < 1e-12
+        residual, eps = self._criterion((sz,), KET0)
+        assert residual < 1e-12
+        assert abs(eps) < 1e-12
 
     def test_singlet_under_collective_dephasing(self):
-        jz = 0.5 * collective_op(sz, 2)
-        traj = constant_trajectory(np.zeros((4, 4)), 1.0)
-        coupling = Coupling(system_ops=(jz,), bath=gaussian_bath(0.05, 1.0))
-        report = df_state_check(
-            traj, coupling, singlet_state(), FrequencyGrid(8.0, 801), (-4.0, 4.0)
-        )
-        assert report.max_residual < 1e-12
-        assert abs(report.epsilon_in_support) < 1e-12
+        residual, eps = self._criterion((0.5 * collective_op(sz, 2),), singlet_state())
+        assert residual < 1e-12
+        assert abs(eps) < 1e-12
 
     def test_superposition_is_not_df(self):
-        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
-        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(0.05, 1.0))
-        report = df_state_check(traj, coupling, PLUS, FrequencyGrid(8.0, 801), (-4.0, 4.0))
-        assert report.max_residual > 0.1
-        assert report.epsilon_in_support > 0.0
+        residual, eps = self._criterion((sz,), PLUS)
+        assert residual > 0.1
+        assert eps > 0.0
 
 
 class TestGateSpeedScan:
@@ -749,42 +752,6 @@ class TestGateSpeedScan:
             gate_speed_scan(traj, coupling, PLUS, [1.0, lam])
         with pytest.raises(ValueError, match="positive and finite"):
             traj.rescaled(lam)
-
-
-class TestStationaryCorrelatorDiagnostic:
-    def test_peak_position_matches_device_correlator(self):
-        # rotating coupling: both spectra must peak near the rotation frequency
-        omega0 = 3.0
-        tau = 8.0
-        traj = constant_trajectory(0.5 * omega0 * sz, tau)
-        coupling = Coupling(system_ops=(sx,), bath=gaussian_bath(1.0, 1.0))
-        grid = FrequencyGrid(6.0, 241)
-        omegas = grid.points
-        s_dev = device_correlator(traj, coupling, KET0, grid, n_time=801)
-        est = stationary_correlator_estimate(traj, coupling, KET0, grid, n_time=801)
-        peak_dev = omegas[np.argmax(np.abs(s_dev[:, 0, 0]))]
-        peak_est = omegas[np.argmax(np.abs(est[:, 0, 0]))]
-        bin_width = omegas[1] - omegas[0]
-        assert abs(peak_dev - peak_est) <= bin_width + 1e-12
-        assert abs(abs(peak_dev) - omega0) <= 0.2
-
-    def test_matches_per_lag_oracle(self, rng):
-        traj = ControlTrajectory(1.0, [(0.7, 0.9 * sx + 0.3 * sz), (1.3, 0.5 * sy)])
-        coupling = Coupling(system_ops=(sx, sz), bath=gaussian_bath(1.0, 1.0, n_ops=2))
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi /= np.linalg.norm(psi)
-        grid = FrequencyGrid(6.0, 25)
-        est = stationary_correlator_estimate(traj, coupling, psi, grid, n_time=41)
-        s_grid, _, ops = interaction_ops(traj, coupling, 41)
-        ref = stationary_covariance_spectrum(s_grid, ops, psi, grid.points)
-        assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_requires_normalized_state(self):
-        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
-        coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
-        with pytest.raises(ValueError, match="normalized"):
-            stationary_correlator_estimate(traj, coupling, np.array([1.0, 1.0]),
-                                           FrequencyGrid(1.0, 3))
 
 
 class TestLagSums:

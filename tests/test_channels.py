@@ -7,12 +7,8 @@ from decofree.channels import (
     compose,
     cp_check,
     dephasing_channel,
-    depolarizing_channel,
-    dissipation_function,
-    identity_channel,
     kadison_defect,
     kraus_from_choi,
-    power,
     random_unital_channel,
     reduce_kraus,
     unitary_channel,
@@ -31,7 +27,7 @@ def transpose_superop(n):
 
 class TestApply:
     def test_identity(self, rng):
-        chan = identity_channel(3)
+        chan = unitary_channel(eye(3))
         a = random_hermitian(3, rng)
         assert np.allclose(chan(a), a)
 
@@ -58,7 +54,7 @@ class TestApply:
 
 class TestDual:
     def test_identity_dual(self, rng):
-        chan = identity_channel(2)
+        chan = unitary_channel(eye(2))
         rho = random_density(2, rng)
         assert np.allclose(chan.apply_dual(rho), rho)
 
@@ -88,7 +84,7 @@ class TestDual:
 
 class TestChoi:
     def test_identity_channel_choi(self):
-        c = choi_matrix(identity_channel(2))
+        c = choi_matrix(unitary_channel(eye(2)))
         evals = np.linalg.eigvalsh(c)
         assert np.allclose(sorted(evals), [0, 0, 0, 2], atol=1e-12)
 
@@ -126,10 +122,10 @@ class TestChoi:
         a = random_hermitian(3, rng)
         assert np.max(np.abs(rebuilt(a) - chan(a))) < 1e-10
 
-    def test_reduction_reaches_choi_rank(self):
+    def test_reduction_reaches_choi_rank(self, depolarizing):
         # redundant three-operator presentation of a rank-2 dephasing map, and
         # the 16-operator list of depolarizing o depolarizing (k > n^2, rank 4)
-        depol = depolarizing_channel().kraus_ops
+        depol = depolarizing.kraus_ops
         for chan, rank in [
             (KrausMap([np.sqrt(0.5) * eye(2), np.sqrt(0.25) * eye(2), np.sqrt(0.25) * sz]), 2),
             (KrausMap([b @ a for a in depol for b in depol]), 4),
@@ -164,44 +160,40 @@ class TestKadison:
 
 
 class TestDissipationFunction:
+    """The dissipation function D(A, B) = Gamma(A†B) - Gamma(A†)Gamma(B) on its
+    diagonal, which is the Kadison defect."""
+
     def test_vanishes_on_identity(self, rng):
         chan = random_unital_channel(3, 3, rng)
-        assert np.max(np.abs(dissipation_function(chan, eye(3), eye(3)))) < 1e-12
-
-    def test_diagonal_matches_kadison(self):
-        chan = dephasing_channel(0.25)
-        assert np.allclose(dissipation_function(chan, sx, sx), 0.75 * eye(2))
-        assert np.allclose(dissipation_function(chan, sx, sx), kadison_defect(chan, sx))
-
-    def test_polarization_identity(self, rng):
-        chan = random_unital_channel(2, 2, rng)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rebuilt = np.zeros((2, 2), dtype=complex)
-        for k in range(4):
-            x = a + (1j ** k) * b
-            rebuilt += (1j ** (-k)) * dissipation_function(chan, x, x)
-        assert np.max(np.abs(rebuilt / 4.0 - dissipation_function(chan, a, b))) < 1e-10
+        assert np.max(np.abs(kadison_defect(chan, eye(3)))) < 1e-12
 
     def test_zero_dissipation_implies_multiplicative(self, rng):
         # sz is dissipation-free for dephasing, so the map is multiplicative on it
         chan = dephasing_channel(0.25)
-        assert np.max(np.abs(dissipation_function(chan, sz, sz))) < 1e-12
+        assert np.max(np.abs(kadison_defect(chan, sz))) < 1e-12
         for _ in range(20):
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             assert np.max(np.abs(chan(sz @ b) - chan(sz) @ chan(b))) < 1e-9
             assert np.max(np.abs(chan(b @ sz) - chan(b) @ chan(sz))) < 1e-9
 
 
+def _power(chan, k):
+    """Gamma^k as k - 1 compositions."""
+    out = chan
+    for _ in range(k - 1):
+        out = compose(chan, out)
+    return out
+
+
 class TestComposition:
     def test_identity_power(self, rng):
-        chan = power(identity_channel(3), 5)
+        chan = _power(unitary_channel(eye(3)), 5)
         a = random_hermitian(3, rng)
         assert np.allclose(chan(a), a)
 
     def test_dephasing_power_combines(self):
         p = 0.25
-        squared = power(dephasing_channel(p), 2)
+        squared = _power(dephasing_channel(p), 2)
         # two rounds of dephasing: (1 - 2p') = (1 - 2p)^2
         assert np.allclose(squared(sx), (1 - 2 * p) ** 2 * sx)
 
@@ -216,18 +208,13 @@ class TestComposition:
         g1 = random_unital_channel(3, 3, rng)
         g2 = random_unital_channel(3, 2, rng)
         assert compose(g1, g2).unitality_defect < 1e-10
-        assert power(g1, 4).unitality_defect < 1e-10
+        assert _power(g1, 4).unitality_defect < 1e-10
 
     def test_power_keeps_rank_bounded(self, rng):
         chan = random_unital_channel(2, 4, rng)
-        assert len(power(chan, 5).kraus_ops) <= 4
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            power(identity_channel(2), -1)
+        assert len(_power(chan, 5).kraus_ops) <= 4
 
 
-def test_depolarizing_collapses_to_trace():
-    chan = depolarizing_channel()
-    assert np.allclose(chan(sx), 0)
-    assert np.allclose(chan(eye(2)), eye(2))
+def test_depolarizing_collapses_to_trace(depolarizing):
+    assert np.allclose(depolarizing(sx), 0)
+    assert np.allclose(depolarizing(eye(2)), eye(2))

@@ -502,18 +502,25 @@ def test_bad_tolerance_is_validation_error(workdir, capsys, tol, channel):
     assert report["message"].startswith("--tol")
 
 
-def test_tolerance_env_nan_is_validation_error(workdir, monkeypatch, capsys):
-    import importlib
-
-    monkeypatch.setenv("DECOFREE_TOL", "nan")
-    importlib.reload(cli)
-    try:
-        code = cli.main(["df", "--channel", str(workdir["dephasing"])])
-    finally:
-        monkeypatch.delenv("DECOFREE_TOL")
-        importlib.reload(cli)
-    assert code == 2
-    assert json.loads(capsys.readouterr().out)["message"].startswith("--tol")
+@pytest.mark.parametrize("command, key", [("analyze-channel", "unitality_defect"),
+                                          ("born-error", "norm")])
+def test_non_finite_diagnostic_detail_is_validation_error(workdir, capsys, command, key):
+    # a Kraus entry of 1e200 makes the unitality defect inf, entries of 1e308 the norm;
+    # the encoder refuses inf, so the detail is written as its string
+    if command == "analyze-channel":
+        dump_json({"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]},
+                  str(workdir["bad_channel"]))
+        argv = ["analyze-channel", "--channel", str(workdir["bad_channel"])]
+    else:
+        dump_json(vector_to_json(np.array([1e308, 1e308])), str(workdir["plus"]))
+        argv = ["born-error", "--traj", str(workdir["traj"]), "--coupling",
+                str(workdir["coupling"]), "--psi", str(workdir["plus"])]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"] == "validation"
+    assert report[key] == "inf"
 
 
 # imaginary parts that replace a 0.0: the string and the bool keep the
@@ -708,19 +715,6 @@ def test_seed_changes_are_visible_but_stable(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 99
     assert report["blocks"] == [[1, 1], [1, 1]]
-
-
-def test_tolerance_env_override(workdir, monkeypatch):
-    monkeypatch.setenv("DECOFREE_TOL", "1e-3")
-    import importlib
-
-    import decofree.cli as cli_module
-
-    importlib.reload(cli_module)
-    assert cli_module.DEFAULT_TOL == 1e-3
-    monkeypatch.delenv("DECOFREE_TOL")
-    importlib.reload(cli_module)
-
 
 
 def _thermal_qubit(path) -> str:

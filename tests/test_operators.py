@@ -8,7 +8,6 @@ from decofree.operators import (
     dag,
     eye,
     is_hermitian,
-    is_psd,
     random_density,
     random_hermitian,
     random_unitary,
@@ -171,11 +170,6 @@ class TestPredicates:
     def test_hermiticity(self, rng):
         assert is_hermitian(random_hermitian(4, rng))
         assert not is_hermitian(sm)
-
-    def test_psd(self):
-        assert is_psd(np.diag([1.0, 0.0]).astype(complex))
-        assert not is_psd(sz)
-        assert is_psd(sz + (1 + 1e-10) * eye(2), tol=1e-9)
 
     def test_density_check(self):
         check_density_matrix(eye(2) / 2)

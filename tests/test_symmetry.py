@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from decofree.algebra import block_decompose, commutant, df_algebra_semigroup, subspace_contains
+from decofree.algebra import (
+    block_decompose,
+    commutant,
+    df_algebra_semigroup,
+    generated_algebra,
+    subspace_contains,
+)
 from decofree.channels import KrausMap, random_unital_channel
 from decofree.lindblad import GKLSGenerator, evolve_state
 from decofree.operators import dag, eye, random_hermitian, sandwich_superop, sm, sx, sz
 from decofree.symmetry import (
-    build_collective_ops,
     build_permutation_rep,
     build_private_bath_generator,
     build_superradiance_generator,
@@ -18,7 +23,6 @@ from decofree.symmetry import (
     local_invariance_residual,
     permutation_matrix,
     singlet_state,
-    su2_algebra,
 )
 from oracles import commutant_dimension
 
@@ -76,11 +80,6 @@ class TestCollectiveOps:
     def test_embedding(self):
         assert np.allclose(embed_at_site(sz, 0, 2), np.kron(sz, eye(2)))
         assert np.allclose(embed_at_site(sz, 1, 2), np.kron(eye(2), sz))
-
-    def test_validated_container(self):
-        ops = build_collective_ops(3, [sm, sz])
-        assert len(ops.collective) == 2
-        assert ops.collective[0].shape == (8, 8)
 
     def test_su2_commutant_dimensions(self):
         for n_sites, expected in [(2, 2), (3, 5), (4, 14)]:
@@ -212,13 +211,13 @@ class TestSchurWeylStructure:
             alg = rep.group_algebra()
             decomp = block_decompose(alg)
             assert decomp.blocks == expected
-            dual = block_decompose(su2_algebra(n_sites))
+            dual = block_decompose(generated_algebra(list(collective_spin(n_sites))))
             assert sorted((d, n) for n, d in dual.blocks) == sorted(decomp.blocks)
 
     def test_su2_algebra_dimension(self):
         # sum of squared irrep dimensions: 9 + 1 at N = 2, 16 + 4 at N = 3
-        assert su2_algebra(2).dim == 10
-        assert su2_algebra(3).dim == 20
+        for n_sites, dim in ((2, 10), (3, 20)):
+            assert generated_algebra(list(collective_spin(n_sites))).dim == dim
 
 
 @pytest.mark.parametrize("model", ["superradiance", "private_bath"])
