@@ -167,8 +167,11 @@ class MatrixAlgebra:
         n = self.matrix_dim
         unit = float(self._residual_norms([eye(n)])[0] / np.sqrt(n))
         adjoint = float(self._residual_norms(dag(self.basis)).max())
-        # all products a @ b of one basis element a, projected in one batch
-        product = max(float(self._residual_norms(a @ self.basis).max()) for a in self.basis)
+        # x @ b for one seeded x = sum_a c_a a, c_a standard complex normal, and every b:
+        # E ||(x b)_perp||^2 = 2 sum_a ||(a b)_perp||^2, at least the worst pair's square
+        coeffs = np.random.default_rng(7).normal(size=(self.dim, 2)) @ np.array([1.0, 1.0j])
+        x = np.tensordot(coeffs, self.basis, axes=1)
+        product = float(self._residual_norms(x @ self.basis).max())
         return {"unit": unit, "adjoint": adjoint, "product": product}
 
     def validate(self, tol: float = 1e-7) -> None:
@@ -530,27 +533,26 @@ class FixedPointResult:
 def fixed_points(channel: KrausMap) -> FixedPointResult:
     """Fixed-point space {A : Gamma(A) = A}, with an algebra certificate.
 
-    A stationary state is extracted from the peripheral spectral projector at
-    eigenvalue one applied to the maximally mixed state; when it is faithful
-    the fixed-point space is a *-algebra (and then product closure is
+    One SVD of S - 1 (S the Heisenberg matrix) and one rank cut give both kernels: the
+    right singular vectors span the fixed observables, the left ones the stationary
+    states (the kernel of S† - 1).  A stationary state is extracted from the peripheral
+    spectral projector at eigenvalue one applied to the maximally mixed state; when it
+    is faithful the fixed-point space is a *-algebra (and then product closure is
     verified numerically).
     """
     n = channel.dim
-    s = channel.heisenberg_matrix()
-    ident = eye(n * n)
-    right = nullspace(s - ident)  # fixed observables
-    left = nullspace(dag(s) - ident)  # stationary-state subspace
-    basis = unvec(right.T, n)
+    u, sv, vh = np.linalg.svd(channel.heisenberg_matrix() - eye(n * n))
+    rank = _rank(sv)
+    fixed, left = vh[rank:], u[:, rank:]  # M† (rows vec(A)†, A fixed) and N (states)
+    basis = unvec(fixed.conj(), n)
 
-    sigma = None
-    faithful = False
+    sigma, faithful = None, False
     if left.shape[1] > 0:
         # spectral projector at eigenvalue 1: P = N (M† N)^-1 M† with
         # N = stationary states, M = fixed observables (semisimple eigenvalue)
         try:
-            core = np.linalg.solve(dag(right) @ left, dag(right) @ vec(eye(n) / n))
-            cand = unvec(left @ core, n)
-            cand = hermitian_part(cand)
+            core = np.linalg.solve(fixed @ left, fixed @ vec(eye(n) / n))
+            cand = hermitian_part(unvec(left @ core, n))
             tr = np.trace(cand).real
             if abs(tr) > 1e-12:
                 cand = cand / tr
@@ -561,10 +563,8 @@ def fixed_points(channel: KrausMap) -> FixedPointResult:
         except np.linalg.LinAlgError:
             sigma = None
 
-    certified = False
-    if faithful and len(basis):
-        algebra = MatrixAlgebra(basis)
-        certified = algebra.closure_residuals()["product"] <= 1e-7
+    certified = (faithful and len(basis) > 0
+                 and MatrixAlgebra(basis).closure_residuals()["product"] <= 1e-7)
     return FixedPointResult(
         basis=basis, stationary_state=sigma, faithful=faithful, certified_algebra=certified
     )
@@ -674,15 +674,14 @@ def detailed_balance_channel_from_gibbs(gibbs, t: float = 1.0) -> DetailedBalanc
 def df_projector_basis(db: DetailedBalanceChannel):
     """Metric-orthonormal basis of the fixed space of the dissipative factor.
 
-    The kernel columns are independent and sigma is faithful, so their sigma
-    Gram matrix is positive definite; its Cholesky factor L makes the columns
-    null @ L^-† orthonormal in the sigma inner product.
+    The fixed-point basis is independent and sigma faithful, so the Gram matrix
+    G_ab = <A_a, A_b>_sigma = vec(A_a)† vec(A_b sigma) is positive definite; with its
+    Cholesky factor L, the rows conj(L^-1) vec(A) are sigma-orthonormal.
     """
-    n = db.dim
-    null = nullspace(db.dissipative.heisenberg_matrix() - eye(n * n))
-    chol = np.linalg.cholesky(dag(null) @ db.metric.gram_superop() @ null)
-    cols = dag(np.linalg.solve(chol, dag(null)))
-    return list(unvec(cols.T, n))
+    basis = fixed_points(db.dissipative).basis
+    rows = vec(basis)
+    chol = np.linalg.cholesky(rows.conj() @ vec(basis @ db.metric.sigma).T)
+    return list(unvec(np.linalg.solve(chol.conj(), rows)))
 
 
 def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis=None) -> np.ndarray:

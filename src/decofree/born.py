@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # sandwich_superop is not called here; it stays bound for the benchmark's per-layer call count
-from .operators import dag, eye, hermitian_part, is_hermitian, sandwich_superop, unvec, vec
+from .operators import (dag, eye, hermitian_part, is_hermitian, sandwich_superop,
+                        superop_matrix, unvec, vec)
 
 DEFAULT_TIME_POINTS = 401
 DEFAULT_FREQ_POINTS = 4001
@@ -504,7 +505,7 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     discrete map is completely positive up to rounding.  The left factors
     inner_a(u_j) = sum_b sum_i C_ab(s_i - u_j) w_i S_b(s_i) are one FFT
     convolution (zero-padded like `_lag_sums`) and phi = sum_{a,j}
-    kron((w_j S_a(u_j))^T, inner_a(u_j)) one GEMM: no g x g kernel.
+    kron((w_j S_a(u_j))^T, inner_a(u_j)) one `superop_matrix` GEMM: no g x g kernel.
     """
     s_grid, weights, ops = interaction_ops(traj, coupling, n_time)
     r, g, n = ops.shape[:3]
@@ -515,9 +516,7 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     spectrum = (np.fft.fft(_lag_correlations(coupling, s_grid)[::-1], n=size, axis=0)
                 @ np.fft.fft(weighted, n=size, axis=1).transpose(1, 0, 2))
     inner = np.fft.ifft(spectrum, axis=0)[g - 1:2 * g - 1].transpose(1, 0, 2)
-    # z[(i, j), (k, l)] = sum_p inner_p[i, j] w_p[k, l]; phi[(l, i), (k, j)] is that entry
-    z = inner.reshape(r * g, n * n).T @ weighted.reshape(r * g, n * n)
-    phi = z.reshape(n, n, n, n).transpose(3, 0, 2, 1).reshape(n * n, n * n)
+    phi = superop_matrix(inner.reshape(r * g, n, n), weighted.reshape(r * g, n, n))
     k_op = hermitian_part(unvec(dag(phi) @ vec(eye(n)), n))
     return BornErrorMap(phi_schrodinger=phi, k_operator=k_op, tau=traj.tau, n_time=n_time)
 
@@ -540,20 +539,13 @@ def born_state(traj: ControlTrajectory, coupling: Coupling, rho: np.ndarray,
 
 
 def error_time_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,
-                      *, n_time: int = DEFAULT_TIME_POINTS,
-                      emap: BornErrorMap | None = None) -> float:
+                      *, n_time: int = DEFAULT_TIME_POINTS) -> float:
     """eps = <psi|K|psi> - <psi|Phi*(|psi><psi|)|psi> for a unit vector psi.
 
-    Without `emap` the same number is read off the lag sums D of the weighted
-    centered vectors x_a(s_i) = w_i c_a(s_i):
+    Read off the lag sums D of the weighted centered vectors x_a(s_i) = w_i c_a(s_i):
     eps = sum_ab sum_ij C_ab(s_i - s_j) <x_a(s_j)|x_b(s_i)> = sum_ab sum_l C_ab(lh) D_ab(l),
     which builds neither the n^2 x n^2 error map nor a g x g kernel.
     """
-    if emap is not None:
-        psi = _unit_state(psi)
-        rho = np.outer(psi, psi.conj())
-        val = np.vdot(psi, emap.k_operator @ psi) - np.vdot(psi, emap.apply(rho) @ psi)
-        return float(val.real)
     s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     return _time_epsilon(coupling, s_grid, d)
 

@@ -41,9 +41,10 @@ class KrausMap(TermMap):
         terms = [(1.0, dag(w), w) for w in ops]
         defect = float(np.max(np.abs(sum(l @ r for _, l, r in terms) - eye(n))))
         if defect > tol:
-            raise ValueError(
-                f"Kraus set is not unital: sum W†W deviates from identity by {defect:.3e}"
-            )
+            exc = ValueError(f"Kraus set is not unital: sum W†W deviates from identity by "
+                             f"{defect:.3e}")
+            exc.unitality_defect = defect  # for a diagnostic, without a second sum
+            raise exc
         super().__init__(n, terms)
         self.kraus_ops = ops
         self.unitality_defect = defect
@@ -83,12 +84,12 @@ def random_unital_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> 
 def choi_matrix(channel) -> np.ndarray:
     """Choi matrix sum_ij E_ij (x) Phi*(E_ij) of the Schrodinger-picture map.
 
-    Accepts a KrausMap or a raw Schrodinger-picture superoperator matrix.
+    Accepts a KrausMap (Choi matrix A A†, A = [vec W_a]) or a raw Schrodinger-picture matrix.
     """
     if isinstance(channel, KrausMap):
-        s = channel.schrodinger_matrix()
-    else:
-        s = np.asarray(channel, dtype=complex)
+        a = vec(channel.kraus_ops).T
+        return a @ dag(a)
+    s = np.asarray(channel, dtype=complex)
     # Phi*(E_ij) = unvec(S vec(E_ij)) = blocks[j n + i] is the block (i, j) of C
     blocks = unvec(s.T)
     n = blocks.shape[-1]
@@ -149,8 +150,7 @@ def channel_from_superop(heisenberg: np.ndarray, *, tol: float = DEFAULT_TOL) ->
     unit_defect = float(np.max(np.abs(unvec(heisenberg @ vec(eye(n)), n) - eye(n))))
     if unit_defect > tol:
         raise ValueError(f"superoperator is not unital (defect {unit_defect:.3e})")
-    schrodinger = dag(heisenberg)
-    ops = kraus_from_choi(choi_matrix(schrodinger))
+    ops = kraus_from_choi(choi_matrix(dag(heisenberg)))
     return KrausMap(ops, tol=max(tol, 1e-7))
 
 

@@ -157,7 +157,10 @@ def cmd_invariance(args) -> dict:
         raise ValidationError(
             f"dimension {dim} is not a {n_sites}-fold tensor power", {"dim": dim}
         )
-    rep = symmetry.build_permutation_rep(n_sites, site_dim)
+    try:  # site_dim 1 and products beyond the size cap are refused here
+        rep = symmetry.build_permutation_rep(n_sites, site_dim)
+    except ValueError as exc:
+        raise ValidationError(str(exc), {"dim": dim}) from exc
     local = symmetry.local_invariance_check(ops, rep, tol=args.tol * 10)
     return {
         "dim": dim,

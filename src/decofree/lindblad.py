@@ -54,9 +54,6 @@ class GKLSGenerator(TermMap):
     def dissipative_part(self, a: np.ndarray) -> np.ndarray:
         return self.dissipator(a)
 
-    def hamiltonian_matrix(self) -> np.ndarray:
-        return self.hamiltonian_part.heisenberg_matrix()
-
     def dissipator_matrix(self) -> np.ndarray:
         return self.dissipator.heisenberg_matrix()
 
@@ -70,7 +67,7 @@ def evolve_state(gen: GKLSGenerator, rho: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("semigroup parameter must be non-negative")
     from scipy.linalg import expm  # a generator is not normal in general
 
-    s = expm(t * gen.schrodinger_matrix())
+    s = expm(t * dag(gen.heisenberg_matrix()))
     return unvec(s @ vec(np.asarray(rho, dtype=complex)), gen.dim)
 
 

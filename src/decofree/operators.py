@@ -3,9 +3,9 @@
 Conventions shared by the whole package:
 
 * Vectorization is column-stacking, ``vec(A) = A.T.ravel()``, so that
-  ``vec(L @ X @ R) = kron(R.T, L) @ vec(X)``.  Every superoperator matrix
-  built here acts on column-stacked operators, and only :func:`vec` and
-  :func:`unvec` spell the convention out; both act on stacks (..., n, n).
+  ``vec(L @ X @ R) = kron(R.T, L) @ vec(X)``.  Only :func:`vec` and
+  :func:`unvec` spell the convention out, both on stacks (..., n, n), and
+  only :func:`superop_matrix` builds an n^2 x n^2 superoperator matrix.
 * Maps on observables (Heisenberg picture) are the primary objects; the
   Schrodinger-picture action of a hermiticity-preserving map is the
   conjugate transpose of its superoperator matrix.
@@ -66,13 +66,27 @@ def tensor_product(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def superop_matrix(left, right, coeffs=None) -> np.ndarray:
+    """Matrix sum_p c_p kron(R_p.T, L_p) of X -> sum_p c_p L_p X R_p, from stacks (p, n, n)
+    of the L_p and R_p and p coefficients (default one): the one GEMM sum_p c_p l_p r_p^T of
+    the flattened factors, realigned (Van Loan & Pitsianis 1993); zero when p = 0."""
+    left = np.asarray(left, dtype=complex)
+    n = left.shape[-1]
+    rows = left.reshape(-1, n * n)
+    if coeffs is not None:
+        rows = rows * np.asarray(coeffs)[:, None]
+    z = rows.T @ np.asarray(right, dtype=complex).reshape(-1, n * n)
+    # z[(i, j), (b, a)] = sum_p c_p L_p[i, j] R_p[b, a] is the entry ((a, i), (b, j))
+    return z.reshape(n, n, n, n).transpose(3, 0, 2, 1).reshape(n * n, n * n)
+
+
 def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Matrix of X -> left @ X @ right on column-stacked operators."""
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
     if left.shape != right.shape or left.shape[0] != left.shape[1]:
         raise ValueError("left/right factors must be square with equal dims")
-    return np.kron(right.T, left)
+    return superop_matrix(left[None], right[None])
 
 
 class TermMap:
@@ -115,13 +129,11 @@ class TermMap:
     def heisenberg_matrix(self) -> np.ndarray:
         """The read-only n^2 x n^2 matrix sum_i c_i kron(R_i.T, L_i), built once."""
         if self._dense is None:
-            self._dense = sum((c * sandwich_superop(l, r) for c, l, r in self.terms()),
-                              np.zeros((self.dim ** 2, self.dim ** 2), dtype=complex))
+            c, l, r = zip(*self.terms()) if self._terms else ((), (), ())
+            shape = (-1, self.dim, self.dim)
+            self._dense = superop_matrix(np.reshape(l, shape), np.reshape(r, shape), c)
             self._dense.flags.writeable = False
         return self._dense
-
-    def schrodinger_matrix(self) -> np.ndarray:
-        return dag(self.heisenberg_matrix())
 
 
 def superop_norm(terms) -> float:
@@ -192,10 +204,6 @@ class LiouvilleMetric:
 
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(a, a).real, 0.0)))
-
-    def gram_superop(self) -> np.ndarray:
-        """Matrix G with vec(A)† G vec(B) = <A, B>_sigma."""
-        return np.kron(self.sigma.T, eye(self.dim))
 
     def hermiticity_residual(self, terms) -> float:
         """||G S - S† G||_F / max(||S||_F, 1) for S as terms, G: X -> X sigma; G S has

@@ -21,6 +21,21 @@ def depolarizing():
 
 
 @pytest.fixture
+def no_superoperator(monkeypatch):
+    """Refuse every dense n^2 x n^2 build: `operators.superop_matrix` in every decofree
+    module that looks it up, and `channels.choi_matrix`."""
+    import decofree.channels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n^2 x n^2 superoperator was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("decofree.") and hasattr(module, "superop_matrix"):
+            monkeypatch.setattr(module, "superop_matrix", refuse)
+    monkeypatch.setattr(decofree.channels, "choi_matrix", refuse)
+
+
+@pytest.fixture
 def run_within_one_gib():
     """Run Python source in a child interpreter whose address space is capped at 1 GiB.
 

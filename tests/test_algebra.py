@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from decofree.algebra import (
     DetailedBalanceChannel,
@@ -326,6 +326,15 @@ class TestMatrixAlgebra:
                 unit[i, j] = 1.0
                 assert np.array_equal(basis[i * 3 + j], unit)
 
+    def test_validate_rejects_a_span_not_closed_under_products(self):
+        # unital and *-closed, but sx sz = -i sy lies outside the span: only the
+        # product residual of the one seeded element sees it
+        alg = MatrixAlgebra.from_span([eye(2), sx, sz])
+        res = alg.closure_residuals()
+        assert res["unit"] <= 1e-12 and res["adjoint"] <= 1e-12 and res["product"] > 1e-2
+        with pytest.raises(ValueError, match="product"):
+            alg.validate()
+
 
 class TestBlockDecompose:
     def test_full_algebra_is_single_block(self):
@@ -457,20 +466,14 @@ class TestMultiplicativeDomain:
                 assert np.max(np.abs(chan(a @ b) - chan(a) @ chan(b))) < 1e-9
 
 
-    def test_channel_path_builds_no_superoperator(self, monkeypatch, rng):
+    def test_channel_path_builds_no_superoperator(self, request, rng):
         # multiplicative_domain, df_algebra_discrete and reduce_kraus work on
-        # n x n matrices only: no Heisenberg, Schrodinger or Choi matrix
+        # n x n matrices only: no Heisenberg or Choi matrix
         chans = [dephasing_channel(0.25), random_unital_channel(3, 2, rng),
                  _collective_dephasing_channel(2), _rotated_dephasing_channel()]
         expected = [(multiplicative_domain(c).dim, df_algebra_discrete(c).algebra.dim)
                     for c in chans]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an n^2 x n^2 matrix was built")
-
-        monkeypatch.setattr(KrausMap, "heisenberg_matrix", refuse)
-        monkeypatch.setattr(KrausMap, "schrodinger_matrix", refuse)
-        monkeypatch.setattr("decofree.channels.choi_matrix", refuse)
+        request.getfixturevalue("no_superoperator")
         for chan, dims in zip(chans, expected):
             assert len(reduce_kraus(chan).kraus_ops) <= len(chan.kraus_ops)
             assert (multiplicative_domain(chan).dim, df_algebra_discrete(chan).algebra.dim) == dims
@@ -609,13 +612,8 @@ class TestSemigroupDFOracles:
                                [np.diag([1.0, 1.0, -1.0])]), 1),
     ], ids=["xx-coupling-decay", "drive-dephasing", "collective-dephasing-xx",
             "random-qutrit-dephasing"])
-    def test_builds_no_superoperator(self, monkeypatch, make_generator, dim):
+    def test_builds_no_superoperator(self, no_superoperator, make_generator, dim):
         # on {L_k, L_k†}' the generator is i[H, .], applied to operator stacks
-        def refuse(self):
-            raise AssertionError("n^2 x n^2 generator built")
-
-        for name in ("heisenberg_matrix", "hamiltonian_matrix", "dissipator_matrix"):
-            monkeypatch.setattr(GKLSGenerator, name, refuse)
         res = df_algebra_semigroup(make_generator())
         assert (res.algebra.dim, res.certificate) == (dim, "exact")
 
@@ -665,6 +663,35 @@ class TestFixedPoints:
         assert res.faithful
         assert res.certified_algebra
         assert np.allclose(res.stationary_state, gibbs_channel.metric.sigma, atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["gibbs", "collective-dephasing-N2", "rotated-dephasing"])
+    def test_one_svd_gives_both_kernels(self, monkeypatch, request, name):
+        # past the one rank cut of S - 1, the right singular vectors span the fixed
+        # observables and the left ones the stationary states, the kernel of S† - 1
+        from decofree import algebra
+
+        chan = {"gibbs": lambda: request.getfixturevalue("gibbs_channel").channel(),
+                "collective-dephasing-N2": lambda: _collective_dephasing_channel(2),
+                "rotated-dephasing": _rotated_dephasing_channel}[name]()
+        calls, svd = [], np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            calls.append(svd(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        res = fixed_points(chan)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        u, s, _ = calls[0]
+        left = list(unvec(u[:, algebra._rank(s):].T))
+        ident = eye(chan.dim ** 2)
+        fixed = list(unvec(null_space(chan.heisenberg_matrix() - ident).T))
+        stationary = list(unvec(null_space(dag(chan.heisenberg_matrix()) - ident).T))
+        assert len(left) == len(stationary) == res.dim >= 1
+        assert subspaces_equal(left, stationary, tol=1e-7)
+        assert subspaces_equal(list(res.basis), fixed, tol=1e-7)
+        assert MatrixAlgebra.from_span(stationary).contains(res.stationary_state)
 
     def test_fixed_points_inside_global_df(self, gibbs_channel):
         chan = gibbs_channel.channel()
@@ -719,18 +746,9 @@ class TestCommutantBounds:
         assert bounds.of_ops.is_subalgebra_of(bounds.of_all_products)
 
 
-def test_checks_build_no_superoperator(monkeypatch, gibbs_channel):
+def test_checks_build_no_superoperator(gibbs_channel, no_superoperator):
     # every commutation, hermiticity and stationarity check works on operator
     # terms; the dense builders are refused while the checks run
-    def refuse(self):
-        raise AssertionError("n^2 x n^2 superoperator built")
-
-    for cls, names in ((GKLSGenerator, ("heisenberg_matrix", "schrodinger_matrix",
-                                        "hamiltonian_matrix", "dissipator_matrix")),
-                       (KrausMap, ("heisenberg_matrix", "schrodinger_matrix")),
-                       (LiouvilleMetric, ("gram_superop",))):
-        for name in names:
-            monkeypatch.setattr(cls, name, refuse)
     ladder = _ladder(1.0, 0.7)  # build_gibbs_generator checks stationarity
     assert detailed_balance_check(ladder.generator, ladder.metric()).passed
     rep = build_permutation_rep(2, 2)
@@ -742,6 +760,19 @@ def test_checks_build_no_superoperator(monkeypatch, gibbs_channel):
 
 
 class TestRelaxation:
+    def test_projector_basis_is_metric_orthonormal_for_a_complex_gram_matrix(self):
+        # the qutrit ladder with one rung, rotated off the real axis: the sigma Gram
+        # matrix of the fixed-point basis is complex, so conj(L^-1) matters
+        u = random_unitary(3, np.random.default_rng(5))
+        v = np.zeros((3, 3), dtype=complex)
+        v[1, 0] = 1.0
+        gibbs = build_gibbs_generator(u @ np.diag([2.0, 1.2, 0.0]) @ dag(u), 0.8, [u @ v @ dag(u)])
+        db = detailed_balance_channel_from_gibbs(gibbs)
+        basis = df_projector_basis(db)
+        gram = np.array([[db.metric.inner(a, b) for b in basis] for a in basis])
+        assert len(basis) == 2 and np.max(np.abs(gram - eye(2))) < 1e-12
+        assert subspaces_equal(basis, list(fixed_points(db.dissipative).basis))
+
     def test_df_observable_never_moves(self, gibbs_channel):
         trace = relaxation_trace(gibbs_channel, eye(2), k_max=10)
         assert np.max(trace.errors) < 1e-12

@@ -301,7 +301,7 @@ class TestTimeDomainError:
         assert abs(error_time_domain(traj, coupling, KET0)) < 1e-12
 
     def test_matches_overlap_definition(self, dephasing_setup, rng):
-        # eps agrees with 1 - <U psi| Gamma*(psi psi†) |U psi>
+        # the lag-sum eps agrees with 1 - <U psi| Gamma*(psi psi†) |U psi> of the dense map
         traj, coupling, _ = dephasing_setup
         emap = error_map(traj, coupling)
         for _ in range(5):
@@ -310,7 +310,7 @@ class TestTimeDomainError:
             rho = np.outer(psi, psi.conj())
             u = traj.propagator(-1.0, 1.0)
             overlap = np.vdot(u @ psi, born_state(traj, coupling, rho, emap=emap) @ (u @ psi))
-            eps = error_time_domain(traj, coupling, psi, emap=emap)
+            eps = error_time_domain(traj, coupling, psi)
             assert eps == pytest.approx(1.0 - overlap.real, abs=1e-10)
 
     def test_requires_normalized_state(self, dephasing_setup):

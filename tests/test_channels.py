@@ -13,7 +13,8 @@ from decofree.channels import (
     reduce_kraus,
     unitary_channel,
 )
-from decofree.operators import dag, eye, random_density, random_hermitian, random_unitary, sx, sz
+from decofree.operators import (dag, eye, random_density, random_hermitian, random_unitary, sx,
+                                sz, unvec, vec)
 
 
 def transpose_superop(n):
@@ -78,8 +79,11 @@ class TestDual:
         assert abs(np.trace(chan.apply_dual(rho)) - 1.0) < 1e-12
 
     def test_superop_matrices_are_adjoints(self, rng):
+        # the Schrodinger-picture matrix is the Heisenberg one's conjugate transpose
         chan = random_unital_channel(3, 2, rng)
-        assert np.allclose(chan.heisenberg_matrix(), dag(chan.schrodinger_matrix()))
+        rho = random_density(3, rng)
+        expected = unvec(dag(chan.heisenberg_matrix()) @ vec(rho), 3)
+        assert np.max(np.abs(chan.apply_dual(rho) - expected)) < 1e-12
 
 
 class TestChoi:
@@ -87,6 +91,12 @@ class TestChoi:
         c = choi_matrix(unitary_channel(eye(2)))
         evals = np.linalg.eigvalsh(c)
         assert np.allclose(sorted(evals), [0, 0, 0, 2], atol=1e-12)
+
+    def test_kraus_choi_matrix_is_the_realigned_schrodinger_matrix(self, rng):
+        # A A†, A = [vec W_a], against the raw path's realignment of dag(S)
+        chan = random_unital_channel(3, 2, rng)
+        raw = choi_matrix(dag(chan.heisenberg_matrix()))
+        assert np.max(np.abs(choi_matrix(chan) - raw)) < 1e-14
 
     def test_transpose_map_not_cp(self):
         check = cp_check(transpose_superop(2))

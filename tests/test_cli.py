@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.linalg import expm
 
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
-from decofree.channels import channel_from_superop, dephasing_channel, random_unital_channel
+from decofree.channels import (channel_from_superop, dephasing_channel, random_unital_channel,
+                               unitary_channel)
 import decofree.cli as cli
+import decofree.operators as operators
 from decofree.cli import main
 from decofree.jsonio import (
     channel_to_json,
@@ -346,21 +349,21 @@ def test_evolve_generator(workdir, capsys):
 
 
 def test_evolve_builds_the_generator_matrix_once(workdir, monkeypatch, capsys):
-    # one dense build per job, not one per time: at most one np.kron per generator term
-    kron, calls = np.kron, []
+    # one dense build per job, not one per time
+    build, calls = operators.superop_matrix, []
 
-    def counting_kron(*args, **kwargs):
+    def counting_build(*args, **kwargs):
         calls.append(1)
-        return kron(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(np, "kron", counting_kron)
+    monkeypatch.setattr(operators, "superop_matrix", counting_build)
     code = main([
         "evolve", "--generator", str(workdir["damping"]), "--state", str(workdir["mixed"]),
         "--times", "0,0.5,1,2",
     ])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["states"]) == 4
-    assert 0 < len(calls) <= len(GKLSGenerator(np.zeros((2, 2)), [sm]).terms())
+    assert len(calls) == 1
 
 
 def test_evolve_channel(workdir, capsys):
@@ -521,6 +524,37 @@ def test_non_finite_diagnostic_detail_is_validation_error(workdir, capsys, comma
     report = json.loads(out)
     assert report["error"] == "validation"
     assert report[key] == "inf"
+
+
+def test_non_unital_kraus_set_sums_its_gram_matrix_once(workdir, capsys):
+    # the ValueError of KrausMap carries the defect it computed, so loading sums
+    # no second Gram matrix: one overflow and one invalid-value warning, not two each
+    dump_json({"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]},
+              str(workdir["bad_channel"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze-channel", "--channel", str(workdir["bad_channel"])]) == 2
+    assert len(caught) == 2
+    assert json.loads(capsys.readouterr().out)["unitality_defect"] == "inf"
+
+
+@pytest.mark.parametrize("model, dim, sites", [
+    ("channel", 1, "1"), ("channel", 1, "2"), ("generator", 1, "1"), ("generator", 1, "2"),
+    ("channel", 128, "7"),
+], ids=["channel-dim1-sites1", "channel-dim1-sites2", "generator-dim1-sites1",
+        "generator-dim1-sites2", "channel-dim128-sites7"])
+def test_invariance_without_a_permutation_rep_is_validation_error(tmp_path, capsys, model,
+                                                                  dim, sites):
+    # dimension 1 has no site dimension >= 2, and 2**7 is beyond the size cap 64
+    path = tmp_path / "model.json"
+    obj = (channel_to_json(unitary_channel(eye(dim))) if model == "channel"
+           else generator_to_json(GKLSGenerator(np.zeros((dim, dim)))))
+    dump_json(obj, str(path))
+    assert main(["invariance", f"--{model}", str(path), "--sites", sites]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert (report["error"], report["dim"]) == ("validation", dim)
 
 
 # imaginary parts that replace a 0.0: the string and the bool keep the

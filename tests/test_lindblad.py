@@ -55,7 +55,7 @@ class TestApplyGenerator:
     def test_apply_dual_is_the_schrodinger_matrix(self, rng):
         gen = random_generator(3, 2, rng)
         rho = random_density(3, rng)
-        expected = unvec(gen.schrodinger_matrix() @ vec(rho), 3)
+        expected = unvec(dag(gen.heisenberg_matrix()) @ vec(rho), 3)
         assert np.max(np.abs(gen.apply_dual(rho) - expected)) < 1e-12
 
     def test_hamiltonian_sign(self):
@@ -228,7 +228,7 @@ class TestGibbsGenerator:
 
     def test_stationarity_residual(self, gibbs_qubit):
         gen = gibbs_qubit.generator
-        out = unvec(gen.schrodinger_matrix() @ vec(gibbs_qubit.stationary_state), 2)
+        out = unvec(dag(gen.heisenberg_matrix()) @ vec(gibbs_qubit.stationary_state), 2)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_infinite_temperature_limit(self):

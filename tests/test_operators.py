@@ -3,6 +3,7 @@ import pytest
 
 from decofree.operators import (
     LiouvilleMetric,
+    TermMap,
     check_density_matrix,
     commutator_norm,
     dag,
@@ -16,6 +17,7 @@ from decofree.operators import (
     sp,
     sx,
     sy,
+    superop_matrix,
     superop_norm,
     sz,
     tensor_product,
@@ -159,11 +161,13 @@ class TestLiouvilleInner:
             metric.inner(eye(3), eye(3))
 
     def test_gram_superop(self, rng):
+        # <A, B>_sigma = vec(A)† G vec(B) for G: X -> X sigma, kron(sigma.T, 1)
         metric = LiouvilleMetric(random_density(3, rng))
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        via_gram = np.vdot(vec(a), metric.gram_superop() @ vec(b))
-        assert via_gram == pytest.approx(metric.inner(a, b))
+        gram = np.kron(metric.sigma.T, eye(3))
+        assert np.vdot(vec(a), gram @ vec(b)) == pytest.approx(metric.inner(a, b))
+        assert np.vdot(vec(a), vec(b @ metric.sigma)) == pytest.approx(metric.inner(a, b))
 
 
 class TestPredicates:
@@ -201,7 +205,8 @@ def _random_terms(n, count, rng):
 
 
 def _dense(terms):
-    return sum(c * sandwich_superop(l, r) for c, l, r in terms)
+    # explicit Kronecker products: independent of superop_matrix, which sandwich_superop calls
+    return sum(c * np.kron(r.T, l) for c, l, r in terms)
 
 
 class TestKroneckerSumNorms:
@@ -209,6 +214,14 @@ class TestKroneckerSumNorms:
     def test_superop_norm_is_the_dense_frobenius_norm(self, n, rng):
         terms = _random_terms(n, 2 * n, rng)  # more terms than n^2 at n = 2
         assert superop_norm(terms) == pytest.approx(np.linalg.norm(_dense(terms)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_superop_matrix_is_the_kronecker_sum(self, n, rng):
+        terms = _random_terms(n, 2 * n, rng)
+        c, left, right = zip(*terms)
+        expected = _dense(terms)
+        err = np.max(np.abs(superop_matrix(left, right, c) - expected))
+        assert err <= 1e-14 * np.abs(expected).max()
 
     def test_empty_list_is_the_zero_map(self):
         assert superop_norm([]) == 0.0
@@ -230,7 +243,7 @@ class TestKroneckerSumNorms:
         assert commutator_norm(s, t) == pytest.approx(
             np.linalg.norm(ds @ dt - dt @ ds) / scale, rel=1e-10)
         metric = LiouvilleMetric(random_density(3, rng))
-        g = metric.gram_superop()
+        g = _dense([(1.0, eye(3), metric.sigma)])
         assert metric.hermiticity_residual(s) == pytest.approx(
             np.linalg.norm(g @ ds - dag(ds) @ g) / max(np.linalg.norm(ds), 1.0), rel=1e-10)
 
@@ -248,7 +261,8 @@ class TestTermMap:
     def test_action_and_dual_on_a_stack_are_the_dense_matrices(self, name, rng):
         m = _term_maps()[name]
         stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
-        heisenberg, schrodinger = m.heisenberg_matrix(), m.schrodinger_matrix()
+        heisenberg = m.heisenberg_matrix()
+        schrodinger = dag(heisenberg)
         scale = np.linalg.norm(heisenberg) * np.max(np.abs(stack))
         for x, y, z in zip(stack, m(stack), m.apply_dual(stack)):
             assert np.max(np.abs(y - unvec(heisenberg @ vec(x), 3))) < 1e-13 * scale
@@ -272,5 +286,18 @@ class TestTermMap:
     def test_generator_matrix_is_the_sum_of_its_parts(self):
         gen = _term_maps()["generator"]
         total = gen.heisenberg_matrix()
-        parts = gen.hamiltonian_matrix() + gen.dissipator_matrix()
+        parts = gen.hamiltonian_part.heisenberg_matrix() + gen.dissipator_matrix()
         assert np.linalg.norm(total - parts) <= 1e-14 * np.linalg.norm(total)
+
+    @pytest.mark.parametrize("name", ["kraus", "generator", "hamiltonian_part", "dissipator"])
+    def test_dense_matrix_is_the_kronecker_sum_of_the_terms(self, name):
+        m = _term_maps()[name]
+        expected = _dense(m.terms())
+        assert np.max(np.abs(m.heisenberg_matrix() - expected)) <= 1e-14 * np.abs(expected).max()
+
+    def test_no_terms_is_the_zero_matrix(self):
+        # a generator without jump operators keeps a zero dissipator matrix
+        for m in (TermMap(3, []), GKLSGenerator(sz).dissipator):
+            dense = m.heisenberg_matrix()
+            assert dense.shape == (m.dim ** 2, m.dim ** 2) and not dense.any()
+        assert superop_matrix(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), []).shape == (4, 4)
