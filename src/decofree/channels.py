@@ -24,7 +24,7 @@ from .operators import (
 # Choi eigenvalues below KRAUS_CUT * (largest eigenvalue) are dropped when
 # canonicalizing a Kraus decomposition.
 KRAUS_CUT = 1e-11
-REDUCED_TOL = 1e-8  # unitality tolerance of a reduced list, far above what the cut drops
+REDUCED_TOL = 1e-8  # unitality slack of a reduced list, far above what the cut drops
 
 
 class KrausMap(TermMap):
@@ -133,10 +133,11 @@ def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
 def reduce_kraus(channel: KrausMap) -> KrausMap:
     """Canonical Kraus list (at most dim**2 operators), with no n^2 x n^2 matrix: the
     columns of U Sigma in the thin SVD of A = [vec W_a] (n^2 x k, Choi matrix A A†),
-    cut on the Choi eigenvalues s^2."""
+    cut on the Choi eigenvalues s^2: as far from unital as the input plus the dropped mass."""
     u, s, _ = np.linalg.svd(vec(channel.kraus_ops).T, full_matrices=False)
     keep = s**2 > KRAUS_CUT * s[0] ** 2
-    return KrausMap(unvec((u[:, keep] * s[keep]).T, channel.dim), tol=REDUCED_TOL)
+    return KrausMap(unvec((u[:, keep] * s[keep]).T, channel.dim),
+                    tol=REDUCED_TOL + channel.unitality_defect)
 
 
 def channel_from_superop(heisenberg: np.ndarray, *, tol: float = DEFAULT_TOL) -> KrausMap:

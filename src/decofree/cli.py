@@ -2,8 +2,9 @@
 
 Subcommands load JSON model files, run one analysis and return their own report
 fields; ``main`` alone adds the envelope (command, tolerances, seed) and writes the
-report, a pure function of (input files, flags, seed) and byte-identical across
-runs.  Exit codes: 0 success, 2 invalid input (a diagnostic), 1 internal error.
+report, a pure function of (input files, flags) and byte-identical across runs:
+every input is checked at DEFAULT_TOL and every seeded step draws DEFAULT_SEED, the
+values the envelope states.  Exit codes: 0 success, 2 invalid input, 1 internal error.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .operators import DEFAULT_TOL, LiouvilleMetric, dag, eye
 DEFAULT_SEED = 1234
 
 
-def _algebra_report(alg: algebra.MatrixAlgebra, *, seed: int, certificate: str,
-                    include_basis: bool = True) -> dict:
+def _algebra_report(alg: algebra.MatrixAlgebra, *, certificate: str, include_basis=True) -> dict:
     # a generated algebra carries the blocks its construction found
-    blocks = alg._blocks or algebra.block_decompose(alg, seed=seed).blocks
+    blocks = alg._blocks or algebra.block_decompose(alg, seed=DEFAULT_SEED).blocks
     rep = {
         "dimension": alg.dim,
         "blocks": [[int(nj), int(dj)] for nj, dj in blocks],
@@ -44,7 +44,7 @@ _MODE_FLAGS = (("--max-k", "max_k", "channel", 25), ("--steps", "steps", "channe
 
 def _dynamics(args):
     """The model of --channel or --generator: a KrausMap or a GKLSGenerator, and
-    the Gibbs LiouvilleMetric of a thermal ("T") generator, otherwise None.
+    the GibbsGenerator a thermal ("T") generator loads as, otherwise None.
 
     A _MODE_FLAGS flag given with the other mode is a validation error; one not
     given is set on args to its mode's default.
@@ -60,11 +60,16 @@ def _dynamics(args):
     if args.channel:
         if getattr(args, "max_k", 1) < 1:  # only df has --max-k
             raise ValidationError("--max-k must be at least 1")
-        return jsonio.channel_from_json(jsonio.load_json(args.channel), tol=args.tol), None
-    loaded = jsonio.generator_from_json(jsonio.load_json(args.generator), tol=args.tol)
+        return jsonio.channel_from_json(jsonio.load_json(args.channel)), None
+    loaded = jsonio.generator_from_json(jsonio.load_json(args.generator))
     if isinstance(loaded, lindblad.GibbsGenerator):
-        return loaded.generator, loaded.metric()
+        return loaded.generator, loaded
     return loaded, None
+
+
+def _gibbs_metric(gibbs) -> LiouvilleMetric | None:
+    """The Gibbs metric of `_dynamics`' thermal generator, if any; invalid input unless faithful."""
+    return gibbs and jsonio._checked(gibbs.metric, details={"temperature": gibbs.temperature})
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +78,7 @@ def _dynamics(args):
 
 def cmd_analyze_channel(args) -> dict:
     channel, _ = _dynamics(args)
-    cp = channels.cp_check(channel, args.tol)
+    cp = channels.cp_check(channel)
     reduced = channels.reduce_kraus(channel)
     nalg = algebra.multiplicative_domain(channel)
     fixed = algebra.fixed_points(channel)
@@ -83,19 +88,17 @@ def cmd_analyze_channel(args) -> dict:
         "completely_positive": cp.is_cp,
         "choi_min_eigenvalue": cp.min_eigenvalue,
         "kraus_rank": len(reduced.kraus_ops),
-        "multiplicative_domain": _algebra_report(
-            nalg, seed=args.seed, certificate="exact", include_basis=False
-        ),
+        "multiplicative_domain": _algebra_report(nalg, certificate="exact", include_basis=False),
         "fixed_point_dimension": fixed.dim,
         "faithful_stationary_state": fixed.faithful,
     }
 
 
 def cmd_analyze_semigroup(args) -> dict:
-    gen, metric = _dynamics(args)
+    gen, gibbs = _dynamics(args)
     unit_defect = float(np.max(np.abs(gen(eye(gen.dim)))))
     # 20 random A, drawn real part then imaginary part each, as one stack
-    z = np.random.default_rng(args.seed).normal(size=(20, 2, gen.dim, gen.dim))
+    z = np.random.default_rng(DEFAULT_SEED).normal(size=(20, 2, gen.dim, gen.dim))
     defect = lindblad.dissipativity_defect(gen, z[:, 0] + 1j * z[:, 1])
     herm = 0.5 * (defect + dag(defect))
     worst_diss = min(0.0, float(np.linalg.eigvalsh(herm).min()))
@@ -105,9 +108,9 @@ def cmd_analyze_semigroup(args) -> dict:
         "generator_unitality_defect": unit_defect,
         "dissipativity_min_eigenvalue": worst_diss,
     }
-    if metric is not None:
+    if gibbs is not None:
         # checked once here, so df_algebra_semigroup gets no metric to check again
-        db = lindblad.detailed_balance_check(gen, metric)
+        db = lindblad.detailed_balance_check(gen, _gibbs_metric(gibbs))
         if not db.passed:
             raise ValueError(f"detailed balance claimed but fails: {db.residuals}")
         report["detailed_balance"] = {
@@ -117,23 +120,26 @@ def cmd_analyze_semigroup(args) -> dict:
             "residuals": {k: float(v) for k, v in db.residuals.items()},
         }
     res = algebra.df_algebra_semigroup(gen)
-    report["decoherence_free"] = _algebra_report(
-        res.algebra, seed=args.seed, certificate=res.certificate, include_basis=False
-    )
+    report["decoherence_free"] = _algebra_report(res.algebra, certificate=res.certificate,
+                                                 include_basis=False)
     return report
 
 
 def cmd_df(args) -> dict:
-    dyn, metric = _dynamics(args)
+    dyn, gibbs = _dynamics(args)
+    metric = _gibbs_metric(gibbs)
     if args.metric:
-        if args.channel or metric is not None:
+        if args.channel or gibbs is not None:
             raise ValidationError('--metric applies only to a --generator without "T"')
-        metric = LiouvilleMetric(jsonio.state_from_json(jsonio.load_json(args.metric)))
+        sigma = jsonio.matrix_from_json(jsonio.load_json(args.metric))
+        if sigma.shape[0] != dyn.dim:
+            raise ValidationError("metric dimension does not match the generator")
+        metric = jsonio._checked(lambda: LiouvilleMetric(sigma))
     if args.channel:
         res = algebra.df_algebra_discrete(dyn, max_k=args.max_k)
     else:
         res = algebra.df_algebra_semigroup(dyn, metric)
-    report = _algebra_report(res.algebra, seed=args.seed, certificate=res.certificate)
+    report = _algebra_report(res.algebra, certificate=res.certificate)
     if args.channel:
         report["k_used"] = res.k_used
     return report
@@ -142,7 +148,7 @@ def cmd_df(args) -> dict:
 def cmd_blocks(args) -> dict:
     mats = jsonio.ops_from_json(jsonio.load_json(args.ops))
     alg = algebra.generated_algebra(mats)
-    return {**_algebra_report(alg, seed=args.seed, certificate="exact"), "n_generators": len(mats)}
+    return {**_algebra_report(alg, certificate="exact"), "n_generators": len(mats)}
 
 
 def cmd_invariance(args) -> dict:
@@ -161,7 +167,7 @@ def cmd_invariance(args) -> dict:
         rep = symmetry.build_permutation_rep(n_sites, site_dim)
     except ValueError as exc:
         raise ValidationError(str(exc), {"dim": dim}) from exc
-    local = symmetry.local_invariance_check(ops, rep, tol=args.tol * 10)
+    local = symmetry.local_invariance_check(ops, rep, tol=10 * DEFAULT_TOL)
     return {
         "dim": dim,
         "sites": n_sites,
@@ -284,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     so one parser serves any number of calls in a process.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="validation tolerance")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized algebra steps (fixed default for reproducibility)")
     common.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
     # one declaration per flag that several subcommands read
@@ -363,10 +365,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
-                raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
             report, code = {"command": args.command, **args.func(args),
-                            "tolerances": {"tol": args.tol}, "seed": args.seed}, 0
+                            "tolerances": {"tol": DEFAULT_TOL}, "seed": DEFAULT_SEED}, 0
         except ValidationError as exc:
             report, code = exc.as_json(), 2
         # inside the try: a report value the encoder refuses is an internal error

@@ -26,7 +26,7 @@ from .born import (
 )
 from .channels import KrausMap
 from .lindblad import GKLSGenerator, GibbsGenerator, build_gibbs_generator
-from .operators import check_density_matrix
+from .operators import DEFAULT_TOL, check_density_matrix
 
 
 class ValidationError(ValueError):
@@ -152,16 +152,14 @@ def matrices_from_json(obj: Any, key: str, owner: str, *, required: bool = True)
     return ops
 
 
-def channel_from_json(obj: Any, *, tol: float = 1e-9) -> KrausMap:
+def channel_from_json(obj: Any) -> KrausMap:
     ops = matrices_from_json(obj, "kraus", "channel")
     _fields(obj, "channel", ("dim", "kraus"), dim=ops[0].shape[0])
     try:
-        channel = KrausMap(ops, tol=tol)
+        return KrausMap(ops)
     except ValueError as exc:  # every list that reaches KrausMap is nonempty and square
-        raise ValidationError(
-            str(exc), {"unitality_defect": exc.unitality_defect, "tolerance": tol}
-        ) from exc
-    return channel
+        raise ValidationError(str(exc), {"unitality_defect": exc.unitality_defect,
+                                         "tolerance": DEFAULT_TOL}) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def generator_to_json(gen: GKLSGenerator) -> dict:
     }
 
 
-def generator_from_json(obj: Any, *, tol: float = 1e-9):
+def generator_from_json(obj: Any):
     if isinstance(obj, dict) and "model" in obj:
         return _model_generator(obj)
     if not isinstance(obj, dict) or "H" not in obj:
@@ -186,7 +184,7 @@ def generator_from_json(obj: Any, *, tol: float = 1e-9):
             dim=h.shape[0])
     ops = matrices_from_json(obj, "V", "generator", required=False)
     if "T" not in obj:
-        return _checked(lambda: GKLSGenerator(h, ops, tol=tol))
+        return _checked(lambda: GKLSGenerator(h, ops))
     temperature = _number(obj, "T")
     gibbs = _checked(lambda: build_gibbs_generator(h, temperature, ops),
                      details={"temperature": temperature})
@@ -242,17 +240,17 @@ def gibbs_to_json(gibbs: GibbsGenerator) -> dict:
 # States
 
 
-def state_from_json(obj: Any, *, tol: float = 1e-8) -> np.ndarray:
+def state_from_json(obj: Any) -> np.ndarray:
     rho = matrix_from_json(obj)
-    _checked(lambda: check_density_matrix(rho, tol))
+    _checked(lambda: check_density_matrix(rho))
     return rho
 
 
-def pure_state_from_json(obj: Any, *, tol: float = 1e-8) -> np.ndarray:
+def pure_state_from_json(obj: Any) -> np.ndarray:
     psi = vector_from_json(obj)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state vector norm {norm:.6g} != 1", {"norm": norm})
+    if abs(norm - 1.0) > DEFAULT_TOL:  # the tolerance of the Born routes' own check
+        raise ValidationError(f"state vector norm {norm:.12g} != 1", {"norm": norm})
     return psi
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    DEFAULT_TOL,
     LiouvilleMetric,
     TermMap,
     commutator_norm,
@@ -31,11 +30,11 @@ class GKLSGenerator(TermMap):
     """GKLS generator L(X) = K† X + X K + sum_j V_j† X V_j with K = -iH + K_D and
     K_D = -1/2 sum_j V_j† V_j; `hamiltonian_part` is i[H, X] and `dissipator` L_D."""
 
-    def __init__(self, hamiltonian, lindblad_ops=(), *, tol: float = DEFAULT_TOL):
+    def __init__(self, hamiltonian, lindblad_ops=()):
         h = np.asarray(hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("hamiltonian must be a square matrix")
-        if not is_hermitian(h, tol):
+        if not is_hermitian(h):
             raise ValueError("hamiltonian is not hermitian within tolerance")
         ops = tuple(np.asarray(v, dtype=complex) for v in lindblad_ops)
         for v in ops:

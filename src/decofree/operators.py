@@ -169,14 +169,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dag(a))
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise ValueError unless rho is hermitian, unit-trace and PSD within tol."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is hermitian, unit-trace and PSD within DEFAULT_TOL."""
     rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > max(tol, 1e-9):
-        raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
-    if np.linalg.eigvalsh(hermitian_part(rho)).min() < -tol:
+    if abs(np.trace(rho) - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")
+    if np.linalg.eigvalsh(hermitian_part(rho)).min() < -DEFAULT_TOL:
         raise ValueError("density matrix has negative eigenvalues beyond tolerance")
 
 

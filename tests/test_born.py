@@ -486,6 +486,19 @@ class TestFrequencyDomainError:
         res_exact = error_frequency_domain(traj, exact, PLUS, grid)
         assert res_tab.epsilon == pytest.approx(res_exact.epsilon, rel=1e-4)
 
+    @pytest.mark.parametrize("profile", [1j, 1.0])
+    def test_imaginary_overlap_warns(self, profile):
+        # only a spectrum with a nonnegligible imaginary part makes the overlap complex
+        traj = constant_trajectory(np.zeros((2, 2)), 1.0)
+        bath = Bath(n_ops=1, label="complex", spectral=lambda w: profile)
+        coupling = Coupling(system_ops=(sz,), bath=bath)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error_frequency_domain(traj, coupling, PLUS, FrequencyGrid(10.0, 201))
+        messages = [str(w.message) for w in caught]
+        assert messages == (["spectral overlap has a nonnegligible imaginary part"]
+                            if profile == 1j else [])
+
 
 # hermitian PSD and not diagonal, so every entry of R_ab weighs its own S_ab
 TERM_AMP = np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, 0.8]])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from decofree.algebra import df_algebra_discrete, multiplicative_domain
 from decofree.channels import (
+    REDUCED_TOL,
     KrausMap,
     choi_matrix,
     compose,
@@ -144,6 +146,16 @@ class TestChoi:
             choi_rank = int(np.sum(np.linalg.eigvalsh(choi_matrix(chan)) > 1e-10))
             assert len(reduced.kraus_ops) == choi_rank == rank
             assert np.max(np.abs(reduced.heisenberg_matrix() - chan.heisenberg_matrix())) < 1e-12
+
+    def test_reduction_accepts_what_its_input_map_accepted(self):
+        # sum W†W = (1 + 1.4e-7) 1: inside tol = 1e-6, beyond REDUCED_TOL = 1e-8 alone
+        chan = KrausMap([np.sqrt(0.75 + 1.4e-7) * eye(2), 0.5 * sz], tol=1e-6)
+        assert chan.unitality_defect == pytest.approx(1.4e-7, rel=1e-6)
+        reduced = reduce_kraus(chan)
+        assert len(reduced.kraus_ops) == 2
+        assert reduced.unitality_defect <= chan.unitality_defect + REDUCED_TOL
+        assert multiplicative_domain(chan).dim == 2
+        assert df_algebra_discrete(chan).algebra.dim == 2
 
     def test_non_cp_choi_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):
