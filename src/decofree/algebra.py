@@ -36,6 +36,8 @@ from .operators import (
 
 NULLSPACE_RTOL = 1e-9
 ANGLE_TOL = 1e-7
+# complex entries in one slab of commutant constraint rows (64 MiB)
+_SLAB_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +195,31 @@ def full_algebra(n: int) -> MatrixAlgebra:
 # Commutants and generated algebras
 
 
-def _commuting_part(q: np.ndarray, ops) -> np.ndarray:
-    """Orthonormal columns spanning the largest subspace of span(q) commuting with every op.
+def _commuting_part(ops, i, j) -> np.ndarray:
+    """Orthonormal coefficient columns x of the X = sum_k x_k E_(i_k j_k) commuting with every op.
 
-    q holds vectorized matrices X_j as orthonormal columns and the ops, a
-    (k, n, n) stack, have unit Frobenius norm.  The constraints X a - a X of
-    each op, n x n products over all X_j at once, are folded into the R factor
-    of the QR of all constraints stacked, so memory stays at one n^2 x dim q
-    block; one nullspace rank decision over every constraint is taken at the
-    end.  The constraint rows may list the n^2 entries in any fixed order, so
-    each block is flattened as it lies in memory.
+    ops is a (k, n, n) stack of unit Frobenius norm, and entry (p, q) of
+    X a - a X has coefficient delta_pi a_jq - a_pi delta_qj on unknown (i, j).
+    Each op's rows are built a slab of output rows p at a time, at most
+    _SLAB_ENTRIES entries, and folded into the R factor of the QR of all
+    constraints stacked, so memory stays at one slab and an M x M factor for
+    M unknowns; one nullspace rank decision is taken at the end.
     """
-    m = q.shape[1]
-    mats = unvec(q.T)
+    n, m = ops.shape[-1], len(i)
+    step = max(1, _SLAB_ENTRIES // (n * m))
+    u = np.eye(n)
     r = np.zeros((0, m), dtype=complex)
     for a in ops:
-        rows = mats @ a
-        rows -= a @ mats
-        r = np.linalg.qr(np.vstack([r, rows.reshape(m, -1).T]), mode="r")
-    return q @ nullspace(r)
+        a_j = a[j].T
+        for p in range(0, n, step):
+            rows = u[p:p + step, None, i] * a_j - a[p:p + step, None, i] * u[:, j]
+            r = np.linalg.qr(np.vstack([r, rows.reshape(-1, m)]), mode="r")
+    return nullspace(r)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, gap: float):
-    """Split sorted eigenvalues into clusters separated by more than gap."""
-    order = np.argsort(evals)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if evals[idx] - evals[groups[-1][-1]] > gap:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return groups
+    """Split sorted eigenvalues into index ranges separated by more than gap."""
+    return np.split(np.arange(evals.size), np.flatnonzero(np.diff(evals) > gap) + 1)
 
 
 def _random_hermitian_element(basis, rng) -> np.ndarray:
@@ -239,13 +235,15 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     """Commutant of a set of matrices (adjoints adjoined, so the result is a *-algebra).
 
     Every X in it commutes with a hermitian element h of the *-closed set's
-    span, so X is block-diagonal in the eigenspaces of h (Murota, Kanno,
-    Kojima & Kojima, JJIAM 27, 2010).  With a seeded random h one
-    commuting-subspace solve starts from those blocks: sum_j m_j^2 unknowns
-    for eigenspaces of dimension m_j instead of n^2.  Eigenvalues of the
-    unit-norm h closer than 1e-5 are merged: a merge only adds unknowns, and
-    the gap keeps the computed eigenspaces within about 1e-16/gap of the true
-    ones, far inside the nullspace floor.
+    span, so V† X V is block-diagonal in the eigenspaces of h, V its
+    eigenvectors (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010).  With a
+    seeded random h one commuting-subspace solve on V† a V takes the matrix
+    units of those blocks as unknowns, sum_j m_j^2 for eigenspaces of
+    dimension m_j instead of n^2; a solution B is V B V† in the commutant, by
+    a unitary change of basis that keeps the constraints' singular values.
+    Eigenvalues of the unit-norm h closer than 1e-5 are merged: a merge only
+    adds unknowns, and the gap keeps the computed eigenspaces within about
+    1e-16/gap of the true ones, far inside the nullspace floor.
     """
     ops = np.asarray(ops, dtype=complex)
     # unit scale so the rank floor is meaningful; numerically-zero operators
@@ -260,13 +258,14 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
         return full_algebra(dim)
     hermitian = np.max(np.abs(ops - dag(ops)), axis=(1, 2)) <= DEFAULT_TOL
     ops = np.concatenate([ops, dag(ops[~hermitian])])
-    n = ops.shape[-1]
-    evals, evecs = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
-    # column (j, i) over the index pairs of each eigenspace is vec(v_i v_j†) = conj(v_j) kron v_i
-    j, i = np.hstack([np.reshape(np.meshgrid(g, g, indexing="ij"), (2, -1))
-                      for g in _cluster_eigenvalues(evals, 1e-5)])
-    q = (evecs.conj()[:, None, j] * evecs[None, :, i]).reshape(n * n, -1)
-    return MatrixAlgebra(unvec(_commuting_part(q, ops).T, n))
+    evals, v = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
+    sizes = list(map(len, _cluster_eigenvalues(evals, 1e-5)))
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    j, i = np.nonzero(label[:, None] == label)  # index pairs within one eigenspace
+    x = _commuting_part(dag(v) @ ops @ v, i, j)
+    blocks = np.zeros((x.shape[1], *v.shape), dtype=complex)
+    blocks[:, i, j] = x.T
+    return MatrixAlgebra(v @ blocks @ dag(v))
 
 
 def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:

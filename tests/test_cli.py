@@ -158,12 +158,14 @@ def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path, run_wit
     assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
 
 
-def test_df_channel_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
+@pytest.mark.parametrize("n", [64, 256])
+def test_df_channel_dimension_within_one_gib(tmp_path, run_within_one_gib, n):
     # N_Gamma is the commutant of the pair products W_a W_b† and Gamma acts as
-    # a Kraus sum: no n^2 x n^2 matrix, which alone takes 268 MB at n = 64
+    # a Kraus sum: no n^2 x n^2 matrix, which alone takes 268 MB at n = 64;
+    # the commutant's unknowns are matrix units, with no n^2 x n array at n = 256
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(channel_to_json(
-        random_unital_channel(64, 2, np.random.default_rng(64)))))
+        random_unital_channel(n, 2, np.random.default_rng(n)))))
     run = run_within_one_gib(CLI_CHILD, "df", "--channel", str(path))
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
@@ -233,26 +235,29 @@ def test_huge_site_count_meets_the_size_cap_at_once(tmp_path, run_within_one_gib
 
 
 @pytest.fixture
-def thermal_ladder_64(tmp_path):
-    # 64 equally spaced levels, one lowering operator through all of them, T = 1
+def thermal_ladder(tmp_path, request):
+    # n equally spaced levels (64 unless parametrized), H = diag(19.2 k / n),
+    # one lowering operator through all of them, T = 1
+    n = getattr(request, "param", 64)
     path = tmp_path / "ladder.json"
-    path.write_text(json.dumps({"H": matrix_to_json(np.diag(0.3 * np.arange(64))),
-                                "V": [matrix_to_json(np.diag(np.ones(63), 1))], "T": 1.0}))
+    path.write_text(json.dumps({"H": matrix_to_json(np.diag(19.2 * np.arange(n) / n)),
+                                "V": [matrix_to_json(np.diag(np.ones(n - 1), 1))], "T": 1.0}))
     return str(path)
 
 
-def test_thermal_df_dimension_64_within_one_gib(thermal_ladder_64, run_within_one_gib):
+@pytest.mark.parametrize("thermal_ladder", [64, 256], indirect=True)
+def test_thermal_df_dimension_within_one_gib(thermal_ladder, run_within_one_gib):
     # stationarity is L*(sigma) on one matrix and the detailed-balance
     # residuals are Kronecker-sum norms: no n^2 x n^2 matrix
-    run = run_within_one_gib(CLI_CHILD, "df", "--generator", thermal_ladder_64)
+    run = run_within_one_gib(CLI_CHILD, "df", "--generator", thermal_ladder)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     assert (report["dimension"], report["certificate"]) == (1, "exact")
 
 
-def test_thermal_analyze_semigroup_dimension_64_within_one_gib(thermal_ladder_64,
+def test_thermal_analyze_semigroup_dimension_64_within_one_gib(thermal_ladder,
                                                                run_within_one_gib):
-    run = run_within_one_gib(CLI_CHILD, "analyze-semigroup", "--generator", thermal_ladder_64)
+    run = run_within_one_gib(CLI_CHILD, "analyze-semigroup", "--generator", thermal_ladder)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     balance = report["detailed_balance"]
