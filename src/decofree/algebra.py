@@ -24,6 +24,7 @@ import numpy as np
 from .channels import KrausMap, compose, reduce_kraus, unitary_channel
 from .lindblad import GKLSGenerator, detailed_balance_check
 from .operators import (
+    DEFAULT_SEED,
     DEFAULT_TOL,
     LiouvilleMetric,
     commutator_norm,
@@ -171,7 +172,7 @@ class MatrixAlgebra:
         adjoint = float(self._residual_norms(dag(self.basis)).max())
         # x @ b for one seeded x = sum_a c_a a, c_a standard complex normal, and every b:
         # E ||(x b)_perp||^2 = 2 sum_a ||(a b)_perp||^2, at least the worst pair's square
-        coeffs = np.random.default_rng(7).normal(size=(self.dim, 2)) @ np.array([1.0, 1.0j])
+        coeffs = np.random.default_rng(DEFAULT_SEED).normal(size=(self.dim, 2)) @ [1.0, 1.0j]
         x = np.tensordot(coeffs, self.basis, axes=1)
         product = float(self._residual_norms(x @ self.basis).max())
         return {"unit": unit, "adjoint": adjoint, "product": product}
@@ -258,7 +259,7 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
         return full_algebra(dim)
     hermitian = np.max(np.abs(ops - dag(ops)), axis=(1, 2)) <= DEFAULT_TOL
     ops = np.concatenate([ops, dag(ops[~hermitian])])
-    evals, v = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(7)))
+    evals, v = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(DEFAULT_SEED)))
     sizes = list(map(len, _cluster_eigenvalues(evals, 1e-5)))
     label = np.repeat(np.arange(len(sizes)), sizes)
     j, i = np.nonzero(label[:, None] == label)  # index pairs within one eigenspace
@@ -364,7 +365,7 @@ def _factor_columns(spaces, a):
     return pieces
 
 
-def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
+def block_decompose(alg: MatrixAlgebra) -> BlockDecomposition:
     """Wedderburn decomposition of a unital *-algebra from one generic pair.
 
     The eigenspaces of a random hermitian element h, clustered at a gap of
@@ -374,13 +375,13 @@ def block_decompose(alg: MatrixAlgebra, *, seed: int = 7) -> BlockDecomposition:
     unitary, every basis element is block-shaped within 1e-8 and
     sum_j n_j^2 = dim: span(alg) then lies in, and has the dimension of,
     U (direct_sum_j M_nj kron 1_dj) U†, so it is that algebra and closed
-    under products.  Deterministic for a fixed seed; after 60 failed draws
+    under products.  The draws come from DEFAULT_SEED; after 60 failed draws
     the span is taken not to be a unital *-algebra and ValueError is raised.
     """
     n = alg.matrix_dim
     if alg.dim == n * n:
         return BlockDecomposition(blocks=((n, 1),), conjugator=eye(n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(60):
         evals, evecs = np.linalg.eigh(_random_hermitian_element(alg.basis, rng))
         spaces = [evecs[:, g] for g in _cluster_eigenvalues(evals, 1e-6)]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+DEFAULT_SEED = 7  # the seed of every randomized step
 FAITHFUL_TOL = 1e-12
 
 # Pauli matrices; ``sm = |0><1|`` annihilates the second basis state,

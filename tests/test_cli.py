@@ -534,12 +534,13 @@ def test_non_unital_kraus_set_sums_its_gram_matrix_once(workdir, capsys):
 
 @pytest.mark.parametrize("model, dim, sites", [
     ("channel", 1, "1"), ("channel", 1, "2"), ("generator", 1, "1"), ("generator", 1, "2"),
-    ("channel", 128, "7"),
+    ("channel", 128, "7"), ("channel", 3, "2"),
 ], ids=["channel-dim1-sites1", "channel-dim1-sites2", "generator-dim1-sites1",
-        "generator-dim1-sites2", "channel-dim128-sites7"])
+        "generator-dim1-sites2", "channel-dim128-sites7", "channel-dim3-sites2"])
 def test_invariance_without_a_permutation_rep_is_validation_error(tmp_path, capsys, model,
                                                                   dim, sites):
-    # dimension 1 has no site dimension >= 2, and 2**7 is beyond the size cap 64
+    # dimension 1 has no site dimension >= 2, 2**7 is beyond the size cap 64, and
+    # dimension 3 is no square
     path = tmp_path / "model.json"
     obj = (channel_to_json(unitary_channel(eye(dim))) if model == "channel"
            else generator_to_json(GKLSGenerator(np.zeros((dim, dim)))))
@@ -637,8 +638,14 @@ GAUSSIAN_BATH = {"type": "gaussian", "coupling": 0.01, "width": 2.0}
     ("damping", {"model": "superradiance", "N": [2]}),
     ("coupling", {"S": [matrix_to_json(sz), matrix_to_json(np.diag([1.0, 0.0, -1.0]))],
                   "bath": GAUSSIAN_BATH}),
+    ("coupling", {"S": [matrix_to_json(np.kron(sz, sz))], "bath": GAUSSIAN_BATH}),
+    ("damping", {"V": []}),
+    ("coupling", {"S": [matrix_to_json(sz)], "bath": 3}),
+    ("damping", {"H": [[1.0, 0.0], [0.0, -1.0]]}),
+    ("damping", {"H": {"rows": [[[1.0, 0.0], [0.0, 0.0]]]}}),
 ], ids=["V-number", "segments-number", "segment-number", "S-number", "v_site-number",
-        "N-list", "S-mixed-dimensions"])
+        "N-list", "S-mixed-dimensions", "S-dimension-of-no-trajectory", "no-H",
+        "bath-number", "H-list", "H-rows-not-square"])
 def test_malformed_model_container_is_validation_error(workdir, capsys, name, obj):
     workdir[name].write_text(json.dumps(obj))
     if name == "damping":
@@ -650,6 +657,19 @@ def test_malformed_model_container_is_validation_error(workdir, capsys, name, ob
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "validation"
+
+
+@pytest.mark.parametrize("model", ["channel", "generator"])
+def test_evolve_state_of_another_dimension_is_validation_error(workdir, capsys, tmp_path,
+                                                                model):
+    state = tmp_path / "state4.json"
+    dump_json(matrix_to_json(eye(4) / 4), str(state))
+    name = "dephasing" if model == "channel" else "damping"
+    assert main(["evolve", f"--{model}", str(workdir[name]), "--state", str(state)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "validation",
+                               "message": f"state dimension does not match the {model}"}
 
 
 @pytest.mark.parametrize("name, field, value", [

@@ -301,3 +301,25 @@ class TestTermMap:
             dense = m.heisenberg_matrix()
             assert dense.shape == (m.dim ** 2, m.dim ** 2) and not dense.any()
         assert superop_matrix(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), []).shape == (4, 4)
+
+
+def test_every_draw_takes_the_one_seed():
+    # DEFAULT_SEED is assigned once, in operators, and every default_rng call
+    # in the package draws it: the seed a report states decides all its draws
+    import ast
+    import pathlib
+
+    import decofree
+    from decofree import cli, operators
+
+    assigned, draws = [], []
+    for path in sorted(pathlib.Path(decofree.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "DEFAULT_SEED"
+                    and isinstance(node.ctx, ast.Store)):
+                assigned.append(path.name)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng"):
+                draws.append(f"{path.name}: {ast.unparse(node)}")
+    assert assigned == ["operators.py"]
+    assert cli.DEFAULT_SEED is operators.DEFAULT_SEED
+    assert draws and all(d.endswith("default_rng(DEFAULT_SEED)") for d in draws), draws
