@@ -156,14 +156,10 @@ class MatrixAlgebra:
         v = vec(mats).T
         return np.linalg.norm(v - q @ (dag(q) @ v), axis=0)
 
-    def project(self, a: np.ndarray) -> np.ndarray:
-        q = vec(self.basis).T
-        return unvec(q @ (dag(q) @ vec(np.asarray(a, dtype=complex))), self.matrix_dim)
-
     def contains(self, a: np.ndarray, tol: float = ANGLE_TOL) -> bool:
         a = np.asarray(a, dtype=complex)
         scale = max(float(np.linalg.norm(a)), 1e-300)
-        return bool(np.linalg.norm(a - self.project(a)) / scale <= tol)
+        return bool(self._residual_norms([a])[0] / scale <= tol)
 
     def closure_residuals(self) -> dict:
         """Residuals of the unital *-algebra axioms; all should be ~0."""
@@ -418,38 +414,38 @@ def multiplicative_domain(channel: KrausMap) -> MatrixAlgebra:
     return commutant(ops[a] @ dag(ops[b]), channel.dim)
 
 
-def _largest_invariant_subspace(apply, q, max_steps: int) -> tuple:
-    """Largest subspace of span(q) invariant under a map of unit scale.
+def _largest_invariant_subspace(apply, q) -> tuple:
+    """Largest subspace of span(q) invariant under a map of unit scale, as (columns, steps).
 
     apply maps a stack of operators (m, n, n) to the stack of their images;
     column j of q is vec(X_j).  S_0 = span(q), S_{j+1} = {A in S_j : apply(A)
-    in S_j}, one nullspace solve per step, as (columns, steps, reached);
-    reached is False when max_steps stops the chain before its fixed point.  A one-dimensional span
-    is span{1}, which the maps of both callers keep.
+    in S_j}, one nullspace solve per step.  Each step either finds S_j
+    invariant or drops a dimension, so the chain ends within dim S_0 steps.  A
+    one-dimensional span is span{1}, which the maps of both callers keep.
     """
     steps = 0
-    while q.shape[1] > 1 and steps < max_steps:
+    while q.shape[1] > 1:
         img = vec(apply(unvec(q.T))).T
         c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
-            return q, steps, True
+            break
         q = q @ c
-    return q, steps, q.shape[1] == 1
+    return q, steps
 
 
 @dataclass(frozen=True)
 class DiscreteDFResult:
     algebra: MatrixAlgebra
-    k_used: int        # algebra = intersection of the domains of Gamma^k, k <= k_used
-    certificate: str   # "exact" | "max-k"
+    k_used: int  # algebra = intersection of the domains of Gamma^k, k <= k_used
 
 
-def df_algebra_discrete(channel: KrausMap, max_k: int = 25) -> DiscreteDFResult:
+def df_algebra_discrete(channel: KrausMap) -> DiscreteDFResult:
     """Observables evolving reversibly under every iterate of the map.
 
     The largest Gamma-invariant subspace of the multiplicative domain N_Gamma,
-    by the recursion S_0 = N_Gamma, S_{j+1} = {A in S_j : Gamma(A) in S_j}.
+    by the recursion S_0 = N_Gamma, S_{j+1} = {A in S_j : Gamma(A) in S_j},
+    run to its fixed point.
 
     Why it is the decoherence-free algebra.  For a unital CP map, A is in
     N_Gamma iff Gamma(A*A) = Gamma(A)*Gamma(A) and Gamma(AA*) = Gamma(A)Gamma(A)*
@@ -460,45 +456,31 @@ def df_algebra_discrete(channel: KrausMap, max_k: int = 25) -> DiscreteDFResult:
     telescopes to A in N_{Gamma^{j+1}}.  Hence the intersection of N_{Gamma^j}
     over j <= k equals {A : Gamma^i(A) in N_Gamma, i < k} = S_{k-1}.  The
     chain S_j decreases, stays constant from its first repeat and repeats
-    within dim N_Gamma steps; no faithful state is needed.
+    within dim N_Gamma steps; no faithful state is needed.  k_used is one
+    more than the number of steps taken.
 
     Gamma acts on the basis as one Kraus sum, unscaled: Gamma(1) = 1 and Gamma
     contracts the operator norm, so 1 <= ||Gamma||_2 <= sqrt(n).
-
-    The certificate is "exact" at the fixed point (or when N_Gamma is span{1},
-    trivially invariant), and "max-k" when max_k stops the recursion first:
-    the result is then the intersection over k <= max_k, a superset of the
-    decoherence-free algebra.
     """
-    if max_k < 1:
-        raise ValueError("max_k must be at least 1")
     q = vec(multiplicative_domain(channel).basis).T
-    q, steps, reached = _largest_invariant_subspace(channel, q, max_k - 1)
-    return DiscreteDFResult(algebra=MatrixAlgebra(unvec(q.T, channel.dim)), k_used=1 + steps,
-                            certificate="exact" if reached else "max-k")
-
-
-@dataclass(frozen=True)
-class SemigroupDFResult:
-    algebra: MatrixAlgebra
-    certificate: str  # always "exact"
+    q, steps = _largest_invariant_subspace(channel, q)
+    return DiscreteDFResult(algebra=MatrixAlgebra(unvec(q.T, channel.dim)), k_used=1 + steps)
 
 
 def df_algebra_semigroup(
     gen: GKLSGenerator, metric: LiouvilleMetric | None = None
-) -> SemigroupDFResult:
+) -> MatrixAlgebra:
     """Observables evolving reversibly under the whole semigroup.
 
     The dissipation form is sum_k [L_k, x]†[L_k, x], so every decoherence-free
     observable lies in S_0 = {L_k, L_k†}', where the generator acts as
     i[H, .].  The algebra is the largest generator-invariant subspace of S_0,
     the commutant of {delta_H^j(L_k), delta_H^j(L_k†) : j >= 0} (Dhahri,
-    Fagnola & Rebolledo, IDAQP 13, 2010), reached within dim S_0 steps: the
-    certificate is always "exact".  The recursion applies i[H, .] to operator
-    stacks, scaled by the spread of H's spectrum (its exact 2-norm), so no
-    n^2 x n^2 matrix is built and the rank decisions depend neither on the
-    size of the L_k nor on an energy offset of H.  A metric adds a
-    detailed-balance check.
+    Fagnola & Rebolledo, IDAQP 13, 2010), reached within dim S_0 steps.  The
+    recursion applies i[H, .] to operator stacks, scaled by the spread of H's
+    spectrum (its exact 2-norm), so no n^2 x n^2 matrix is built and the rank
+    decisions depend neither on the size of the L_k nor on an energy offset
+    of H.  A metric adds a detailed-balance check.
     """
     if metric is not None:
         report = detailed_balance_check(gen, metric)
@@ -510,8 +492,8 @@ def df_algebra_semigroup(
     evals = np.linalg.eigvalsh(gen.hamiltonian)
     h = gen.hamiltonian - 0.5 * (evals[0] + evals[-1]) * eye(gen.dim)
     h = h / (np.ptp(evals) or 1.0)
-    q, _, _ = _largest_invariant_subspace(lambda x: 1j * (h @ x - x @ h), q, q.shape[1])
-    return SemigroupDFResult(algebra=MatrixAlgebra(unvec(q.T, gen.dim)), certificate="exact")
+    q, _ = _largest_invariant_subspace(lambda x: 1j * (h @ x - x @ h), q)
+    return MatrixAlgebra(unvec(q.T, gen.dim))
 
 
 # ---------------------------------------------------------------------------

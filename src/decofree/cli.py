@@ -21,43 +21,25 @@ from .jsonio import ValidationError
 from .operators import DEFAULT_SEED, DEFAULT_TOL, LiouvilleMetric, dag, eye
 
 
-def _algebra_report(alg: algebra.MatrixAlgebra, *, certificate: str, include_basis=True) -> dict:
+def _algebra_report(alg: algebra.MatrixAlgebra, *, include_basis=True) -> dict:
     # a generated algebra carries the blocks its construction found
     blocks = alg._blocks or algebra.block_decompose(alg).blocks
     rep = {
         "dimension": alg.dim,
         "blocks": [[int(nj), int(dj)] for nj, dj in blocks],
-        "certificate": certificate,
+        "certificate": "exact",  # each algebra reported is the one asked for, not a bound
     }
     if include_basis:
         rep["basis"] = [jsonio.matrix_to_json(b) for b in alg.basis]
     return rep
 
 
-# flags of one model mode: (flag, dest, mode, default).  Their parser default is
-# None, so a flag given with the other mode shows; the mode's default is set here.
-_MODE_FLAGS = (("--max-k", "max_k", "channel", 25), ("--steps", "steps", "channel", 5),
-               ("--times", "times", "generator", "0,1"))
-
-
 def _dynamics(args):
     """The model of --channel or --generator: a KrausMap or a GKLSGenerator, and
-    the GibbsGenerator a thermal ("T") generator loads as, otherwise None.
-
-    A _MODE_FLAGS flag given with the other mode is a validation error; one not
-    given is set on args to its mode's default.
-    """
+    the GibbsGenerator a thermal ("T") generator loads as, otherwise None."""
     if bool(args.channel) == bool(args.generator):
         raise ValidationError(f"{args.command} needs exactly one of --channel or --generator")
-    for flag, dest, mode, default in _MODE_FLAGS:
-        given = getattr(args, dest, None)  # absent when another subcommand runs
-        if given is not None and not getattr(args, mode):
-            raise ValidationError(f"{flag} applies only to --{mode}")
-        if given is None and hasattr(args, dest):
-            setattr(args, dest, default)
     if args.channel:
-        if getattr(args, "max_k", 1) < 1:  # only df has --max-k
-            raise ValidationError("--max-k must be at least 1")
         return jsonio.channel_from_json(jsonio.load_json(args.channel)), None
     loaded = jsonio.generator_from_json(jsonio.load_json(args.generator))
     if isinstance(loaded, lindblad.GibbsGenerator):
@@ -86,7 +68,7 @@ def cmd_analyze_channel(args) -> dict:
         "completely_positive": cp.is_cp,
         "choi_min_eigenvalue": cp.min_eigenvalue,
         "kraus_rank": len(reduced.kraus_ops),
-        "multiplicative_domain": _algebra_report(nalg, certificate="exact", include_basis=False),
+        "multiplicative_domain": _algebra_report(nalg, include_basis=False),
         "fixed_point_dimension": fixed.dim,
         "faithful_stationary_state": fixed.faithful,
     }
@@ -117,8 +99,7 @@ def cmd_analyze_semigroup(args) -> dict:
             "hermitian_dissipator": db.hermitian_dissipator,
             "residuals": {k: float(v) for k, v in db.residuals.items()},
         }
-    res = algebra.df_algebra_semigroup(gen)
-    report["decoherence_free"] = _algebra_report(res.algebra, certificate=res.certificate,
+    report["decoherence_free"] = _algebra_report(algebra.df_algebra_semigroup(gen),
                                                  include_basis=False)
     return report
 
@@ -133,20 +114,16 @@ def cmd_df(args) -> dict:
         if sigma.shape[0] != dyn.dim:
             raise ValidationError("metric dimension does not match the generator")
         metric = jsonio._checked(lambda: LiouvilleMetric(sigma))
-    if args.channel:
-        res = algebra.df_algebra_discrete(dyn, max_k=args.max_k)
-    else:
-        res = algebra.df_algebra_semigroup(dyn, metric)
-    report = _algebra_report(res.algebra, certificate=res.certificate)
-    if args.channel:
-        report["k_used"] = res.k_used
-    return report
+    if args.generator:
+        return _algebra_report(algebra.df_algebra_semigroup(dyn, metric))
+    res = algebra.df_algebra_discrete(dyn)
+    return {**_algebra_report(res.algebra), "k_used": res.k_used}
 
 
 def cmd_blocks(args) -> dict:
     mats = jsonio.ops_from_json(jsonio.load_json(args.ops))
     alg = algebra.generated_algebra(mats)
-    return {**_algebra_report(alg, certificate="exact"), "n_generators": len(mats)}
+    return {**_algebra_report(alg), "n_generators": len(mats)}
 
 
 def cmd_invariance(args) -> dict:
@@ -240,24 +217,32 @@ def cmd_scan(args) -> dict:
 def cmd_evolve(args) -> dict:
     state = jsonio.state_from_json(jsonio.load_json(args.state))
     dyn, _ = _dynamics(args)
+    # the parser default None shows a flag given with the other mode
+    if args.channel and args.times is not None:
+        raise ValidationError("--times applies only to --generator")
+    if args.generator and args.steps is not None:
+        raise ValidationError("--steps applies only to --channel")
     if state.shape[0] != dyn.dim:
         kind = "channel" if args.channel else "generator"
         raise ValidationError(f"state dimension does not match the {kind}")
     report = {"dim": dyn.dim, "states": []}
     if args.channel:
-        if args.steps < 0:
+        steps = 5 if args.steps is None else args.steps
+        if steps < 0:
             raise ValidationError("--steps must be non-negative")
         current = state
-        for k in range(args.steps + 1):
+        for k in range(steps + 1):
             report["states"].append(_state_entry(float(k), current))
             current = dyn.apply_dual(current)
     else:
+        text = "0,1" if args.times is None else args.times
         try:
-            times = [float(x) for x in args.times.split(",") if x]
+            times = [float(x) for x in text.split(",") if x]
         except ValueError as exc:
             raise ValidationError(f"bad --times: {exc}") from exc
-        if not all(0.0 <= t < np.inf for t in times):
-            raise ValidationError("evolution times must be finite and non-negative")
+        if not times or not all(0.0 <= t < np.inf for t in times):
+            raise ValidationError("evolve needs a comma-separated list of finite "
+                                  "non-negative times")
         for t in sorted(times):
             report["states"].append(_state_entry(t, lindblad.evolve_state(dyn, state, t)))
     return report
@@ -322,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoherence-free subalgebra of a channel or semigroup")
     p.add_argument("--metric", help="faithful state JSON for a --generator without \"T\"; "
                                     "adds a detailed-balance check")
-    p.add_argument("--max-k", type=int, dest="max_k",
-                   help="cap on recursion steps for --channel only: the domains of "
-                        "Gamma^k are followed up to k = MAX_K (default 25)")
     p.set_defaults(func=cmd_df)
 
     p = sub.add_parser("blocks", parents=[common],

@@ -467,7 +467,6 @@ def test_missing_file_is_validation_error(tmp_path, capsys):
     ["born-error", "--grid-omega-max", "nan"],
     ["scan", "--lambdas", "1,x"],
     ["scan", "--lambdas", "1,inf"],
-    ["df", "--max-k", "0"],
     ["invariance", "--sites", "0"],
 ], ids=" ".join)
 def test_bad_numeric_flag_is_validation_error(workdir, capsys, argv):
@@ -488,6 +487,8 @@ def test_bad_numeric_flag_is_validation_error(workdir, capsys, argv):
     ["evolve", "--times", "0,abc"],
     ["evolve", "--times", "nan"],
     ["evolve", "--times", "inf"],
+    ["evolve", "--times", ""],
+    ["evolve", "--times", ","],
     ["evolve", "--steps", "-3"],
 ], ids=" ".join)
 def test_bad_evolve_flag_is_validation_error(workdir, capsys, argv):
@@ -880,8 +881,7 @@ def test_report_is_one_line_of_compact_sorted_json(workdir, tmp_path, capsys, na
     (["evolve", "--channel", "dephasing", "--times", "0,7,9"],
      "--times applies only to --generator"),
     (["evolve", "--generator", "damping", "--steps", "3"], "--steps applies only to --channel"),
-    (["df", "--generator", "damping", "--max-k", "3"], "--max-k applies only to --channel"),
-], ids=["evolve-channel-times", "evolve-generator-steps", "df-generator-max-k"])
+], ids=["evolve-channel-times", "evolve-generator-steps"])
 def test_flag_of_the_other_mode_is_validation_error(workdir, capsys, argv, message):
     argv = [str(workdir[a]) if a in ("dephasing", "damping") else a for a in argv]
     if argv[0] == "evolve":
@@ -891,22 +891,12 @@ def test_flag_of_the_other_mode_is_validation_error(workdir, capsys, argv, messa
     assert json.loads(capsys.readouterr().out) == {"error": "validation", "message": message}
 
 
-def test_mode_flag_defaults(workdir, capsys, monkeypatch):
+def test_mode_flag_defaults(workdir, capsys):
     state = ["--state", str(workdir["mixed"])]
     assert main(["evolve", "--channel", str(workdir["dephasing"]), *state]) == 0
     assert [e["t"] for e in json.loads(capsys.readouterr().out)["states"]] == [0, 1, 2, 3, 4, 5]
     assert main(["evolve", "--generator", str(workdir["damping"]), *state]) == 0
     assert [e["t"] for e in json.loads(capsys.readouterr().out)["states"]] == [0.0, 1.0]
-    seen = []
-    original = cli.algebra.df_algebra_discrete
-
-    def recording(channel, max_k):
-        seen.append(max_k)
-        return original(channel, max_k=max_k)
-
-    monkeypatch.setattr(cli.algebra, "df_algebra_discrete", recording)
-    assert main(["df", "--channel", str(workdir["dephasing"])]) == 0
-    assert seen == [25]
 
 
 def test_dissipativity_min_eigenvalue_matches_one_draw_at_a_time(tmp_path, capsys):
@@ -1058,10 +1048,11 @@ def test_disagreeing_model_file_field_is_validation_error(workdir, tmp_path, cap
         assert _run_model_file(capsys, workdir, tmp_path, name, {**obj, field: agreeing})[0] == 0
 
 
-@pytest.mark.parametrize("flag", ["--tol", "--seed"])
+@pytest.mark.parametrize("flag", ["--tol", "--seed", "--max-k"])
 def test_tolerance_and_seed_are_not_flags(workdir, capsys, flag):
-    # every input is checked at DEFAULT_TOL and every seeded step draws DEFAULT_SEED,
-    # so neither is an option: the flag is a usage error and no help mentions it
+    # every input is checked at DEFAULT_TOL, every seeded step draws DEFAULT_SEED and
+    # the DF recursion runs to its fixed point, so none is an option: the flag is a
+    # usage error and no help mentions it
     for command in ["", "analyze-channel", "analyze-semigroup", "df", "blocks", "invariance",
                     "born-error", "scan", "evolve"]:
         with pytest.raises(SystemExit) as exit_info:

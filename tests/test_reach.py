@@ -12,7 +12,7 @@ def test_reach_runs_one_case_in_a_capped_child(capsys):
     spec = importlib.util.spec_from_file_location("reach", TOOL)
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
-    assert len(reach.CASES) == 11
+    assert len(reach.CASES) == 12
     [result] = reach.main([reach.df_channel(4)])
     assert json.loads(capsys.readouterr().out) == result
     assert result["case"] == "df-channel-random-unital-n4"

@@ -111,7 +111,7 @@ class TestPrivateBath:
         site = GKLSGenerator(np.zeros((2, 2)), [sm])
         gen = build_private_bath_generator(2, np.zeros((4, 4)), site)
         res = df_algebra_semigroup(gen)
-        assert res.algebra.dim == 1
+        assert res.dim == 1
 
     def test_rejects_asymmetric_hamiltonian(self):
         with pytest.raises(ValueError, match="invariant"):
@@ -188,7 +188,7 @@ class TestInvarianceChecks:
             gen = build_superradiance_generator(n_sites, 1.0, 1.0)
             rep = build_permutation_rep(n_sites, 2)
             res = df_algebra_semigroup(gen)
-            assert rep.group_algebra().is_subalgebra_of(res.algebra)
+            assert rep.group_algebra().is_subalgebra_of(res)
 
 
 class TestSchurWeylStructure:

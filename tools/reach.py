@@ -27,7 +27,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from decofree.channels import random_unital_channel  # noqa: E402
+from decofree.channels import KrausMap, random_unital_channel  # noqa: E402
 from decofree.jsonio import channel_to_json, matrix_to_json  # noqa: E402
 from decofree.symmetry import build_permutation_rep, collective_spin  # noqa: E402
 
@@ -55,6 +55,19 @@ def df_channel(n: int) -> dict:
     return _case(f"df-channel-random-unital-n{n}", ["df", "--channel", "channel"],
                  {"channel": lambda: channel_to_json(
                      random_unital_channel(n, 2, np.random.default_rng(n)))})
+
+
+def df_shift_pinching(n: int) -> dict:
+    """`df --channel` on Gamma(A) = (S V)† E_D(A) (S V), E_D the pinching to the diagonal,
+    S the cyclic shift, V a 0.7 rad rotation of e_0, e_1: the recursion takes n - 1 steps."""
+    def channel():
+        c, s = np.cos(0.7), np.sin(0.7)
+        v = np.eye(n, dtype=complex)
+        v[:2, :2] = [[c, -s], [s, c]]
+        shift_v = np.roll(np.eye(n), 1, axis=0) @ v
+        return channel_to_json(KrausMap([np.outer(e, e) @ shift_v for e in np.eye(n)]))
+    return _case(f"df-channel-shift-pinching-n{n}", ["df", "--channel", "channel"],
+                 {"channel": channel})
 
 
 def thermal_ladder(command: str, n: int) -> dict:
@@ -85,6 +98,7 @@ def superradiance(command: str, n_sites: int) -> dict:
 
 CASES = [
     *(df_channel(n) for n in (64, 128, 256)),
+    df_shift_pinching(64),
     *(thermal_ladder(command, n) for command in ("df", "analyze-semigroup") for n in (64, 256)),
     blocks("su2", 6),
     blocks("S_N", 6),
