@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausMap, compose, reduce_kraus, unitary_channel
-from .lindblad import GKLSGenerator, detailed_balance_check
+from .lindblad import GKLSGenerator
 from .operators import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -421,16 +421,18 @@ def _largest_invariant_subspace(apply, q) -> tuple:
     column j of q is vec(X_j).  S_0 = span(q), S_{j+1} = {A in S_j : apply(A)
     in S_j}, one nullspace solve per step.  Each step either finds S_j
     invariant or drops a dimension, so the chain ends within dim S_0 steps.  A
-    one-dimensional span is span{1}, which the maps of both callers keep.
+    one-dimensional span is span{1}, which the maps of both callers keep.  The
+    map is applied once, to S_0: as it is linear, the images of S_{j+1} = S_j c
+    are those of S_j times c.
     """
     steps = 0
+    img = vec(apply(unvec(q.T))).T
     while q.shape[1] > 1:
-        img = vec(apply(unvec(q.T))).T
         c = nullspace(img - q @ (dag(q) @ img))
         steps += 1
         if c.shape[1] == q.shape[1]:
             break
-        q = q @ c
+        q, img = q @ c, img @ c
     return q, steps
 
 
@@ -467,9 +469,7 @@ def df_algebra_discrete(channel: KrausMap) -> DiscreteDFResult:
     return DiscreteDFResult(algebra=MatrixAlgebra(unvec(q.T, channel.dim)), k_used=1 + steps)
 
 
-def df_algebra_semigroup(
-    gen: GKLSGenerator, metric: LiouvilleMetric | None = None
-) -> MatrixAlgebra:
+def df_algebra_semigroup(gen: GKLSGenerator) -> MatrixAlgebra:
     """Observables evolving reversibly under the whole semigroup.
 
     The dissipation form is sum_k [L_k, x]†[L_k, x], so every decoherence-free
@@ -480,12 +480,8 @@ def df_algebra_semigroup(
     recursion applies i[H, .] to operator stacks, scaled by the spread of H's
     spectrum (its exact 2-norm), so no n^2 x n^2 matrix is built and the rank
     decisions depend neither on the size of the L_k nor on an energy offset
-    of H.  A metric adds a detailed-balance check.
+    of H.  No hypothesis on the generator, such as detailed balance, is needed.
     """
-    if metric is not None:
-        report = detailed_balance_check(gen, metric)
-        if not report.passed:
-            raise ValueError(f"detailed balance claimed but fails: {report.residuals}")
     q = vec(commutant(gen.lindblad_ops, gen.dim).basis).T
     # on S_0 the generator is i[H, .], whose 2-norm is the spread of H's spectrum;
     # H less the centre of that spectrum gives the same map, rounded at that scale
@@ -505,7 +501,6 @@ class FixedPointResult:
     basis: np.ndarray  # (d, n, n)
     stationary_state: np.ndarray | None
     faithful: bool
-    certified_algebra: bool
 
     @property
     def dim(self) -> int:
@@ -513,14 +508,13 @@ class FixedPointResult:
 
 
 def fixed_points(channel: KrausMap) -> FixedPointResult:
-    """Fixed-point space {A : Gamma(A) = A}, with an algebra certificate.
+    """Fixed-point space {A : Gamma(A) = A} and a stationary state.
 
     One SVD of S - 1 (S the Heisenberg matrix) and one rank cut give both kernels: the
     right singular vectors span the fixed observables, the left ones the stationary
     states (the kernel of S† - 1).  A stationary state is extracted from the peripheral
     spectral projector at eigenvalue one applied to the maximally mixed state; when it
-    is faithful the fixed-point space is a *-algebra (and then product closure is
-    verified numerically).
+    is faithful the fixed-point space is a *-algebra.
     """
     n = channel.dim
     u, sv, vh = np.linalg.svd(channel.heisenberg_matrix() - eye(n * n))
@@ -545,11 +539,7 @@ def fixed_points(channel: KrausMap) -> FixedPointResult:
         except np.linalg.LinAlgError:
             sigma = None
 
-    certified = (faithful and len(basis) > 0
-                 and MatrixAlgebra(basis).closure_residuals()["product"] <= 1e-7)
-    return FixedPointResult(
-        basis=basis, stationary_state=sigma, faithful=faithful, certified_algebra=certified
-    )
+    return FixedPointResult(basis=basis, stationary_state=sigma, faithful=faithful)
 
 
 # ---------------------------------------------------------------------------

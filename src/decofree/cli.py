@@ -47,11 +47,6 @@ def _dynamics(args):
     return loaded, None
 
 
-def _gibbs_metric(gibbs) -> LiouvilleMetric | None:
-    """The Gibbs metric of `_dynamics`' thermal generator, if any; invalid input unless faithful."""
-    return gibbs and jsonio._checked(gibbs.metric, details={"temperature": gibbs.temperature})
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -76,6 +71,16 @@ def cmd_analyze_channel(args) -> dict:
 
 def cmd_analyze_semigroup(args) -> dict:
     gen, gibbs = _dynamics(args)
+    # the state whose detailed balance is reported: a thermal generator's
+    # Gibbs state or --metric, each invalid input unless faithful
+    metric = gibbs and jsonio._checked(gibbs.metric, details={"temperature": gibbs.temperature})
+    if args.metric:
+        if gibbs is not None:
+            raise ValidationError('--metric applies only to a --generator without "T"')
+        sigma = jsonio.matrix_from_json(jsonio.load_json(args.metric))
+        if sigma.shape[0] != gen.dim:
+            raise ValidationError("metric dimension does not match the generator")
+        metric = jsonio._checked(lambda: LiouvilleMetric(sigma))
     unit_defect = float(np.max(np.abs(gen(eye(gen.dim)))))
     # 20 random A, drawn real part then imaginary part each, as one stack
     z = np.random.default_rng(DEFAULT_SEED).normal(size=(20, 2, gen.dim, gen.dim))
@@ -88,11 +93,8 @@ def cmd_analyze_semigroup(args) -> dict:
         "generator_unitality_defect": unit_defect,
         "dissipativity_min_eigenvalue": worst_diss,
     }
-    if gibbs is not None:
-        # checked once here, so df_algebra_semigroup gets no metric to check again
-        db = lindblad.detailed_balance_check(gen, _gibbs_metric(gibbs))
-        if not db.passed:
-            raise ValueError(f"detailed balance claimed but fails: {db.residuals}")
+    if metric is not None:
+        db = lindblad.detailed_balance_check(gen, metric)
         report["detailed_balance"] = {
             "stationary": db.stationary,
             "commuting_parts": db.commuting_parts,
@@ -105,17 +107,9 @@ def cmd_analyze_semigroup(args) -> dict:
 
 
 def cmd_df(args) -> dict:
-    dyn, gibbs = _dynamics(args)
-    metric = _gibbs_metric(gibbs)
-    if args.metric:
-        if args.channel or gibbs is not None:
-            raise ValidationError('--metric applies only to a --generator without "T"')
-        sigma = jsonio.matrix_from_json(jsonio.load_json(args.metric))
-        if sigma.shape[0] != dyn.dim:
-            raise ValidationError("metric dimension does not match the generator")
-        metric = jsonio._checked(lambda: LiouvilleMetric(sigma))
+    dyn, _ = _dynamics(args)
     if args.generator:
-        return _algebra_report(algebra.df_algebra_semigroup(dyn, metric))
+        return _algebra_report(algebra.df_algebra_semigroup(dyn))
     res = algebra.df_algebra_discrete(dyn)
     return {**_algebra_report(res.algebra), "k_used": res.k_used}
 
@@ -301,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-semigroup", parents=[common],
                        help="validate a GKLS generator and report its structure")
     p.add_argument("--generator", required=True)
+    p.add_argument("--metric", help="faithful state JSON for a generator without \"T\"; "
+                                    "reports its detailed balance")
     p.set_defaults(func=cmd_analyze_semigroup, channel=None)
 
     p = sub.add_parser("df", parents=[common, dynamics],
                        help="decoherence-free subalgebra of a channel or semigroup")
-    p.add_argument("--metric", help="faithful state JSON for a --generator without \"T\"; "
-                                    "adds a detailed-balance check")
     p.set_defaults(func=cmd_df)
 
     p = sub.add_parser("blocks", parents=[common],

@@ -96,9 +96,7 @@ class DetailedBalanceReport:
         return self.stationary and self.commuting_parts and self.hermitian_dissipator
 
 
-def detailed_balance_check(
-    gen: GKLSGenerator, metric: LiouvilleMetric, tol: float = 1e-8
-) -> DetailedBalanceReport:
+def detailed_balance_check(gen: GKLSGenerator, metric: LiouvilleMetric) -> DetailedBalanceReport:
     """Verify the three detailed-balance conditions for sigma = metric.sigma.
 
     1. sigma is stationary for the dual generator and [H, sigma] = 0,
@@ -106,8 +104,10 @@ def detailed_balance_check(
     3. L_D is hermitian with respect to <A, B>_sigma: G L_D = L_D† G, G: X -> X sigma.
 
     The residuals of 2 and 3 are relative Frobenius norms of Kronecker sums of
-    the generator's terms; no n^2 x n^2 matrix is built.
+    the generator's terms; no n^2 x n^2 matrix is built.  A condition holds
+    when its residuals are at most 1e-8.
     """
+    tol = 1e-8
     if metric.dim != gen.dim:
         raise ValueError("metric dimension does not match the generator")
     sigma = metric.sigma

@@ -756,10 +756,10 @@ def test_reports_are_byte_identical(workdir):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _thermal_qubit(path) -> str:
+def _thermal_qubit(path, temperature=1.0) -> str:
     # sm lowers |1> (energy 1) to |0> (energy 0)
-    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)], "T": 1.0},
-              str(path))
+    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)],
+               "T": temperature}, str(path))
     return str(path)
 
 
@@ -780,35 +780,60 @@ def test_model_needs_exactly_one_of_channel_or_generator(workdir, capsys, comman
                       "message": f"{command} needs exactly one of --channel or --generator"}
 
 
-@pytest.mark.parametrize("model", ["channel", "thermal"])
-def test_df_metric_without_effect_is_validation_error(workdir, tmp_path, capsys, model):
-    models = {"channel": ["--channel", str(workdir["dephasing"])],
-              "thermal": ["--generator", _thermal_qubit(tmp_path / "thermal.json")]}
-    code = main(["df", *models[model], "--metric", str(workdir["mixed"])])
-    assert code == 2
-    report = json.loads(capsys.readouterr().out)
-    assert report == {"error": "validation",
-                      "message": '--metric applies only to a --generator without "T"'}
+@pytest.mark.parametrize("model", ["channel", "generator"])
+def test_df_metric_is_a_usage_error(workdir, capsys, model):
+    # the DF algebra needs no state: only analyze-semigroup reads one, to report
+    # its detailed balance
+    for command, listed in (("df", False), ("analyze-semigroup", True)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--metric" in capsys.readouterr().out) is listed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["df", f"--{model}", str(workdir["dephasing" if model == "channel" else "damping"]),
+              "--metric", str(workdir["mixed"])])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_df_metric_with_plain_generator_checks_detailed_balance(workdir, tmp_path, capsys,
-                                                                monkeypatch):
-    # sigma_z dephasing next to H = sigma_z is detailed-balanced in the
-    # maximally mixed state, and its DF algebra is the diagonals
-    gen_path = tmp_path / "dephasing_gen.json"
-    dump_json(generator_to_json(GKLSGenerator(sz, [sz])), str(gen_path))
+@pytest.mark.parametrize("model, sigma, passes", [
+    # sigma_z dephasing next to H = sigma_z is detailed-balanced in the maximally
+    # mixed state, and its DF algebra is the diagonals
+    (GKLSGenerator(sz, [sz]), eye(2) / 2, True),
+    # decay empties |1>, so 1/2 is not stationary
+    (GKLSGenerator(np.zeros((2, 2)), [sm]), eye(2) / 2, False),
+    ({"model": "superradiance", "N": 2}, eye(4) / 4, False),
+], ids=["dephasing", "damping", "superradiance"])
+def test_analyze_semigroup_metric_reports_detailed_balance(workdir, tmp_path, capsys,
+                                                           monkeypatch, model, sigma, passes):
+    gen_path = tmp_path / "generator.json"
+    dump_json(model if isinstance(model, dict) else generator_to_json(model), str(gen_path))
+    dump_json(matrix_to_json(sigma), str(workdir["mixed"]))
     calls = []
-    original = cli.algebra.detailed_balance_check
+    original = cli.lindblad.detailed_balance_check
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli.algebra, "detailed_balance_check", counting)
-    code = main(["df", "--generator", str(gen_path), "--metric", str(workdir["mixed"])])
+    monkeypatch.setattr(cli.lindblad, "detailed_balance_check", counting)
+    code = main(["analyze-semigroup", "--generator", str(gen_path),
+                 "--metric", str(workdir["mixed"])])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    report = json.loads(capsys.readouterr().out)
+    db = report["detailed_balance"]
     assert len(calls) == 1
+    if passes:
+        assert db["stationary"] and db["commuting_parts"] and db["hermitian_dissipator"]
+        assert report["decoherence_free"]["dimension"] == 2
+    else:
+        # a failed condition is reported with its residual, not raised
+        assert db["stationary"] is False
+        assert db["residuals"]["stationarity"] > 1e-8
+    # the DF algebra is the same with or without the state
+    assert main(["analyze-semigroup", "--generator", str(gen_path)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert "detailed_balance" not in plain
+    assert plain["decoherence_free"] == report["decoherence_free"]
 
 
 @pytest.mark.parametrize("passes", [True, False])
@@ -823,18 +848,10 @@ def test_thermal_analyze_semigroup_checks_detailed_balance_once(tmp_path, capsys
         return report if passes else dataclasses.replace(report, stationary=False)
 
     monkeypatch.setattr(cli.lindblad, "detailed_balance_check", counting)
-    monkeypatch.setattr(cli.algebra, "detailed_balance_check", counting)
     code = main(["analyze-semigroup", "--generator", _thermal_qubit(tmp_path / "thermal.json")])
-    captured = capsys.readouterr()
-    if passes:
-        assert code == 0
-        assert json.loads(captured.out)["detailed_balance"]["stationary"] is True
-        assert len(calls) == 1
-    else:
-        # the failing check keeps its exit code and message
-        assert code == 1
-        assert captured.out == ""
-        assert "ValueError: detailed balance claimed but fails" in captured.err
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["detailed_balance"]["stationary"] is passes
+    assert len(calls) == 1
 
 
 def _every_subcommand(workdir, tmp_path):
@@ -1092,26 +1109,29 @@ def test_evolve_state_trace_is_checked_at_the_library_tolerance(workdir, capsys)
     assert "trace" in report["message"]
 
 
-@pytest.mark.parametrize("sigma, message", [
-    (np.diag([1.0, 0.0, 0.0, 0.0]), "not faithful"),
-    (eye(2) / 2, "dimension"),
-], ids=["pure", "qubit"])
-def test_df_metric_the_generator_cannot_use_is_validation_error(workdir, tmp_path, capsys,
-                                                                 sigma, message):
-    model = tmp_path / "superradiance.json"
-    dump_json({"model": "superradiance", "N": 2}, str(model))
+@pytest.mark.parametrize("model, sigma, message", [
+    ("superradiance", np.diag([1.0, 0.0, 0.0, 0.0]), "not faithful"),
+    ("superradiance", eye(2) / 2, "dimension"),
+    ("thermal", eye(2) / 2, '--metric applies only to a --generator without "T"'),
+], ids=["pure", "qubit", "thermal"])
+def test_analyze_semigroup_metric_the_generator_cannot_use_is_validation_error(
+        workdir, tmp_path, capsys, model, sigma, message):
+    path = tmp_path / "model.json"
+    if model == "thermal":  # it brings its own Gibbs state
+        _thermal_qubit(path)
+    else:
+        dump_json({"model": "superradiance", "N": 2}, str(path))
     dump_json(matrix_to_json(sigma), str(workdir["mixed"]))
-    report = _one_diagnostic(capsys, ["df", "--generator", model, "--metric", workdir["mixed"]])
+    report = _one_diagnostic(capsys, ["analyze-semigroup", "--generator", path,
+                                      "--metric", workdir["mixed"]])
     assert message in report["message"]
 
 
-@pytest.mark.parametrize("command", ["df", "analyze-semigroup"])
+@pytest.mark.parametrize("command", ["analyze-semigroup"])
 def test_thermal_generator_without_a_faithful_gibbs_state_is_validation_error(
         tmp_path, capsys, command):
     # at T = 0.02 the Gibbs weight of the excited level, e^-50, is below FAITHFUL_TOL
-    path = tmp_path / "cold.json"
-    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)], "T": 0.02},
-              str(path))
+    path = _thermal_qubit(tmp_path / "cold.json", temperature=0.02)
     report = _one_diagnostic(capsys, [command, "--generator", path])
     assert "not faithful" in report["message"]
     assert report["temperature"] == 0.02
@@ -1119,9 +1139,9 @@ def test_thermal_generator_without_a_faithful_gibbs_state_is_validation_error(
 
 def test_thermal_generator_without_a_faithful_gibbs_state_still_evolves(workdir, tmp_path,
                                                                         capsys):
-    # evolve reads no metric, so it builds none
-    path = tmp_path / "cold.json"
-    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)], "T": 0.02},
-              str(path))
-    assert main(["evolve", "--generator", str(path), "--state", str(workdir["mixed"])]) == 0
+    # df and evolve read no state, so they build none
+    path = _thermal_qubit(tmp_path / "cold.json", temperature=0.02)
+    assert main(["evolve", "--generator", path, "--state", str(workdir["mixed"])]) == 0
     assert len(json.loads(capsys.readouterr().out)["states"]) == 2
+    assert main(["df", "--generator", path]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 1
