@@ -26,6 +26,7 @@ from .lindblad import GKLSGenerator
 from .operators import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    FAITHFUL_TOL,
     LiouvilleMetric,
     commutator_norm,
     dag,
@@ -64,23 +65,6 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     # only a wide matrix needs the full right factor for its kernel
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vh[_rank(s):].conj().T
-
-
-def orthonormal_matrix_basis(mats) -> np.ndarray:
-    """Frobenius-orthonormal basis of the span of the given matrices, as an (r, n, n) stack.
-
-    The stacked rows are divided by the largest row norm, so s_max >= 1 and
-    the shared cut is relative to s_max: the result does not depend on scale.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if not mats.size:
-        return mats
-    rows = vec(mats)
-    top = float(np.max(np.linalg.norm(rows, axis=1)))
-    # economy SVD: the full right factor of a dim x m^2 stack has m^4 entries;
-    # all-zero rows have no singular value above the cut
-    _, s, vh = np.linalg.svd(rows / (top or 1.0), full_matrices=False)
-    return unvec(vh[:_rank(s)], mats.shape[-1])
 
 
 def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
@@ -137,10 +121,6 @@ class MatrixAlgebra:
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
-    @classmethod
-    def from_span(cls, mats) -> "MatrixAlgebra":
-        return cls(orthonormal_matrix_basis(mats))
-
     @property
     def matrix_dim(self) -> int:
         return self.basis.shape[-1]
@@ -156,10 +136,10 @@ class MatrixAlgebra:
         v = vec(mats).T
         return np.linalg.norm(v - q @ (dag(q) @ v), axis=0)
 
-    def contains(self, a: np.ndarray, tol: float = ANGLE_TOL) -> bool:
+    def contains(self, a: np.ndarray) -> bool:
         a = np.asarray(a, dtype=complex)
         scale = max(float(np.linalg.norm(a)), 1e-300)
-        return bool(self._residual_norms([a])[0] / scale <= tol)
+        return bool(self._residual_norms([a])[0] / scale <= ANGLE_TOL)
 
     def closure_residuals(self) -> dict:
         """Residuals of the unital *-algebra axioms; all should be ~0."""
@@ -173,9 +153,9 @@ class MatrixAlgebra:
         product = float(self._residual_norms(x @ self.basis).max())
         return {"unit": unit, "adjoint": adjoint, "product": product}
 
-    def validate(self, tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         res = self.closure_residuals()
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if v > 1e-7}
         if bad:
             raise ValueError(f"subspace violates algebra axioms: {bad}")
 
@@ -265,7 +245,7 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     return MatrixAlgebra(v @ blocks @ dag(v))
 
 
-def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
+def generated_algebra(ops) -> MatrixAlgebra:
     """Smallest unital *-algebra containing the given matrices.
 
     The commutant's commutant (von Neumann's bicommutant theorem), read off
@@ -274,12 +254,11 @@ def generated_algebra(ops, dim: int | None = None) -> MatrixAlgebra:
     1_nj kron M_dj) U†.  With v_is the conjugator column (i, s) of block j,
     its elements sum_i v_is v_it† / sqrt(n_j) are Frobenius-orthonormal as
     written, and its blocks are the commutant's with n_j and d_j swapped.
+    An empty set raises ValueError.
     """
     ops = np.asarray(ops, dtype=complex)
     if not len(ops):
-        if dim is None:
-            raise ValueError("dim required for the algebra generated by nothing")
-        return MatrixAlgebra(eye(dim)[None] / np.sqrt(dim))
+        raise ValueError("generated_algebra needs at least one operator")
     n = ops.shape[-1]
     decomp = block_decompose(commutant(ops, n))
     basis = []
@@ -308,10 +287,6 @@ class BlockDecomposition:
 
     blocks: tuple
     conjugator: np.ndarray
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.conjugator.shape[0]
 
     def off_block_mass(self, a: np.ndarray) -> float:
         """Largest deviation of U† a U from the block-tensor pattern, over a stack (..., n, n)."""
@@ -535,7 +510,7 @@ def fixed_points(channel: KrausMap) -> FixedPointResult:
                 evals = np.linalg.eigvalsh(cand)
                 if evals.min() > -1e-10:
                     sigma = cand
-                    faithful = bool(evals.min() > 1e-10)
+                    faithful = bool(evals.min() > FAITHFUL_TOL)
         except np.linalg.LinAlgError:
             sigma = None
 
@@ -618,10 +593,6 @@ class DetailedBalanceChannel:
             raise ValueError("metric state is not stationary for the channel")
         object.__setattr__(self, "unitary", u)
 
-    @property
-    def dim(self) -> int:
-        return self.dissipative.dim
-
     def channel(self) -> KrausMap:
         """The Kraus list {W_a U} of Gamma(A) = U† Gamma_D(A) U."""
         return compose(unitary_channel(self.unitary), self.dissipative)
@@ -656,8 +627,7 @@ def df_projector_basis(db: DetailedBalanceChannel):
     return list(unvec(np.linalg.solve(chol.conj(), rows)))
 
 
-def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis=None) -> np.ndarray:
-    basis = df_projector_basis(db) if basis is None else basis
+def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis) -> np.ndarray:
     out = np.zeros_like(np.asarray(a, dtype=complex))
     for b in basis:
         out += b * db.metric.inner(b, a)

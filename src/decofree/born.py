@@ -172,7 +172,7 @@ class Bath:
     receive an array of any shape and return the profiles p and q, shape
     (..., *terms); a result that broadcasts to that shape, such as one
     constant, is accepted, but a callable written for one scalar argument is
-    not.  The default amplitude, None, stands for the n_ops^2 matrix units:
+    not.  An omitted amplitude is stored as the n_ops^2 matrix units:
     the profiles are then the matrices [R_ab(w)] (hermitian PSD) and [C_ab(t)]
     (with C_ab(-t) = conj(C_ba(t))) themselves.  The analytic families are one
     term, their coupling matrix times a scalar profile, and carry both as
@@ -183,35 +183,31 @@ class Bath:
     label: str
     spectral: object = None     # callable w (array) -> profiles (..., *terms)
     correlation: object = None  # callable t (array) -> profiles (..., *terms)
-    amplitude: object = None    # (*terms, n_ops, n_ops); None: the n_ops^2 matrix units
+    amplitude: object = None    # (*terms, n_ops, n_ops); omitted: the n_ops^2 matrix units
 
     def __post_init__(self):
-        if self.amplitude is not None:
-            amp = np.asarray(self.amplitude, dtype=complex)
-            if amp.shape[-2:] != (self.n_ops, self.n_ops):
-                raise ValueError("bath amplitude must have shape (*terms, n_ops, n_ops)")
-            object.__setattr__(self, "amplitude", amp)
+        r = self.n_ops
+        amp = (np.eye(r * r, dtype=complex).reshape(r, r, r, r) if self.amplitude is None
+               else np.asarray(self.amplitude, dtype=complex))
+        if amp.shape[-2:] != (r, r):
+            raise ValueError("bath amplitude must have shape (*terms, n_ops, n_ops)")
+        object.__setattr__(self, "amplitude", amp)
 
     @property
     def terms(self) -> np.ndarray:
         """The amplitudes A_t as one stack, shape (t, n_ops, n_ops)."""
-        r = self.n_ops
-        if self.amplitude is None:
-            return np.eye(r * r, dtype=complex).reshape(r * r, r, r)
-        return self.amplitude.reshape(-1, r, r)
+        return self.amplitude.reshape(-1, self.n_ops, self.n_ops)
 
     def _profiles(self, func, what: str, x) -> np.ndarray:
         """func at the points x, shape x.shape + (*terms)."""
         if func is None:
             raise ValueError(f"bath '{self.label}' has no {what}")
         x = np.asarray(x, dtype=float)
-        shape = (self.n_ops, self.n_ops) if self.amplitude is None else self.amplitude.shape[:-2]
-        return np.broadcast_to(np.asarray(func(x), dtype=complex), x.shape + shape)
+        return np.broadcast_to(np.asarray(func(x), dtype=complex),
+                               x.shape + self.amplitude.shape[:-2])
 
     def _matrices(self, profiles: np.ndarray) -> np.ndarray:
-        """sum_t profile_t A_t: one tensordot, or the profiles themselves for matrix units."""
-        if self.amplitude is None:
-            return profiles
+        """sum_t profile_t A_t, one tensordot."""
         return np.tensordot(profiles, self.amplitude, axes=self.amplitude.ndim - 2)
 
     def spectral_profiles(self, omega) -> np.ndarray:
@@ -738,7 +734,7 @@ class ScanResult:
 
 
 def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray, lambdas,
-                    *, grid: FrequencyGrid | None = None,
+                    *, grid: FrequencyGrid,
                     n_time: int = DEFAULT_TIME_POINTS) -> ScanResult:
     """Error of the same unitary run at rescaled speeds.
 
@@ -757,8 +753,6 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     every lambda, which then costs one transform of t channels.
     """
     lambdas = [_rescaling_factor(lam) for lam in lambdas]
-    if grid is None:
-        grid = FrequencyGrid.for_trajectory(traj)
     s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     h = s_grid[1] - s_grid[0]
     profiles, channels = _bath_channels(coupling.bath, grid, d)

@@ -144,11 +144,11 @@ def gibbs_state(hamiltonian: np.ndarray, temperature: float) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def bohr_frequency(hamiltonian: np.ndarray, v: np.ndarray, *, tol: float = 1e-8) -> float:
+def bohr_frequency(hamiltonian: np.ndarray, v: np.ndarray) -> float:
     """Frequency omega >= 0 of an energy-lowering eigenoperator, [H, V] = -omega V.
 
     Extracted basis-free as omega = -Tr(V†[H,V]) / Tr(V†V); a residual in
-    [H,V] + omega V beyond tol, or omega < 0, is an error.
+    [H,V] + omega V beyond 1e-8, or omega < -1e-8, is an error.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -157,16 +157,16 @@ def bohr_frequency(hamiltonian: np.ndarray, v: np.ndarray, *, tol: float = 1e-8)
     if norm2 <= 0:
         raise ValueError("eigenoperator must be nonzero")
     omega = -complex(np.sum(v.conj() * comm)) / norm2
-    if abs(omega.imag) > tol:
+    if abs(omega.imag) > 1e-8:
         raise ValueError(f"eigenoperator frequency is not real ({omega:.3e})")
     omega = omega.real
     scale = float(np.max(np.abs(v)))
     residual = float(np.max(np.abs(comm + omega * v))) / max(scale, 1e-300)
-    if residual > tol:
+    if residual > 1e-8:
         raise ValueError(
             f"[H, V] = -omega V violated beyond tolerance (residual {residual:.3e})"
         )
-    if omega < -tol:
+    if omega < -1e-8:
         raise ValueError(
             f"eigenoperator raises the energy (omega = {omega:.6g} < 0); pass V† instead"
         )

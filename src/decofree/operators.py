@@ -160,9 +160,9 @@ def commutator_norm(s, t) -> float:
     return superop_norm(terms) / max(superop_norm(s) * superop_norm(t), 1.0)
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - dag(a))) <= tol)
+    return bool(np.max(np.abs(a - dag(a))) <= DEFAULT_TOL)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

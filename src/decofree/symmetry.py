@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import MatrixAlgebra, commutant, generated_algebra
 from .lindblad import GKLSGenerator
-from .operators import dag, eye, sm, superop_norm, sx, sy, sz, tensor_product
+from .operators import DEFAULT_TOL, dag, eye, sm, superop_norm, sx, sy, sz, tensor_product
 
 SIZE_CAP = 64  # largest product dimension d**N handled
 
@@ -54,7 +54,7 @@ class PermutationRep:
         return self.site_dim ** self.n_sites
 
     def group_algebra(self) -> MatrixAlgebra:
-        return generated_algebra(list(self.generators), self.dim)
+        return generated_algebra(list(self.generators))
 
 
 def build_permutation_rep(n_sites: int, site_dim: int = 2) -> PermutationRep:
@@ -176,13 +176,8 @@ def local_invariance_residual(ops, rep: PermutationRep) -> float:
     return worst
 
 
-def local_invariance_check(
-    ops,
-    rep: PermutationRep,
-    *,
-    tol: float = 1e-10,
-) -> LocalInvarianceReport:
-    """Site-permutation invariance of coupling operators.
+def local_invariance_check(ops, rep: PermutationRep) -> LocalInvarianceReport:
+    """Site-permutation invariance of coupling operators, at a residual of 10 * DEFAULT_TOL.
 
     When the operators are invariant, the group algebra commutes with all of
     them, so it sits inside the commutant of {X, X†} and hence inside the
@@ -191,7 +186,7 @@ def local_invariance_check(
     algebra the transpositions generate iff it contains every transposition.
     """
     residual = local_invariance_residual(ops, rep)
-    invariant = residual <= tol
+    invariant = residual <= 10 * DEFAULT_TOL
     holds = None
     if invariant:
         comm = commutant(list(ops), rep.dim)

@@ -52,6 +52,7 @@ from decofree.symmetry import (
     global_invariance_residual,
 )
 from oracles import (
+    _orthonormal_span,
     commutant_dimension,
     definitional_df_subalgebra,
     principal_angles,
@@ -103,6 +104,13 @@ def _shift_pinching_channel(n):
     return KrausMap([np.outer(e, e) @ shift_v for e in eye(n)])
 
 
+def _span_algebra(mats):
+    """MatrixAlgebra on the oracle's orthonormal basis of span(mats)."""
+    mats = np.asarray(mats, dtype=complex)
+    rows = _orthonormal_span(mats.reshape(len(mats), -1))
+    return MatrixAlgebra(rows.reshape(-1, *mats.shape[1:]))
+
+
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
@@ -119,7 +127,7 @@ def _hidden_block_algebra(shape, rng):
             m[off:off + nj * dj, off:off + nj * dj] = np.kron(a, eye(dj))
             off += nj * dj
         span.append(u @ m @ dag(u))
-    return MatrixAlgebra.from_span(span)
+    return _span_algebra(span)
 
 
 def _random_element(alg, rng):
@@ -157,10 +165,6 @@ class TestRankRule:
         assert subspace_contains(span, rotated) is subspace_contains(rotated, span) is equal
         assert subspace_contains(span, rotated) == (angles.max() <= 1e-7)
         assert subspace_contains(span, rotated[1:])  # the unrotated part lies in both
-
-    def test_span_rank_is_scale_invariant(self):
-        assert MatrixAlgebra.from_span([1e-12 * sx, 1e-12 * sz]).dim == 2
-        assert MatrixAlgebra.from_span([0.0 * sx]).dim == 0
 
     def test_intersect_spans(self, rng):
         q = _orthonormal_columns(rng, 9, 9)
@@ -204,6 +208,33 @@ class TestRankRule:
                     offenders += [f"{name}.{attr}({p})" for p in params
                                   if p in ("rtol", "scale", "seed", "max_k")]
         assert offenders == []
+
+
+def test_single_value_options_and_unreached_names_are_gone():
+    # an option with one value in use is a constant or a required argument, and a
+    # name no caller reaches is not defined
+    import inspect
+
+    from decofree import algebra, born, lindblad, operators, symmetry
+
+    def params(fn):
+        return inspect.signature(fn).parameters
+
+    for fn in (MatrixAlgebra.contains, MatrixAlgebra.validate, lindblad.bohr_frequency,
+               operators.is_hermitian, symmetry.local_invariance_check):
+        assert "tol" not in params(fn), fn.__qualname__
+    assert list(params(generated_algebra)) == ["ops"]
+    with pytest.raises(ValueError):
+        generated_algebra([])
+    assert params(born.gate_speed_scan)["grid"].default is inspect.Parameter.empty
+    assert params(df_project)["basis"].default is inspect.Parameter.empty
+    for owner, name in ((algebra, "orthonormal_matrix_basis"), (MatrixAlgebra, "from_span"),
+                        (algebra.BlockDecomposition, "matrix_dim"),
+                        (DetailedBalanceChannel, "dim")):
+        assert not hasattr(owner, name), name
+    for bath in (born.Bath(n_ops=2, label="custom", spectral=lambda w: np.ones((2, 2))),
+                 born.tabulated_bath([0.0, 1.0], [1.0, 2.0]), born.gaussian_bath()):
+        assert isinstance(bath.amplitude, np.ndarray)
 
 
 class TestCommutant:
@@ -343,7 +374,7 @@ class TestMatrixAlgebra:
     def test_validate_rejects_a_span_not_closed_under_products(self):
         # unital and *-closed, but sx sz = -i sy lies outside the span: only the
         # product residual of the one seeded element sees it
-        alg = MatrixAlgebra.from_span([eye(2), sx, sz])
+        alg = _span_algebra([eye(2), sx, sz])
         res = alg.closure_residuals()
         assert res["unit"] <= 1e-12 and res["adjoint"] <= 1e-12 and res["product"] > 1e-2
         with pytest.raises(ValueError, match="product"):
@@ -357,7 +388,7 @@ class TestBlockDecompose:
         assert np.allclose(decomp.conjugator, eye(3))
 
     def test_diagonal_algebra(self):
-        alg = MatrixAlgebra.from_span([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
+        alg = _span_algebra([np.diag([1, 0]), np.diag([0, 1])])
         assert block_decompose(alg).blocks == ((1, 1), (1, 1))
 
     def test_collective_spin_two_qubits(self):
@@ -422,7 +453,6 @@ class TestBlockDecompose:
             raise AssertionError("block_decompose took a separate solve")
 
         monkeypatch.setattr("decofree.algebra._commuting_part", refuse)
-        monkeypatch.setattr("decofree.algebra.orthonormal_matrix_basis", refuse)
         monkeypatch.setattr(MatrixAlgebra, "closure_residuals", refuse)
         assert block_decompose(alg).blocks == ((3, 1), (2, 2), (1, 3))
 
@@ -441,7 +471,7 @@ class TestBlockDecompose:
     def test_rejects_span_not_closed_under_products(self):
         # unital and *-closed, but sx sz = -i sy lies outside the span
         with pytest.raises(ValueError):
-            block_decompose(MatrixAlgebra.from_span([eye(2), sx, sz]))
+            block_decompose(_span_algebra([eye(2), sx, sz]))
 
 
 class TestMultiplicativeDomain:
@@ -720,7 +750,20 @@ class TestFixedPoints:
         assert len(left) == len(stationary) == res.dim >= 1
         assert subspaces_equal(left, stationary, tol=1e-7)
         assert subspaces_equal(list(res.basis), fixed, tol=1e-7)
-        assert MatrixAlgebra.from_span(stationary).contains(res.stationary_state)
+        assert _span_algebra(stationary).contains(res.stationary_state)
+
+    def test_faithful_at_the_metric_cut(self):
+        # generalized amplitude damping with excited population 1e-11: the stationary
+        # state's least eigenvalue lies above FAITHFUL_TOL, so the metric accepts it
+        p, g = 1e-11, 0.5
+        chan = KrausMap([np.sqrt(1 - p) * np.diag([1.0, np.sqrt(1 - g)]),
+                         np.sqrt(1 - p) * np.sqrt(g) * np.outer([1, 0], [0, 1]),
+                         np.sqrt(p) * np.diag([np.sqrt(1 - g), 1.0]),
+                         np.sqrt(p) * np.sqrt(g) * np.outer([0, 1], [1, 0])])
+        res = fixed_points(chan)
+        assert np.linalg.eigvalsh(res.stationary_state)[0] == pytest.approx(p, rel=1e-6)
+        LiouvilleMetric(res.stationary_state)
+        assert res.faithful
 
     def test_fixed_points_inside_global_df(self, gibbs_channel):
         chan = gibbs_channel.channel()

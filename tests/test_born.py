@@ -556,7 +556,7 @@ class TestBathTerms:
     def test_default_amplitude_is_the_matrix_units(self):
         bath = TERM_BATHS[-1]
         table = ROUTE_BATHS[-1]
-        assert table.amplitude is None
+        assert np.array_equal(table.amplitude, np.eye(4).reshape(2, 2, 2, 2))
         assert np.array_equal(table.terms.reshape(4, 4), np.eye(4))
         x = np.array([-3.0, 0.5, 2.0])
         assert np.array_equal(table.spectral_profiles(x), table.spectral_matrix(x).reshape(3, 4))
@@ -762,7 +762,8 @@ class TestGateSpeedScan:
         coupling = Coupling(system_ops=(sz,), bath=gaussian_bath(1.0, 1.0))
         monkeypatch.setattr(born_module, "_centered", no_work)
         with pytest.raises(ValueError, match="positive and finite"):
-            gate_speed_scan(traj, coupling, PLUS, [1.0, lam])
+            gate_speed_scan(traj, coupling, PLUS, [1.0, lam],
+                            grid=FrequencyGrid.for_trajectory(traj))
         with pytest.raises(ValueError, match="positive and finite"):
             traj.rescaled(lam)
 

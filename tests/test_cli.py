@@ -353,6 +353,15 @@ def test_evolve_generator(workdir, capsys):
         assert entry["min_eigenvalue"] > -1e-10
 
 
+@pytest.mark.parametrize("t", ["1e50", "1e300"])
+def test_evolve_state_that_overflows_is_validation_error(workdir, capsys, t):
+    # exp(t L*) of amplitude damping overflows long before t is infinite
+    report = _one_diagnostic(capsys, ["evolve", "--generator", workdir["damping"],
+                                      "--state", workdir["mixed"], "--times", f"1,{t}"])
+    assert report["time"] == float(t)
+    assert t.replace("e", "e+") in report["message"]
+
+
 def test_evolve_builds_the_generator_matrix_once(workdir, monkeypatch, capsys):
     # one dense build per job, not one per time
     build, calls = operators.superop_matrix, []

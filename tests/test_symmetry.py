@@ -230,8 +230,8 @@ def test_generator_containment_agrees_with_group_algebra(model):
         site = GKLSGenerator(np.zeros((2, 2)), [sm])
         ops = list(build_private_bath_generator(3, np.zeros((8, 8)), site).lindblad_ops)
     rep = build_permutation_rep(3, 2)
-    # an infinite tolerance takes every operator set as invariant, so the
-    # containment is decided in both cases
-    holds = local_invariance_check(ops, rep, tol=np.inf).containment_holds
+    holds = local_invariance_check(ops, rep).containment_holds
     expected = rep.group_algebra().is_subalgebra_of(commutant(ops, rep.dim))
-    assert holds is expected is (model == "superradiance")
+    assert expected is (model == "superradiance")
+    # the check decides containment only for invariant operators
+    assert holds is (True if expected else None)
