@@ -67,6 +67,11 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     return vh[_rank(s):].conj().T
 
 
+def _outside(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v - Q(Q† v): the part of each column of v outside the span of Q's orthonormal columns."""
+    return v - q @ (dag(q) @ v)
+
+
 def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
     """True when span(small) is inside span(big) up to principal angle tol.
 
@@ -77,10 +82,7 @@ def subspace_contains(big, small, tol: float = ANGLE_TOL) -> bool:
         return True
     if not len(big):
         return False
-    qs = vec(small).T
-    qb = vec(big).T
-    residual = qs - qb @ (qb.conj().T @ qs)
-    return bool(np.linalg.norm(residual, 2) <= tol)
+    return bool(np.linalg.norm(_outside(vec(big).T, vec(small).T), 2) <= tol)
 
 
 def intersect_spans(basis_a, basis_b) -> list[np.ndarray]:
@@ -122,19 +124,13 @@ class MatrixAlgebra:
         object.__setattr__(self, "basis", basis)
 
     @property
-    def matrix_dim(self) -> int:
-        return self.basis.shape[-1]
-
-    @property
     def dim(self) -> int:
         """Dimension as a complex linear space."""
         return len(self.basis)
 
     def _residual_norms(self, mats) -> np.ndarray:
-        """Frobenius distances of the matrices from the span, v - Q(Q† v) per column."""
-        q = vec(self.basis).T
-        v = vec(mats).T
-        return np.linalg.norm(v - q @ (dag(q) @ v), axis=0)
+        """Frobenius distances of the matrices from the span."""
+        return np.linalg.norm(_outside(vec(self.basis).T, vec(mats).T), axis=0)
 
     def contains(self, a: np.ndarray) -> bool:
         a = np.asarray(a, dtype=complex)
@@ -143,7 +139,7 @@ class MatrixAlgebra:
 
     def closure_residuals(self) -> dict:
         """Residuals of the unital *-algebra axioms; all should be ~0."""
-        n = self.matrix_dim
+        n = self.basis.shape[-1]
         unit = float(self._residual_norms([eye(n)])[0] / np.sqrt(n))
         adjoint = float(self._residual_norms(dag(self.basis)).max())
         # x @ b for one seeded x = sum_a c_a a, c_a standard complex normal, and every b:
@@ -349,7 +345,7 @@ def block_decompose(alg: MatrixAlgebra) -> BlockDecomposition:
     under products.  The draws come from DEFAULT_SEED; after 60 failed draws
     the span is taken not to be a unital *-algebra and ValueError is raised.
     """
-    n = alg.matrix_dim
+    n = alg.basis.shape[-1]
     if alg.dim == n * n:
         return BlockDecomposition(blocks=((n, 1),), conjugator=eye(n))
     rng = np.random.default_rng(DEFAULT_SEED)
@@ -403,7 +399,7 @@ def _largest_invariant_subspace(apply, q) -> tuple:
     steps = 0
     img = vec(apply(unvec(q.T))).T
     while q.shape[1] > 1:
-        c = nullspace(img - q @ (dag(q) @ img))
+        c = nullspace(_outside(q, img))
         steps += 1
         if c.shape[1] == q.shape[1]:
             break
@@ -527,9 +523,9 @@ class CommutantBounds:
 
     of_ops        = {W_a, W_a†}'            (inside of_pair_products)
     of_pair_products = {W_a W_b†}'          (equal to the multiplicative domain)
-    of_all_products  = {W_a W_b, W_a W_b†, W_a† W_b†}'  (inside the global DF
-                      algebra; only defined when the unitary part commutes
-                      with the dissipative one)
+    of_all_products  = {W_a W_b, W_a W_b†}' (inside the global DF algebra; only
+                      defined when the unitary part commutes with the
+                      dissipative one; the commutant adjoins W_a† W_b† = (W_b W_a)†)
     """
 
     of_ops: MatrixAlgebra
@@ -549,7 +545,7 @@ def commutant_bounds(unitary: np.ndarray, dissipative: KrausMap) -> CommutantBou
     w3 = None
     if commutes:
         a, b = ops[:, None], ops[None]
-        w3 = commutant(np.concatenate([a @ b, a @ dag(b), dag(a) @ dag(b)]).reshape(-1, n, n), n)
+        w3 = commutant(np.concatenate([a @ b, a @ dag(b)]).reshape(-1, n, n), n)
     return CommutantBounds(
         of_ops=w1, of_pair_products=w2, of_all_products=w3, unitary_commutes=commutes
     )
@@ -606,7 +602,7 @@ def detailed_balance_channel_from_gibbs(gibbs, t: float = 1.0) -> DetailedBalanc
 
     if t <= 0:
         raise ValueError("time step must be positive")
-    evals, evecs = np.linalg.eigh(gibbs.hamiltonian)
+    evals, evecs = np.linalg.eigh(gibbs.generator.hamiltonian)
     u = (evecs * np.exp(-1j * t * evals)) @ dag(evecs)
     gamma_d = channel_from_superop(expm(t * gibbs.generator.dissipator_matrix()), tol=1e-7)
     return DetailedBalanceChannel(
@@ -637,7 +633,6 @@ def df_project(db: DetailedBalanceChannel, a: np.ndarray, basis) -> np.ndarray:
 @dataclass(frozen=True)
 class RelaxationTrace:
     errors: np.ndarray            # ||Gamma^k(A) - U^k(P A)||_sigma for k = 0..k_max
-    projected: np.ndarray         # P A
     dissipative_gap: float        # second largest singular value of Gamma_D in the metric
     rate_estimate: float | None   # geometric-fit decay ratio, None when the trace is ~0
 
@@ -673,6 +668,4 @@ def relaxation_trace(db: DetailedBalanceChannel, a: np.ndarray, k_max: int = 20)
         ks = np.nonzero(good)[0]
         coeffs = np.polyfit(ks, np.log(errors[ks]), 1)
         rate = float(np.exp(coeffs[0]))
-    return RelaxationTrace(
-        errors=errors, projected=pa, dissipative_gap=gap, rate_estimate=rate
-    )
+    return RelaxationTrace(errors=errors, dissipative_gap=gap, rate_estimate=rate)

@@ -435,8 +435,6 @@ class BornErrorMap:
 
     phi_schrodinger: np.ndarray
     k_operator: np.ndarray
-    tau: float
-    n_time: int
 
     @property
     def dim(self) -> int:
@@ -515,7 +513,7 @@ def error_map(traj: ControlTrajectory, coupling: Coupling,
     inner = np.fft.ifft(spectrum, axis=0)[g - 1:2 * g - 1].transpose(1, 0, 2)
     phi = superop_matrix(inner.reshape(r * g, n, n), weighted.reshape(r * g, n, n))
     k_op = hermitian_part(unvec(dag(phi) @ vec(eye(n)), n))
-    return BornErrorMap(phi_schrodinger=phi, k_operator=k_op, tau=traj.tau, n_time=n_time)
+    return BornErrorMap(phi_schrodinger=phi, k_operator=k_op)
 
 
 def born_state(traj: ControlTrajectory, coupling: Coupling, rho: np.ndarray,
@@ -645,7 +643,6 @@ def device_correlator(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarr
 @dataclass(frozen=True)
 class SpectralError:
     epsilon: float
-    omegas: np.ndarray
     overlap: np.ndarray          # sum_ab R_ab(w) S_ab(w) at each grid point
     boundary_fraction: float
     boundary_warning: bool
@@ -663,13 +660,8 @@ def _spectral_error(tau: float, omegas, overlap) -> SpectralError:
     # probably truncating real support
     peak = float(np.max(np.abs(values))) + 1e-300
     boundary = float(max(np.abs(values[0]), np.abs(values[-1]))) / peak
-    return SpectralError(
-        epsilon=eps,
-        omegas=omegas,
-        overlap=overlap,
-        boundary_fraction=boundary,
-        boundary_warning=boundary > 0.01,
-    )
+    return SpectralError(epsilon=eps, overlap=overlap, boundary_fraction=boundary,
+                         boundary_warning=boundary > 0.01)
 
 
 def error_frequency_domain(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,

@@ -81,15 +81,12 @@ def random_unital_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> 
 # Choi matrix and complete positivity
 
 
-def choi_matrix(channel) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) Phi*(E_ij) of the Schrodinger-picture map.
+def choi_matrix(schrodinger: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) Phi*(E_ij) of a raw Schrodinger-picture matrix Phi*.
 
-    Accepts a KrausMap (Choi matrix A A†, A = [vec W_a]) or a raw Schrodinger-picture matrix.
-    """
-    if isinstance(channel, KrausMap):
-        a = vec(channel.kraus_ops).T
-        return a @ dag(a)
-    s = np.asarray(channel, dtype=complex)
+    A KrausMap's Schrodinger matrix is dag(heisenberg_matrix()), and its Choi
+    matrix is A A† for A = [vec W_a]."""
+    s = np.asarray(schrodinger, dtype=complex)
     # Phi*(E_ij) = unvec(S vec(E_ij)) = blocks[j n + i] is the block (i, j) of C
     blocks = unvec(s.T)
     n = blocks.shape[-1]

@@ -188,12 +188,8 @@ def cmd_born_error(args) -> dict:
 
 def cmd_scan(args) -> dict:
     traj, coupling, psi, grid, shared = _born_inputs(args)
-    try:
-        lambdas = [float(x) for x in args.lambdas.split(",") if x]
-    except ValueError as exc:
-        raise ValidationError(f"bad --lambdas: {exc}") from exc
-    if not lambdas or not all(0.0 < x < np.inf for x in lambdas):
-        raise ValidationError("scan needs a comma-separated list of finite positive factors")
+    lambdas = _float_list(args.lambdas, "--lambdas", lambda x: 0.0 < x < np.inf,
+                          "scan needs a comma-separated list of finite positive factors")
     result = born.gate_speed_scan(
         traj, coupling, psi, lambdas, grid=grid, n_time=args.time_points
     )
@@ -229,17 +225,24 @@ def cmd_evolve(args) -> dict:
             report["states"].append(_state_entry(float(k), current))
             current = dyn.apply_dual(current)
     else:
-        text = "0,1" if args.times is None else args.times
-        try:
-            times = [float(x) for x in text.split(",") if x]
-        except ValueError as exc:
-            raise ValidationError(f"bad --times: {exc}") from exc
-        if not times or not all(0.0 <= t < np.inf for t in times):
-            raise ValidationError("evolve needs a comma-separated list of finite "
-                                  "non-negative times")
+        times = _float_list("0,1" if args.times is None else args.times, "--times",
+                            lambda t: 0.0 <= t < np.inf,
+                            "evolve needs a comma-separated list of finite non-negative times")
         for t in sorted(times):
             report["states"].append(_state_entry(t, lindblad.evolve_state(dyn, state, t)))
     return report
+
+
+def _float_list(text: str, flag: str, valid, message: str) -> list:
+    """The numbers of a comma-separated flag value; invalid input unless it lists at
+    least one and each passes valid, which message states."""
+    try:
+        values = [float(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ValidationError(f"bad {flag}: {exc}") from exc
+    if not values or not all(map(valid, values)):
+        raise ValidationError(message)
+    return values
 
 
 def _state_entry(t: float, rho: np.ndarray) -> dict:

@@ -229,7 +229,7 @@ def _model_generator(obj: dict) -> GKLSGenerator:
 def gibbs_to_json(gibbs: GibbsGenerator) -> dict:
     return {
         "dim": gibbs.generator.dim,
-        "H": matrix_to_json(gibbs.hamiltonian),
+        "H": matrix_to_json(gibbs.generator.hamiltonian),
         "V": [matrix_to_json(v) for v, _ in gibbs.eigen_ops],
         "T": gibbs.temperature,
         "omega": [float(w) for _, w in gibbs.eigen_ops],

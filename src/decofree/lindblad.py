@@ -91,10 +91,6 @@ class DetailedBalanceReport:
     hermitian_dissipator: bool
     residuals: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.stationary and self.commuting_parts and self.hermitian_dissipator
-
 
 def detailed_balance_check(gen: GKLSGenerator, metric: LiouvilleMetric) -> DetailedBalanceReport:
     """Verify the three detailed-balance conditions for sigma = metric.sigma.
@@ -108,9 +104,9 @@ def detailed_balance_check(gen: GKLSGenerator, metric: LiouvilleMetric) -> Detai
     when its residuals are at most 1e-8.
     """
     tol = 1e-8
-    if metric.dim != gen.dim:
-        raise ValueError("metric dimension does not match the generator")
     sigma = metric.sigma
+    if sigma.shape[0] != gen.dim:
+        raise ValueError("metric dimension does not match the generator")
     stat_res = float(np.max(np.abs(gen.apply_dual(sigma))))
     ham_res = float(np.max(np.abs(gen.hamiltonian @ sigma - sigma @ gen.hamiltonian)))
     s_d = gen.dissipator.terms()
@@ -182,10 +178,9 @@ class GibbsGenerator:
     run at full rate and upward ones are thermally suppressed.
     """
 
-    hamiltonian: np.ndarray
     temperature: float
     eigen_ops: tuple  # pairs (V_j, omega_j)
-    generator: GKLSGenerator
+    generator: GKLSGenerator  # its hamiltonian is H
     stationary_state: np.ndarray
 
     def metric(self) -> LiouvilleMetric:
@@ -210,7 +205,6 @@ def build_gibbs_generator(hamiltonian: np.ndarray, temperature: float, eigen_ops
     if stat_res > 1e-7:
         raise ValueError(f"Gibbs state is not stationary (residual {stat_res:.3e})")
     return GibbsGenerator(
-        hamiltonian=h,
         temperature=float(temperature),
         eigen_ops=tuple(pairs),
         generator=gen,

@@ -194,10 +194,6 @@ class LiouvilleMetric:
             raise ValueError("metric state is not faithful (min eigenvalue too small)")
         object.__setattr__(self, "sigma", sigma)
 
-    @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
-
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         if a.shape != self.sigma.shape or b.shape != self.sigma.shape:
             raise ValueError("operator dimensions do not match the metric")

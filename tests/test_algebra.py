@@ -213,9 +213,11 @@ class TestRankRule:
 def test_single_value_options_and_unreached_names_are_gone():
     # an option with one value in use is a constant or a required argument, and a
     # name no caller reaches is not defined
+    import dataclasses
     import inspect
 
     from decofree import algebra, born, lindblad, operators, symmetry
+    from decofree.channels import choi_matrix
 
     def params(fn):
         return inspect.signature(fn).parameters
@@ -230,8 +232,17 @@ def test_single_value_options_and_unreached_names_are_gone():
     assert params(df_project)["basis"].default is inspect.Parameter.empty
     for owner, name in ((algebra, "orthonormal_matrix_basis"), (MatrixAlgebra, "from_span"),
                         (algebra.BlockDecomposition, "matrix_dim"),
-                        (DetailedBalanceChannel, "dim")):
+                        (DetailedBalanceChannel, "dim"), (MatrixAlgebra, "matrix_dim"),
+                        (LiouvilleMetric, "dim"), (lindblad.DetailedBalanceReport, "passed")):
         assert not hasattr(owner, name), name
+    # fields no code read: a dataclass field without a default is no class attribute
+    for owner, name in ((lindblad.GibbsGenerator, "hamiltonian"), (born.SpectralError, "omegas"),
+                        (born.BornErrorMap, "tau"), (born.BornErrorMap, "n_time"),
+                        (algebra.RelaxationTrace, "projected")):
+        assert name not in {f.name for f in dataclasses.fields(owner)}, name
+    # the Choi matrix is built from a raw Schrodinger matrix only
+    with pytest.raises(TypeError):
+        choi_matrix(unitary_channel(eye(2)))
     for bath in (born.Bath(n_ops=2, label="custom", spectral=lambda w: np.ones((2, 2))),
                  born.tabulated_bath([0.0, 1.0], [1.0, 2.0]), born.gaussian_bath()):
         assert isinstance(bath.amplitude, np.ndarray)
@@ -822,7 +833,9 @@ def test_checks_build_no_superoperator(gibbs_channel, no_superoperator):
     # every commutation, hermiticity and stationarity check works on operator
     # terms; the dense builders are refused while the checks run
     ladder = _ladder(1.0, 0.7)  # build_gibbs_generator checks stationarity
-    assert detailed_balance_check(ladder.generator, ladder.metric()).passed
+    report = detailed_balance_check(ladder.generator, ladder.metric())
+    assert (report.stationary, report.commuting_parts, report.hermitian_dissipator) == (
+        True, True, True)
     rep = build_permutation_rep(2, 2)
     assert global_invariance_residual(build_superradiance_generator(2, 1.0, 1.0), rep) < 1e-10
     assert global_invariance_residual(KrausMap([eye(4)]), rep) < 1e-10

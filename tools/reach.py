@@ -29,6 +29,7 @@ import numpy as np  # noqa: E402
 
 from decofree.channels import KrausMap, random_unital_channel  # noqa: E402
 from decofree.jsonio import channel_to_json, matrix_to_json  # noqa: E402
+from decofree.operators import random_hermitian, random_unitary, sz  # noqa: E402
 from decofree.symmetry import build_permutation_rep, collective_spin  # noqa: E402
 
 LIMIT = 1 << 30
@@ -50,11 +51,35 @@ def _case(name: str, argv: list, inputs: dict) -> dict:
     return {"case": name, "argv": argv, "inputs": inputs}
 
 
+def _random_unital(n: int) -> dict:
+    """The input of a random unital channel with 2 Kraus operators, seed n."""
+    return {"channel": lambda: channel_to_json(
+        random_unital_channel(n, 2, np.random.default_rng(n)))}
+
+
 def df_channel(n: int) -> dict:
     """`df --channel` on a random unital channel with 2 Kraus operators, seed n."""
     return _case(f"df-channel-random-unital-n{n}", ["df", "--channel", "channel"],
-                 {"channel": lambda: channel_to_json(
-                     random_unital_channel(n, 2, np.random.default_rng(n)))})
+                 _random_unital(n))
+
+
+def analyze_channel(n: int) -> dict:
+    """`analyze-channel` on the random unital channel of `df_channel(n)`."""
+    return _case(f"analyze-channel-random-unital-n{n}", ["analyze-channel", "--channel", "channel"],
+                 _random_unital(n))
+
+
+def df_unitary(n: int, dephased: bool) -> dict:
+    """`df --channel` on a random unitary channel, seed n, or on U (x) qubit dephasing,
+    the Kraus operators sqrt(0.7) U (x) 1 and sqrt(0.3) U (x) sz for U of dimension n / 2."""
+    def channel():
+        if not dephased:
+            return channel_to_json(KrausMap([random_unitary(n, np.random.default_rng(n))]))
+        u = random_unitary(n // 2, np.random.default_rng(n))
+        return channel_to_json(KrausMap([np.sqrt(0.7) * np.kron(u, np.eye(2)),
+                                         np.sqrt(0.3) * np.kron(u, sz)]))
+    name = "unitary-x-dephasing" if dephased else "unitary"
+    return _case(f"df-channel-{name}-n{n}", ["df", "--channel", "channel"], {"channel": channel})
 
 
 def df_shift_pinching(n: int) -> dict:
@@ -78,6 +103,14 @@ def thermal_ladder(command: str, n: int) -> dict:
                                      "T": 1.0}})
 
 
+def blocks_random(n: int) -> dict:
+    """`blocks --ops` on two random hermitian matrices, seed n: they generate M_n."""
+    def ops():
+        rng = np.random.default_rng(n)
+        return {"ops": [matrix_to_json(random_hermitian(n, rng)) for _ in range(2)]}
+    return _case(f"blocks-random-hermitian-n{n}", ["blocks", "--ops", "ops"], {"ops": ops})
+
+
 def blocks(algebra: str, n_sites: int) -> dict:
     """`blocks --ops` on collective spin ("su2") or adjacent transpositions ("S_N")."""
     def ops():
@@ -88,12 +121,17 @@ def blocks(algebra: str, n_sites: int) -> dict:
 
 
 def superradiance(command: str, n_sites: int) -> dict:
-    """`command --generator` on the collective-decay model, omega = gamma = 1."""
-    argv = [command, "--generator", "model"] + (
-        ["--sites", str(n_sites)] if command == "invariance" else [])
-    return _case(f"{command}-superradiance-N{n_sites}", argv,
-                 {"model": lambda: {"model": "superradiance", "N": n_sites,
-                                    "omega": 1.0, "gamma": 1.0}})
+    """`command --generator` on the collective-decay model, omega = gamma = 1; `evolve`
+    starts from the maximally mixed state."""
+    argv = [command, "--generator", "model"]
+    inputs = {"model": lambda: {"model": "superradiance", "N": n_sites,
+                                "omega": 1.0, "gamma": 1.0}}
+    if command == "invariance":
+        argv += ["--sites", str(n_sites)]
+    if command == "evolve":
+        argv += ["--state", "state"]
+        inputs["state"] = lambda: matrix_to_json(np.eye(2 ** n_sites) / 2 ** n_sites)
+    return _case(f"{command}-superradiance-N{n_sites}", argv, inputs)
 
 
 CASES = [
@@ -104,6 +142,12 @@ CASES = [
     blocks("S_N", 6),
     superradiance("df", 6),
     superradiance("invariance", 6),
+    # at the cap; each of these exits 1 under 1 GiB (ROADMAP items 1 and 3)
+    blocks_random(64),
+    df_unitary(64, dephased=False),
+    df_unitary(64, dephased=True),
+    analyze_channel(64),
+    superradiance("evolve", 6),
 ]
 
 
