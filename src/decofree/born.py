@@ -44,6 +44,7 @@ physical one.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,7 +121,10 @@ class ControlTrajectory:
         segment_of = np.searchsorted(self._bounds[1:-1], times, side="right")
         for k, (energies, basis, rotated) in enumerate(self._factors):
             idx = np.flatnonzero(segment_of == k)
-            phases = np.exp(-1j * np.outer(times[idx] - self._bounds[k], energies))
+            angles = np.outer(times[idx] - self._bounds[k], energies)
+            phases = np.empty(angles.shape, dtype=complex)
+            np.cos(angles, out=phases.real)
+            np.sin(np.negative(angles, out=angles), out=phases.imag)
             yield idx, phases, basis, rotated
 
     def propagator(self, s: float, t: float) -> np.ndarray:
@@ -456,6 +460,7 @@ def _lag_correlations(coupling: Coupling, s_grid: np.ndarray) -> np.ndarray:
     return c
 
 
+@functools.cache
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT runs fast, close to n
     where a power of two can be nearly 2 n (4801 -> 4860, not 8192)."""
@@ -474,14 +479,14 @@ def _lag_sums(x: np.ndarray) -> np.ndarray:
     """D[g - 1 + l, a, b] = sum_{i - j = l} <x_a(s_j)|x_b(s_i)> for |l| < g.
 
     x has shape (r, g, n) and D shape (2g - 1, r, r).  Every Born error sees
-    the device only through these sums.  They are one FFT along the grid,
-    zero-padded to at least 2g - 1 points so that the circular correlation
-    folds no pair onto a wrong lag: O(rgn + r^2 g) memory and never the
-    g x g Gram matrix.
+    the device only through these sums.  They are one FFT along the grid, run
+    along contiguous rows of x laid out as (r, n, g) and zero-padded to at
+    least 2g - 1 points so that the circular correlation folds no pair onto a
+    wrong lag: O(rgn + r^2 g) memory and never the g x g Gram matrix.
     """
     g = x.shape[1]
-    f = np.fft.fft(x, n=_fft_size(2 * g - 1), axis=1)
-    circular = np.fft.ifft(np.einsum("aln,bln->lab", f.conj(), f), axis=0)
+    f = np.fft.fft(np.ascontiguousarray(x.transpose(0, 2, 1)), n=_fft_size(2 * g - 1))
+    circular = np.fft.ifft(np.einsum("anl,bnl->lab", f.conj(), f), axis=0)
     return circular[np.arange(1 - g, g)]
 
 
@@ -556,7 +561,11 @@ def _time_epsilon(coupling: Coupling, s_grid: np.ndarray, d: np.ndarray) -> floa
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform symmetric grid on [-omega_max, omega_max]."""
+    """Uniform symmetric grid on [-omega_max, omega_max].
+
+    `points` and their `steps` (np.diff of the points, read by the trapezoid)
+    are built once, with the grid, and are read-only.
+    """
 
     omega_max: float
     n_points: int = DEFAULT_FREQ_POINTS
@@ -566,16 +575,16 @@ class FrequencyGrid:
             raise ValueError("the number of grid points must be an integer")
         if not 0.0 < self.omega_max < np.inf or self.n_points < 3:
             raise ValueError("need a finite omega_max > 0 and at least 3 points")
+        points = np.linspace(-self.omega_max, self.omega_max, self.n_points)
+        for name, value in (("points", points), ("steps", np.diff(points))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_trajectory(cls, traj: ControlTrajectory, n_points: int = DEFAULT_FREQ_POINTS,
                        omega_max: float | None = None) -> "FrequencyGrid":
         return cls(omega_max=40.0 / traj.tau if omega_max is None else omega_max,
                    n_points=n_points)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(-self.omega_max, self.omega_max, self.n_points)
 
 
 def filter_operators(traj: ControlTrajectory, coupling: Coupling, omegas,
@@ -603,10 +612,14 @@ def _lag_transform(d: np.ndarray, h: float, grid: FrequencyGrid) -> np.ndarray:
     a chirp e^{-i alpha l^2/2} on the lags, one FFT convolution with
     e^{i alpha m^2/2} over m = k' - l, and a chirp e^{-i alpha k'^2/2} on the
     output (the chirp z-transform).  m runs symmetrically over
-    |m| <= (W - 1)/2 + g - 1, so one table of e^{i alpha m^2/2} for m >= 0,
-    mirrored, is the kernel, and its conjugate at m = k' is the output chirp.
-    O((W + g) log(W + g)) per channel, with every FFT along a contiguous row;
-    the centred indices keep every chirp argument below alpha (W/2 + g)^2 / 2.
+    |m| <= (W - 1)/2 + g - 1, so one trig table of e^{i alpha m^2/2}, cos and
+    sin for m >= 0 written into one complex array and mirrored, is the kernel;
+    its conjugate at m = k' is the output chirp and, for odd W (integer m), at
+    m = l the input chirp.  Per call that is three FFTs of one 2^a 3^b 5^c
+    length >= W + 2g - 2 (kernel, lags, inverse), every one along a contiguous
+    row for a single channel, and for the CLI's grids (W = 4001, g = 401) no
+    temporary reaches 128 KiB per channel.  The centred indices keep every
+    chirp argument below alpha (W/2 + g)^2 / 2.
     """
     count = d.shape[0]
     g = (count + 1) // 2
@@ -614,14 +627,21 @@ def _lag_transform(d: np.ndarray, h: float, grid: FrequencyGrid) -> np.ndarray:
     # delta exactly as linspace steps; points[1] - points[0] carries the
     # rounding of omega_max, which k' ~ W/2 multiplies at the grid edge
     alpha = 2.0 * grid.omega_max / (w - 1) * h
-    # kernel entry q is m = k' - l for k - j = q - (count - 1), j = g - 1 + l
-    m = np.arange(w + count - 1) - (0.5 * (w - 1) + g - 1)
-    half = m.size // 2  # m[half:] holds every m >= 0
-    right = np.exp(0.5j * alpha * m[half:] ** 2)
-    table = np.concatenate([right[::-1][:half], right])
+    # kernel entry q holds m = k' - l = q - (W - 1)/2 - (g - 1), for k - j = q - (count - 1)
+    # and j = g - 1 + l; the entries from half on hold every m >= 0
+    table = np.empty(w + count - 1, dtype=complex)
+    half = table.size // 2
+    angles = 0.5 * alpha * (np.arange(half, table.size) - (0.5 * (w - 1) + g - 1)) ** 2
+    np.cos(angles, out=table.real[half:])
+    np.sin(angles, out=table.imag[half:])
+    table[:half] = table[:-half - 1:-1]  # entries q and size - 1 - q hold -m and m
     size = _fft_size(table.size)
-    rows = d.reshape(count, -1).T * np.exp(-0.5j * alpha * np.arange(1 - g, g) ** 2)
-    conv = np.fft.ifft(np.fft.fft(rows, n=size) * np.fft.fft(table, n=size))
+    lo = (w - 1) // 2  # m = l at entry lo + g - 1 + l when W is odd
+    chirp = (table[lo:lo + count].conj() if w % 2
+             else np.exp(-0.5j * alpha * np.arange(1 - g, g) ** 2))
+    spectrum = np.fft.fft(d.reshape(count, -1).T * chirp, n=size)
+    spectrum *= np.fft.fft(table, n=size)
+    conv = np.fft.ifft(spectrum, out=spectrum)
     out = conv[:, count - 1:count - 1 + w] * table[g - 1:g - 1 + w].conj()
     return out.T.reshape((w,) + d.shape[1:])
 
@@ -648,18 +668,21 @@ class SpectralError:
     boundary_warning: bool
 
 
-def _spectral_error(tau: float, omegas, overlap) -> SpectralError:
-    """eps = 2 tau * trapezoid of the overlap sum_ab R_ab S_ab."""
-    imag_mass = float(np.max(np.abs(overlap.imag))) if overlap.size else 0.0
-    if imag_mass > 1e-8 * max(float(np.max(np.abs(overlap.real))), 1e-300):
-        warnings.warn("spectral overlap has a nonnegligible imaginary part")
-    values = overlap.real
+def _spectral_error(tau: float, grid: FrequencyGrid, overlap) -> SpectralError:
+    """eps = 2 tau * trapezoid of the overlap sum_ab R_ab S_ab on the grid.
 
-    eps = 2.0 * tau * float(np.trapezoid(values, omegas))
+    The trapezoid is np.trapezoid's formula on the grid's cached steps, and one
+    |Re overlap| serves the imaginary-part check, the peak and the boundary.
+    """
+    values = overlap.real
+    magnitude = np.abs(values)
+    peak = float(magnitude.max())
+    if float(np.abs(overlap.imag).max()) > 1e-8 * max(peak, 1e-300):
+        warnings.warn("spectral overlap has a nonnegligible imaginary part")
+    eps = 2.0 * tau * float((grid.steps * (values[1:] + values[:-1]) / 2.0).sum())
     # integrand still at >1% of its peak at the window edge means the grid is
     # probably truncating real support
-    peak = float(np.max(np.abs(values))) + 1e-300
-    boundary = float(max(np.abs(values[0]), np.abs(values[-1]))) / peak
+    boundary = float(max(magnitude[0], magnitude[-1])) / (peak + 1e-300)
     return SpectralError(epsilon=eps, overlap=overlap, boundary_fraction=boundary,
                          boundary_warning=boundary > 0.01)
 
@@ -687,8 +710,9 @@ def _frequency_epsilon(profiles: np.ndarray, channels: np.ndarray, h: float,
                        grid: FrequencyGrid, tau: float) -> SpectralError:
     """The frequency route from `_bath_channels` on the time step h: one transform
     of t channels, as sum_ab R_ab(w) S_ab(w) = sum_t p_t(w) sum_l e^{-iwlh} D_t(l) / (2 tau)."""
-    overlap = np.einsum("wt,wt->w", profiles, _lag_transform(channels, h, grid)) / (2.0 * tau)
-    return _spectral_error(tau, grid.points, overlap)
+    # times the reciprocal: what numpy's complex division by a real scalar computes
+    overlap = (profiles * _lag_transform(channels, h, grid)).sum(axis=1) * (1.0 / (2.0 * tau))
+    return _spectral_error(tau, grid, overlap)
 
 
 def route_errors(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray,

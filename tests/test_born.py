@@ -26,6 +26,7 @@ from decofree.born import (
     route_errors,
     tabulated_bath,
     _centered,
+    _fft_size,
     _interaction_apply,
     _lag_sums,
     _lag_transform,
@@ -438,6 +439,23 @@ class TestFrequencyGrid:
     def test_accepts_numpy_integer_point_count(self):
         assert FrequencyGrid(10.0, np.int64(201)).points.size == 201
 
+    def test_points_and_steps_are_built_once_and_read_only(self):
+        grid = FrequencyGrid(10.0, 201)
+        assert grid.points is grid.points and grid.steps is grid.steps
+        assert np.array_equal(grid.points, np.linspace(-10.0, 10.0, 201))
+        assert np.array_equal(grid.steps, np.diff(grid.points))
+        for values in (grid.points, grid.steps):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+
+def test_fft_size_is_the_smallest_five_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9)
+                    for c in range(6) if 2 ** a * 3 ** b * 5 ** c <= 8192)
+    for n in range(1, 5001):
+        assert _fft_size(n) == next(m for m in smooth if m >= n), n
+
 
 class TestFrequencyDomainError:
     def test_zero_spectrum(self):
@@ -579,7 +597,7 @@ class TestBathTerms:
             scaled = traj.rescaled(lam)
             s_dev = device_correlator(scaled, coupling, psi, grid)
             overlap = np.einsum("wab,wab->w", bath.spectral_matrix(grid.points), s_dev)
-            ref = _spectral_error(scaled.tau, grid.points, overlap)
+            ref = _spectral_error(scaled.tau, grid, overlap)
             if lam == 1.0:
                 assert abs(res.epsilon - ref.epsilon) <= 1e-13 * abs(ref.epsilon)
                 assert np.max(np.abs(res.overlap - ref.overlap)) <= 1e-13 * np.max(

@@ -23,3 +23,5 @@ def test_compare_prints_one_finite_ratio_per_line(capsys):
     [line] = lines
     assert (line["workload"], line["seed"], line["rounds"]) == ("df-structure", 301, 1)
     assert math.isfinite(line["ratio"]) and line["ratio"] > 0
+    for side in ("tree_minflt", "base_minflt"):
+        assert math.isfinite(line[side]) and line[side] >= 0

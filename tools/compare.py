@@ -13,11 +13,15 @@ rounds on both sides back to back, the side that goes first alternating per
 job and per round.  A run is one ``cli.main(argv)`` call with stdout captured.
 
 Per workload and seed it prints ``{"workload", "seed", "base", "rounds",
-"jobs", "ratio", "ci95", "differs"}``: ``ratio`` is the geometric mean over
-jobs of the median time of the working tree over the median time of BASE,
-``ci95`` a seeded 95% bootstrap interval over jobs, and ``differs`` the ids of
-jobs whose exit code or stdout differs between the sides.  The tool reports
-and does not gate: HEAD against itself has read ratios up to 3% off 1.
+"jobs", "ratio", "ci95", "tree_minflt", "base_minflt", "differs"}``:
+``ratio`` is the geometric mean over jobs of the median time of the working
+tree over the median time of BASE, ``ci95`` a seeded 95% bootstrap interval
+over jobs, ``tree_minflt`` and ``base_minflt`` each side's mean minor page
+faults per timed call (``ru_minflt`` of this process around the call; a
+temporary that the allocator maps and unmaps on every call shows here), and
+``differs`` the ids of jobs whose exit code or stdout differs between the
+sides.  The tool reports and does not gate: HEAD against itself has read
+ratios up to 3% off 1.
 
 ``main(base, workloads, seeds, rounds)`` runs any selection and returns the lines.
 """
@@ -36,6 +40,7 @@ import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import subprocess  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
@@ -72,29 +77,33 @@ def _base_cli(base: str, tmp: str):
 
 
 def _run(cli, argv) -> tuple:
-    """(seconds, exit code, stdout) of one in-process CLI call."""
+    """(seconds, minor page faults, exit code, stdout) of one in-process CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = perf_counter()
         code = cli.main(list(argv))
         seconds = perf_counter() - t0
-    return seconds, code, out.getvalue()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return seconds, faults, code, out.getvalue()
 
 
 def _compare(clis, jobs, rounds: int) -> tuple:
-    """(per-job median time ratios tree / base, ids of jobs whose exit or stdout differs).
+    """(per-job median time ratios tree / base, mean minor faults per call of each side,
+    ids of jobs whose exit or stdout differs).
 
     The first run of each job on each side warms it up and gives the outputs compared.
     """
     differs = [job["id"] for job in jobs
-               if _run(clis[0], job["argv"])[1:] != _run(clis[1], job["argv"])[1:]]
+               if _run(clis[0], job["argv"])[2:] != _run(clis[1], job["argv"])[2:]]
     times = np.zeros((len(jobs), rounds, 2))
+    faults = np.zeros((len(jobs), rounds, 2))
     for r in range(rounds):
         for j, job in enumerate(jobs):
             for side in ((0, 1) if (j + r) % 2 == 0 else (1, 0)):
-                times[j, r, side] = _run(clis[side], job["argv"])[0]
+                times[j, r, side], faults[j, r, side] = _run(clis[side], job["argv"])[:2]
     median = np.median(times, axis=1)
-    return median[:, 0] / median[:, 1], differs
+    return median[:, 0] / median[:, 1], faults.mean(axis=(0, 1)), differs
 
 
 def main(base: str, workloads=WORKLOADS, seeds=SEEDS, rounds: int = ROUNDS) -> list:
@@ -106,7 +115,7 @@ def main(base: str, workloads=WORKLOADS, seeds=SEEDS, rounds: int = ROUNDS) -> l
         for workload in workloads:
             for seed in seeds:
                 jobs = build(workload, seed, os.path.join(tmp, f"{workload}-{seed}"))
-                ratios, differs = _compare(clis, jobs, rounds)
+                ratios, faults, differs = _compare(clis, jobs, rounds)
                 logs = np.log(ratios)
                 rng = np.random.default_rng(seed)
                 boot = logs[rng.integers(0, len(logs), size=(BOOTSTRAP, len(logs)))].mean(axis=1)
@@ -114,7 +123,8 @@ def main(base: str, workloads=WORKLOADS, seeds=SEEDS, rounds: int = ROUNDS) -> l
                         "jobs": len(jobs), "ratio": round(float(np.exp(logs.mean())), 4),
                         "ci95": [round(float(np.exp(q)), 4)
                                  for q in np.percentile(boot, [2.5, 97.5])],
-                        "differs": differs}
+                        "tree_minflt": round(float(faults[0]), 2),
+                        "base_minflt": round(float(faults[1]), 2), "differs": differs}
                 print(json.dumps(line), flush=True)
                 lines.append(line)
     return lines
