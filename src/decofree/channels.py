@@ -17,6 +17,7 @@ from .operators import (
     TermMap,
     dag,
     eye,
+    sz,
     unvec,
     vec,
 )
@@ -59,8 +60,6 @@ def unitary_channel(u: np.ndarray) -> KrausMap:
 
 def dephasing_channel(p: float) -> KrausMap:
     """Qubit dephasing: Gamma(sx) = (1-2p) sx, diagonal operators untouched."""
-    from .operators import sz
-
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     return KrausMap([np.sqrt(1.0 - p) * eye(2), np.sqrt(p) * sz])

@@ -25,7 +25,7 @@ from .born import (
     tabulated_bath,
 )
 from .channels import KrausMap
-from .lindblad import GKLSGenerator, GibbsGenerator, build_gibbs_generator
+from .lindblad import BOHR_TOL, GKLSGenerator, GibbsGenerator, build_gibbs_generator
 from .operators import DEFAULT_TOL, check_density_matrix
 
 
@@ -191,7 +191,7 @@ def generator_from_json(obj: Any):
     bohr = [w for _, w in gibbs.eigen_ops]  # "omega", as gibbs_to_json writes it, restates them
     omega = _real_array(obj.get("omega", bohr), "generator 'omega' must list one finite "
                         "number per 'V' operator", (len(ops),))
-    if np.any(np.abs(omega - bohr) > 1e-8):  # the tolerance of bohr_frequency
+    if np.any(np.abs(omega - bohr) > BOHR_TOL):
         raise ValidationError("generator 'omega' disagrees with the Bohr frequencies of its "
                               "'V' operators", {"bohr_frequencies": bohr})
     return gibbs
@@ -349,10 +349,6 @@ def load_json(path: str) -> Any:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def dump_json(obj: Any, path: str | None = None) -> str:
+def dump_json(obj: Any) -> str:
     """One line of compact JSON with sorted keys; compact separators keep the C encoder."""
-    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"

@@ -25,6 +25,8 @@ from .operators import (
     vec,
 )
 
+BOHR_TOL = 1e-8  # of bohr_frequency and of the frequencies a generator file restates
+
 
 class GKLSGenerator(TermMap):
     """GKLS generator L(X) = K† X + X K + sum_j V_j† X V_j with K = -iH + K_D and
@@ -144,7 +146,7 @@ def bohr_frequency(hamiltonian: np.ndarray, v: np.ndarray) -> float:
     """Frequency omega >= 0 of an energy-lowering eigenoperator, [H, V] = -omega V.
 
     Extracted basis-free as omega = -Tr(V†[H,V]) / Tr(V†V); a residual in
-    [H,V] + omega V beyond 1e-8, or omega < -1e-8, is an error.
+    [H,V] + omega V beyond BOHR_TOL, or omega < -BOHR_TOL, is an error.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -153,16 +155,16 @@ def bohr_frequency(hamiltonian: np.ndarray, v: np.ndarray) -> float:
     if norm2 <= 0:
         raise ValueError("eigenoperator must be nonzero")
     omega = -complex(np.sum(v.conj() * comm)) / norm2
-    if abs(omega.imag) > 1e-8:
+    if abs(omega.imag) > BOHR_TOL:
         raise ValueError(f"eigenoperator frequency is not real ({omega:.3e})")
     omega = omega.real
     scale = float(np.max(np.abs(v)))
     residual = float(np.max(np.abs(comm + omega * v))) / max(scale, 1e-300)
-    if residual > 1e-8:
+    if residual > BOHR_TOL:
         raise ValueError(
             f"[H, V] = -omega V violated beyond tolerance (residual {residual:.3e})"
         )
-    if omega < -1e-8:
+    if omega < -BOHR_TOL:
         raise ValueError(
             f"eigenoperator raises the energy (omega = {omega:.6g} < 0); pass V† instead"
         )

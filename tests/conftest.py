@@ -1,5 +1,5 @@
+import importlib.util
 import os
-import subprocess
 import sys
 
 import numpy as np
@@ -35,22 +35,18 @@ def no_superoperator(monkeypatch):
     monkeypatch.setattr(decofree.channels, "choi_matrix", refuse)
 
 
+@pytest.fixture(scope="session")
+def reach():
+    """tools/reach.py of this checkout, the reach cases and their capped runner."""
+    spec = importlib.util.spec_from_file_location("reach", os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "reach.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
-def run_within_one_gib():
-    """Run Python source in a child interpreter whose address space is capped at 1 GiB.
-
-    Extra arguments become the child's sys.argv[1:]; BLAS runs on one thread
-    and the package is imported from this checkout.
-    """
-    import decofree
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(decofree.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    prelude = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-
-    def run(code, *argv):
-        return subprocess.run([sys.executable, "-c", prelude + code, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    return run
+def run_within_one_gib(reach):
+    """Run Python source in a child interpreter whose address space is capped at 1 GiB:
+    `reach.capped`, whose extra arguments become the child's sys.argv[1:]."""
+    return reach.capped

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 
+import decofree.algebra as algebra
 from decofree.algebra import (
     DetailedBalanceChannel,
     MatrixAlgebra,
@@ -31,6 +32,7 @@ from decofree.channels import (
     reduce_kraus,
     unitary_channel,
 )
+from decofree.jsonio import channel_from_json
 from decofree.lindblad import GKLSGenerator, build_gibbs_generator, detailed_balance_check
 from decofree.operators import (
     LiouvilleMetric,
@@ -216,7 +218,7 @@ def test_single_value_options_and_unreached_names_are_gone():
     import dataclasses
     import inspect
 
-    from decofree import algebra, born, lindblad, operators, symmetry
+    from decofree import algebra, born, jsonio, lindblad, operators, symmetry
     from decofree.channels import choi_matrix
 
     def params(fn):
@@ -230,6 +232,7 @@ def test_single_value_options_and_unreached_names_are_gone():
         generated_algebra([])
     assert params(born.gate_speed_scan)["grid"].default is inspect.Parameter.empty
     assert params(df_project)["basis"].default is inspect.Parameter.empty
+    assert list(params(jsonio.dump_json)) == ["obj"]
     for owner, name in ((algebra, "orthonormal_matrix_basis"), (MatrixAlgebra, "from_span"),
                         (algebra.BlockDecomposition, "matrix_dim"),
                         (DetailedBalanceChannel, "dim"), (MatrixAlgebra, "matrix_dim"),
@@ -512,6 +515,18 @@ class TestMultiplicativeDomain:
             assert len(brute) == linear.dim
             angles = principal_angles(list(linear.basis), brute)
             assert angles.size == 0 or angles.max() < 1e-7
+
+    def test_zero_pair_products_are_not_stacked(self, reach, monkeypatch):
+        # of the n (n + 1) / 2 pair products W_a W_b† of the shift-pinching channel's
+        # n reduced Kraus operators, n + 1 are nonzero
+        counts = []
+        original = algebra.commutant
+        monkeypatch.setattr(algebra, "commutant",
+                            lambda ops, dim=None: counts.append(len(ops)) or original(ops, dim))
+        chan = channel_from_json(reach.df_shift_pinching(8)["inputs"]["channel"]())
+        assert len(reduce_kraus(chan).kraus_ops) == 8
+        assert multiplicative_domain(chan).dim == 8
+        assert counts == [9]
 
     def test_multiplicativity_on_result(self, rng):
         chan = dephasing_channel(0.25)
@@ -842,6 +857,30 @@ def test_checks_build_no_superoperator(gibbs_channel, no_superoperator):
     assert commutant_bounds(gibbs_channel.unitary, gibbs_channel.dissipative).unitary_commutes
     DetailedBalanceChannel(unitary=gibbs_channel.unitary, dissipative=gibbs_channel.dissipative,
                            metric=gibbs_channel.metric)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ({"unitary": eye(3)}, "unitary dimension does not match the dissipative part"),
+    ({"unitary": 2.0 * eye(2)}, "unitary part is not unitary within tolerance"),
+    ({"unitary": sx}, "unitary and dissipative parts do not commute"),
+    ({"metric": LiouvilleMetric(eye(2) / 2)}, "dissipative part is not hermitian in the metric"),
+    ({"unitary": sx, "dissipative": unitary_channel(eye(2))},
+     "metric state is not invariant under the unitary part"),
+    # a unital part hermitian in the metric keeps sigma, so only a non-unital one is refused
+    ({"unitary": eye(2), "dissipative": KrausMap([0.5 * eye(2)], tol=1.0)},
+     "metric state is not stationary for the channel"),
+], ids=["shape", "not-unitary", "not-commuting", "not-hermitian", "not-invariant",
+        "not-stationary"])
+def test_detailed_balance_channel_refuses_inconsistent_parts(gibbs_channel, spoil, message):
+    parts = {"unitary": gibbs_channel.unitary, "dissipative": gibbs_channel.dissipative,
+             "metric": gibbs_channel.metric}
+    with pytest.raises(ValueError, match=message):
+        DetailedBalanceChannel(**(parts | spoil))
+
+
+def test_detailed_balance_channel_needs_a_positive_time_step(gibbs_qubit):
+    with pytest.raises(ValueError, match="time step must be positive"):
+        detailed_balance_channel_from_gibbs(gibbs_qubit, 0.0)
 
 
 class TestRelaxation:

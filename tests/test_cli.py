@@ -9,8 +9,7 @@ from scipy.linalg import expm
 
 from decofree.algebra import MatrixAlgebra
 from decofree.born import ControlTrajectory
-from decofree.channels import (channel_from_superop, dephasing_channel, random_unital_channel,
-                               unitary_channel)
+from decofree.channels import channel_from_superop, dephasing_channel, unitary_channel
 import decofree.cli as cli
 import decofree.operators as operators
 from decofree.cli import main
@@ -32,29 +31,29 @@ from decofree.symmetry import build_superradiance_generator, permutation_matrix
 def workdir(tmp_path):
     files = {}
     files["dephasing"] = tmp_path / "dephasing.json"
-    dump_json(channel_to_json(dephasing_channel(0.25)), str(files["dephasing"]))
+    files["dephasing"].write_text(dump_json(channel_to_json(dephasing_channel(0.25))))
 
     files["bad_channel"] = tmp_path / "bad.json"
-    dump_json({"dim": 2, "kraus": [matrix_to_json(np.diag([1.0, 0.5]))]},
-              str(files["bad_channel"]))
+    files["bad_channel"].write_text(dump_json(
+        {"dim": 2, "kraus": [matrix_to_json(np.diag([1.0, 0.5]))]}))
 
     files["damping"] = tmp_path / "damping.json"
-    dump_json(generator_to_json(GKLSGenerator(np.zeros((2, 2)), [sm])), str(files["damping"]))
+    files["damping"].write_text(dump_json(generator_to_json(
+        GKLSGenerator(np.zeros((2, 2)), [sm]))))
 
     files["traj"] = tmp_path / "traj.json"
-    dump_json(trajectory_to_json(ControlTrajectory(1.0, [(2.0, np.zeros((2, 2)))])),
-              str(files["traj"]))
+    files["traj"].write_text(dump_json(trajectory_to_json(
+        ControlTrajectory(1.0, [(2.0, np.zeros((2, 2)))]))))
 
     files["coupling"] = tmp_path / "coupling.json"
-    dump_json({"S": [matrix_to_json(sz)],
-               "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}},
-              str(files["coupling"]))
+    files["coupling"].write_text(dump_json(
+        {"S": [matrix_to_json(sz)], "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}}))
 
     files["plus"] = tmp_path / "plus.json"
-    dump_json(vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2.0)), str(files["plus"]))
+    files["plus"].write_text(dump_json(vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2.0))))
 
     files["mixed"] = tmp_path / "mixed.json"
-    dump_json(matrix_to_json(eye(2) / 2), str(files["mixed"]))
+    files["mixed"].write_text(dump_json(matrix_to_json(eye(2) / 2)))
 
     files["out"] = tmp_path / "report.json"
     return files
@@ -80,8 +79,8 @@ def test_df_superradiance_three_sites(tmp_path, capsys):
     # group algebra of S_3, blocks (2,2) and (1,4)
     gen = build_superradiance_generator(3, 1.0, 1.0)
     chan_path = tmp_path / "sr3.json"
-    dump_json(channel_to_json(channel_from_superop(expm(gen.heisenberg_matrix()))),
-              str(chan_path))
+    chan_path.write_text(dump_json(channel_to_json(
+        channel_from_superop(expm(gen.heisenberg_matrix())))))
     code = main(["df", "--channel", str(chan_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -144,55 +143,19 @@ CLI_CHILD = "import sys\nfrom decofree.cli import main\nsys.exit(main(sys.argv[1
 def test_born_error_twenty_thousand_time_points_within_one_gib(tmp_path, run_within_one_gib):
     # two coupling operators on a qubit: both routes read the lag sums, so
     # nothing of size g x g is built at g = 20001
-    files = {name: str(tmp_path / f"{name}.json") for name in ("traj", "coupling", "psi")}
-    dump_json(trajectory_to_json(ControlTrajectory(1.0, [(0.8, 0.6 * sx), (1.2, 0.4 * sz)])),
-              files["traj"])
-    dump_json({"S": [matrix_to_json(sx), matrix_to_json(sz)],
-               "bath": {"type": "gaussian", "coupling": 0.01, "width": 2.0}}, files["coupling"])
-    dump_json(vector_to_json(np.array([0.6, 0.8])), files["psi"])
+    files = {name: tmp_path / f"{name}.json" for name in ("traj", "coupling", "psi")}
+    files["traj"].write_text(dump_json(trajectory_to_json(
+        ControlTrajectory(1.0, [(0.8, 0.6 * sx), (1.2, 0.4 * sz)]))))
+    files["coupling"].write_text(dump_json({"S": [matrix_to_json(sx), matrix_to_json(sz)],
+                                            "bath": {"type": "gaussian", "coupling": 0.01,
+                                                     "width": 2.0}}))
+    files["psi"].write_text(dump_json(vector_to_json(np.array([0.6, 0.8]))))
     run = run_within_one_gib(CLI_CHILD, "born-error", "--traj", files["traj"], "--coupling",
                              files["coupling"], "--psi", files["psi"], "--time-points", "20001")
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     eps_t, eps_f = report["epsilon_time"], report["epsilon_frequency"]
     assert abs(eps_t - eps_f) <= max(1e-6, 1e-3 * abs(eps_t))
-
-
-@pytest.mark.parametrize("n", [64, 256])
-def test_df_channel_dimension_within_one_gib(tmp_path, run_within_one_gib, n):
-    # N_Gamma is the commutant of the pair products W_a W_b† and Gamma acts as
-    # a Kraus sum: no n^2 x n^2 matrix, which alone takes 268 MB at n = 64;
-    # the commutant's unknowns are matrix units, with no n^2 x n array at n = 256
-    path = tmp_path / "channel.json"
-    path.write_text(json.dumps(channel_to_json(
-        random_unital_channel(n, 2, np.random.default_rng(n)))))
-    run = run_within_one_gib(CLI_CHILD, "df", "--channel", str(path))
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    assert (report["dimension"], report["k_used"], report["certificate"]) == (1, 1, "exact")
-
-
-def test_df_generator_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
-    # the recursion applies i[H, .] to operator stacks: no n^2 x n^2
-    # generator, whose dissipator alone ran out of memory at n = 64
-    path = tmp_path / "private_bath.json"
-    path.write_text(json.dumps({"model": "private_bath", "N": 6, "v_site": [matrix_to_json(sm)]}))
-    run = run_within_one_gib(CLI_CHILD, "df", "--generator", str(path))
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    assert (report["dimension"], report["certificate"]) == (1, "exact")
-
-
-def test_invariance_dimension_64_within_one_gib(tmp_path, run_within_one_gib):
-    # the global residual is a Kronecker-sum norm of the generator's terms:
-    # the n^2 x n^2 generator alone takes 268 MB at n = 64
-    path = tmp_path / "private_bath.json"
-    path.write_text(json.dumps({"model": "private_bath", "N": 6, "v_site": [matrix_to_json(sm)]}))
-    run = run_within_one_gib(CLI_CHILD, "invariance", "--generator", str(path), "--sites", "6")
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    assert report["global_residual"] <= 1e-10
-    assert report["locally_invariant"] is False
 
 
 def test_private_bath_over_the_size_cap_allocates_nothing(tmp_path, run_within_one_gib):
@@ -232,37 +195,6 @@ def test_huge_site_count_meets_the_size_cap_at_once(tmp_path, run_within_one_gib
     for code, seconds in json.loads(results):
         assert code == 2
         assert seconds < 2.0
-
-
-@pytest.fixture
-def thermal_ladder(tmp_path, request):
-    # n equally spaced levels (64 unless parametrized), H = diag(19.2 k / n),
-    # one lowering operator through all of them, T = 1
-    n = getattr(request, "param", 64)
-    path = tmp_path / "ladder.json"
-    path.write_text(json.dumps({"H": matrix_to_json(np.diag(19.2 * np.arange(n) / n)),
-                                "V": [matrix_to_json(np.diag(np.ones(n - 1), 1))], "T": 1.0}))
-    return str(path)
-
-
-@pytest.mark.parametrize("thermal_ladder", [64, 256], indirect=True)
-def test_thermal_df_dimension_within_one_gib(thermal_ladder, run_within_one_gib):
-    # stationarity is L*(sigma) on one matrix and the detailed-balance
-    # residuals are Kronecker-sum norms: no n^2 x n^2 matrix
-    run = run_within_one_gib(CLI_CHILD, "df", "--generator", thermal_ladder)
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    assert (report["dimension"], report["certificate"]) == (1, "exact")
-
-
-def test_thermal_analyze_semigroup_dimension_64_within_one_gib(thermal_ladder,
-                                                               run_within_one_gib):
-    run = run_within_one_gib(CLI_CHILD, "analyze-semigroup", "--generator", thermal_ladder)
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    balance = report["detailed_balance"]
-    assert balance["stationary"] and balance["commuting_parts"] and balance["hermitian_dissipator"]
-    assert report["decoherence_free"]["dimension"] == 1
 
 
 def test_born_dimension_256_within_one_gib(tmp_path, run_within_one_gib):
@@ -392,7 +324,7 @@ def test_evolve_channel(workdir, capsys):
 
 def test_blocks_command(workdir, tmp_path, capsys):
     ops_path = tmp_path / "ops.json"
-    dump_json({"ops": [matrix_to_json(sx)]}, str(ops_path))
+    ops_path.write_text(dump_json({"ops": [matrix_to_json(sx)]}))
     code = main(["blocks", "--ops", str(ops_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -402,7 +334,7 @@ def test_blocks_command(workdir, tmp_path, capsys):
 
 def test_blocks_without_ops_is_validation_error(tmp_path, capsys):
     ops_path = tmp_path / "ops.json"
-    dump_json({"dim": 2}, str(ops_path))
+    ops_path.write_text(dump_json({"dim": 2}))
     code = main(["blocks", "--ops", str(ops_path)])
     assert code == 2
     report = json.loads(capsys.readouterr().out)
@@ -428,8 +360,9 @@ def test_analyze_semigroup_thermal_qutrit(tmp_path, capsys):
     upper = np.zeros((3, 3), dtype=complex)
     upper[2, 1] = 1.3
     gen_path = tmp_path / "thermal.json"
-    dump_json({"H": matrix_to_json(np.diag([2.0, 1.0, 0.0])),
-               "V": [matrix_to_json(lower), matrix_to_json(upper)], "T": 1.0}, str(gen_path))
+    gen_path.write_text(dump_json({"H": matrix_to_json(np.diag([2.0, 1.0, 0.0])),
+                                   "V": [matrix_to_json(lower), matrix_to_json(upper)],
+                                   "T": 1.0}))
     code = main(["analyze-semigroup", "--generator", str(gen_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -442,7 +375,7 @@ def test_df_generator_exact_without_commuting_parts(tmp_path, capsys):
     # sigma_x drive with sigma_z dephasing: {sz}' is the diagonals, and the
     # drive leaves only the identity
     gen_path = tmp_path / "drive.json"
-    dump_json(generator_to_json(GKLSGenerator(sx, [sz])), str(gen_path))
+    gen_path.write_text(dump_json(generator_to_json(GKLSGenerator(sx, [sz]))))
     code = main(["df", "--generator", str(gen_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -453,7 +386,7 @@ def test_df_generator_exact_without_commuting_parts(tmp_path, capsys):
 
 def test_invariance_command(tmp_path, capsys):
     gen_path = tmp_path / "sr.json"
-    dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}, str(gen_path))
+    gen_path.write_text(dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}))
     code = main(["invariance", "--generator", str(gen_path), "--sites", "2"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -515,11 +448,11 @@ def test_non_finite_diagnostic_detail_is_validation_error(workdir, capsys, comma
     # a Kraus entry of 1e200 makes the unitality defect inf, entries of 1e308 the norm;
     # the encoder refuses inf, so the detail is written as its string
     if command == "analyze-channel":
-        dump_json({"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]},
-                  str(workdir["bad_channel"]))
+        workdir["bad_channel"].write_text(dump_json(
+            {"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]}))
         argv = ["analyze-channel", "--channel", str(workdir["bad_channel"])]
     else:
-        dump_json(vector_to_json(np.array([1e308, 1e308])), str(workdir["plus"]))
+        workdir["plus"].write_text(dump_json(vector_to_json(np.array([1e308, 1e308]))))
         argv = ["born-error", "--traj", str(workdir["traj"]), "--coupling",
                 str(workdir["coupling"]), "--psi", str(workdir["plus"])]
     assert main(argv) == 2
@@ -533,8 +466,8 @@ def test_non_finite_diagnostic_detail_is_validation_error(workdir, capsys, comma
 def test_non_unital_kraus_set_sums_its_gram_matrix_once(workdir, capsys):
     # the ValueError of KrausMap carries the defect it computed, so loading sums
     # no second Gram matrix: one overflow and one invalid-value warning, not two each
-    dump_json({"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]},
-              str(workdir["bad_channel"]))
+    workdir["bad_channel"].write_text(dump_json(
+        {"dim": 2, "kraus": [matrix_to_json(np.diag([1e200, 1.0]))]}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["analyze-channel", "--channel", str(workdir["bad_channel"])]) == 2
@@ -554,7 +487,7 @@ def test_invariance_without_a_permutation_rep_is_validation_error(tmp_path, caps
     path = tmp_path / "model.json"
     obj = (channel_to_json(unitary_channel(eye(dim))) if model == "channel"
            else generator_to_json(GKLSGenerator(np.zeros((dim, dim)))))
-    dump_json(obj, str(path))
+    path.write_text(dump_json(obj))
     assert main(["invariance", f"--{model}", str(path), "--sites", sites]) == 2
     out = capsys.readouterr().out
     assert out.count("\n") == 1
@@ -673,7 +606,7 @@ def test_malformed_model_container_is_validation_error(workdir, capsys, name, ob
 def test_evolve_state_of_another_dimension_is_validation_error(workdir, capsys, tmp_path,
                                                                 model):
     state = tmp_path / "state4.json"
-    dump_json(matrix_to_json(eye(4) / 4), str(state))
+    state.write_text(dump_json(matrix_to_json(eye(4) / 4)))
     name = "dephasing" if model == "channel" else "damping"
     assert main(["evolve", f"--{model}", str(workdir[name]), "--state", str(state)]) == 2
     out = capsys.readouterr().out
@@ -713,8 +646,8 @@ def test_cli_runs_without_scipy(workdir, tmp_path, run_within_one_gib):
     # exponentials of hermitian matrices go through eigh and polar factors
     # through one SVD; scipy is loaded only for non-normal exponentials
     ops = tmp_path / "ops.json"
-    dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))), matrix_to_json(np.kron(sz, eye(2)))]},
-              str(ops))
+    ops.write_text(dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))),
+                                      matrix_to_json(np.kron(sz, eye(2)))]}))
     born_inputs = ["--traj", workdir["traj"], "--coupling", workdir["coupling"],
                    "--psi", workdir["plus"]]
     calls = [["born-error", *born_inputs], ["scan", *born_inputs, "--lambdas", "1,2"],
@@ -767,8 +700,8 @@ def test_reports_are_byte_identical(workdir):
 
 def _thermal_qubit(path, temperature=1.0) -> str:
     # sm lowers |1> (energy 1) to |0> (energy 0)
-    dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])), "V": [matrix_to_json(sm)],
-               "T": temperature}, str(path))
+    path.write_text(dump_json({"H": matrix_to_json(np.diag([0.0, 1.0])),
+                               "V": [matrix_to_json(sm)], "T": temperature}))
     return str(path)
 
 
@@ -815,8 +748,8 @@ def test_df_metric_is_a_usage_error(workdir, capsys, model):
 def test_analyze_semigroup_metric_reports_detailed_balance(workdir, tmp_path, capsys,
                                                            monkeypatch, model, sigma, passes):
     gen_path = tmp_path / "generator.json"
-    dump_json(model if isinstance(model, dict) else generator_to_json(model), str(gen_path))
-    dump_json(matrix_to_json(sigma), str(workdir["mixed"]))
+    gen_path.write_text(dump_json(model if isinstance(model, dict) else generator_to_json(model)))
+    workdir["mixed"].write_text(dump_json(matrix_to_json(sigma)))
     calls = []
     original = cli.lindblad.detailed_balance_check
 
@@ -865,10 +798,10 @@ def test_thermal_analyze_semigroup_checks_detailed_balance_once(tmp_path, capsys
 
 def _every_subcommand(workdir, tmp_path):
     ops = tmp_path / "ops.json"
-    dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))), matrix_to_json(np.kron(sz, sz))]},
-              str(ops))
+    ops.write_text(dump_json({"ops": [matrix_to_json(np.kron(sx, eye(2))),
+                                      matrix_to_json(np.kron(sz, sz))]}))
     model = tmp_path / "superradiance.json"
-    dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}, str(model))
+    model.write_text(dump_json({"model": "superradiance", "N": 2, "omega": 1.0, "gamma": 1.0}))
     born_inputs = ["--traj", workdir["traj"], "--coupling", workdir["coupling"],
                    "--psi", workdir["plus"]]
     return {
@@ -927,7 +860,7 @@ def test_mode_flag_defaults(workdir, capsys):
 
 def test_dissipativity_min_eigenvalue_matches_one_draw_at_a_time(tmp_path, capsys):
     path = tmp_path / "superradiance.json"
-    dump_json({"model": "superradiance", "N": 2, "omega": 0.7, "gamma": 1.3}, str(path))
+    path.write_text(dump_json({"model": "superradiance", "N": 2, "omega": 0.7, "gamma": 1.3}))
     assert main(["analyze-semigroup", "--generator", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     gen = build_superradiance_generator(2, 0.7, 1.3)
@@ -1102,9 +1035,34 @@ def _one_diagnostic(capsys, argv) -> dict:
     return report
 
 
+@pytest.mark.parametrize("name, field, message", [
+    ("traj", {"tau": -1.0}, "bad trajectory: tau must be positive and finite"),
+    ("traj", {"segments": [{"dt": 0.0, "H": matrix_to_json(np.zeros((2, 2)))}]},
+     "bad trajectory: segment durations must be positive and finite"),
+    ("traj", {"segments": []}, "bad trajectory: trajectory needs at least one segment"),
+    ("traj", {"segments": [{"dt": 1.0, "H": matrix_to_json(np.zeros((d, d)))} for d in (2, 3)]},
+     "bad trajectory: all segments must share one dimension"),
+    ("coupling", {"S": [matrix_to_json(sx), matrix_to_json(sz)],
+                  "bath": {"type": "gaussian", "coupling": [[1.0, 0.0], [0.0, -1.0]]}},
+     "bad gaussian bath: coupling amplitude matrix must be hermitian PSD"),
+    ("coupling", {"S": [matrix_to_json(sx), matrix_to_json(sz)],
+                  "bath": {"type": "gaussian", "coupling": np.eye(3).tolist()}},
+     "bad gaussian bath: coupling amplitude must be a scalar or an (n, n) matrix"),
+    ("coupling", {"bath": {"type": "ohmic", "kappa": -2.0}},
+     "bad ohmic bath: spectral exponent must exceed -1"),
+    ("coupling", {"S": [matrix_to_json(sm)]}, "coupling operators must be hermitian"),
+], ids=["tau-negative", "dt-zero", "no-segments", "segment-dimensions", "coupling-not-psd",
+        "coupling-shape", "ohmic-kappa", "S-not-hermitian"])
+def test_born_input_rule_is_validation_error(workdir, capsys, name, field, message):
+    workdir[name].write_text(json.dumps(json.loads(workdir[name].read_text()) | field))
+    report = _one_diagnostic(capsys, ["born-error", "--traj", workdir["traj"], "--coupling",
+                                      workdir["coupling"], "--psi", workdir["plus"]])
+    assert report["message"] == message
+
+
 def test_born_error_state_norm_is_checked_at_the_library_tolerance(workdir, capsys):
     # a norm within 1e-8 but beyond DEFAULT_TOL once loaded, then failed in the Born routes
-    dump_json(vector_to_json(np.array([1.0 + 5e-9, 0.0])), str(workdir["plus"]))
+    workdir["plus"].write_text(dump_json(vector_to_json(np.array([1.0 + 5e-9, 0.0]))))
     report = _one_diagnostic(capsys, ["born-error", "--traj", workdir["traj"], "--coupling",
                                       workdir["coupling"], "--psi", workdir["plus"]])
     assert report["norm"] == 1.0 + 5e-9
@@ -1112,7 +1070,7 @@ def test_born_error_state_norm_is_checked_at_the_library_tolerance(workdir, caps
 
 
 def test_evolve_state_trace_is_checked_at_the_library_tolerance(workdir, capsys):
-    dump_json(matrix_to_json(eye(2) / 2 * (1.0 + 5e-9)), str(workdir["mixed"]))
+    workdir["mixed"].write_text(dump_json(matrix_to_json(eye(2) / 2 * (1.0 + 5e-9))))
     report = _one_diagnostic(capsys, ["evolve", "--channel", workdir["dephasing"],
                                       "--state", workdir["mixed"]])
     assert "trace" in report["message"]
@@ -1129,8 +1087,8 @@ def test_analyze_semigroup_metric_the_generator_cannot_use_is_validation_error(
     if model == "thermal":  # it brings its own Gibbs state
         _thermal_qubit(path)
     else:
-        dump_json({"model": "superradiance", "N": 2}, str(path))
-    dump_json(matrix_to_json(sigma), str(workdir["mixed"]))
+        path.write_text(dump_json({"model": "superradiance", "N": 2}))
+    workdir["mixed"].write_text(dump_json(matrix_to_json(sigma)))
     report = _one_diagnostic(capsys, ["analyze-semigroup", "--generator", path,
                                       "--metric", workdir["mixed"]])
     assert message in report["message"]

@@ -5,10 +5,16 @@
 Run from the root of a source checkout; nothing needs to be installed.  Each
 case writes its inputs from fixed seeds into a temporary directory, then runs
 one subcommand in a fresh interpreter whose address space is capped at 1 GiB
-(``RLIMIT_AS``), with one BLAS thread.  The child times ``decofree.cli.main``
-after import, with the report written to a file, and prints its exit code,
-that time and its peak resident set size (``VmHWM``).  This script prints,
-per case, ``{"case", "command", "exit", "seconds", "peak_rss_mb"}``.
+(``RLIMIT_AS``), with one BLAS thread and a 120 s timeout (``capped``, which
+the test suite's ``run_within_one_gib`` fixture also is).  The child times
+``decofree.cli.main`` after import, with the report written to a file, and
+prints its exit code, that time and its peak resident set size (``VmHWM``).
+This script prints, per case, ``{"case", "command", "exit", "seconds",
+"peak_rss_mb"}``, with ``"error"``, the last line the child wrote to stderr,
+when the exit code is not 0.  A case built with ``expect`` also gets
+``"expected"``: true when the command exited 0 and its report holds every
+listed field (a float within 1e-10, a dict field by field, anything else
+equal).
 
 ``main(cases)`` runs any list of cases built by the functions below.
 """
@@ -29,26 +35,53 @@ import numpy as np  # noqa: E402
 
 from decofree.channels import KrausMap, random_unital_channel  # noqa: E402
 from decofree.jsonio import channel_to_json, matrix_to_json  # noqa: E402
-from decofree.operators import random_hermitian, random_unitary, sz  # noqa: E402
+from decofree.operators import random_hermitian, random_unitary, sm, sz  # noqa: E402
 from decofree.symmetry import build_permutation_rep, collective_spin  # noqa: E402
 
 LIMIT = 1 << 30
-CHILD = f"""
-import json, resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, ({LIMIT}, {LIMIT}))
+CHILD = """
+import json, sys, time
 from decofree.cli import main
 t0 = time.perf_counter()
 code = main(sys.argv[1:])
 seconds = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({{"exit": code, "seconds": round(seconds, 2), "peak_rss_mb": hwm // 1024}}))
+print(json.dumps({"exit": code, "seconds": round(seconds, 2), "peak_rss_mb": hwm // 1024}))
 """
+
+
+def capped(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run Python source in a fresh interpreter whose address space is capped at 1 GiB.
+
+    argv becomes the child's sys.argv[1:]; this checkout's src comes first on
+    its path, BLAS runs on one thread, and a child still running after 120 s
+    raises subprocess.TimeoutExpired.
+    """
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({LIMIT}, {LIMIT}))\n"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", prelude + code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _case(name: str, argv: list, inputs: dict) -> dict:
     """argv names each input file by its key in inputs, a builder of its JSON object."""
     return {"case": name, "argv": argv, "inputs": inputs}
+
+
+def expect(case: dict, **fields) -> dict:
+    """The case with the report fields it must produce."""
+    return {**case, "expected": fields}
+
+
+def _holds(report, expected) -> bool:
+    if isinstance(expected, dict):
+        return isinstance(report, dict) and all(
+            key in report and _holds(report[key], value) for key, value in expected.items())
+    if isinstance(expected, float):
+        return isinstance(report, (int, float)) and abs(report - expected) <= 1e-10
+    return report == expected
 
 
 def _random_unital(n: int) -> dict:
@@ -120,34 +153,44 @@ def blocks(algebra: str, n_sites: int) -> dict:
     return _case(f"blocks-{algebra}-N{n_sites}", ["blocks", "--ops", "ops"], {"ops": ops})
 
 
-def superradiance(command: str, n_sites: int) -> dict:
-    """`command --generator` on the collective-decay model, omega = gamma = 1; `evolve`
+def registry_model(command: str, model: str, n_sites: int) -> dict:
+    """`command --generator` on a registry model: "superradiance", collective decay with
+    omega = gamma = 1, or "private_bath", one sigma_minus per site and H = 0; `evolve`
     starts from the maximally mixed state."""
     argv = [command, "--generator", "model"]
-    inputs = {"model": lambda: {"model": "superradiance", "N": n_sites,
-                                "omega": 1.0, "gamma": 1.0}}
+    params = ({"omega": 1.0, "gamma": 1.0} if model == "superradiance"
+              else {"v_site": [matrix_to_json(sm)]})
+    inputs = {"model": lambda: {"model": model, "N": n_sites, **params}}
     if command == "invariance":
         argv += ["--sites", str(n_sites)]
     if command == "evolve":
         argv += ["--state", "state"]
         inputs["state"] = lambda: matrix_to_json(np.eye(2 ** n_sites) / 2 ** n_sites)
-    return _case(f"{command}-superradiance-N{n_sites}", argv, inputs)
+    return _case(f"{command}-{model.replace('_', '-')}-N{n_sites}", argv, inputs)
 
 
+EXACT = {"dimension": 1, "certificate": "exact"}
 CASES = [
-    *(df_channel(n) for n in (64, 128, 256)),
-    df_shift_pinching(64),
-    *(thermal_ladder(command, n) for command in ("df", "analyze-semigroup") for n in (64, 256)),
+    *(expect(df_channel(n), k_used=1, **EXACT) for n in (64, 128, 256)),
+    expect(df_shift_pinching(64), dimension=1, k_used=64),
+    *(expect(thermal_ladder("df", n), **EXACT) for n in (64, 256)),
+    *(expect(thermal_ladder("analyze-semigroup", n), decoherence_free={"dimension": 1},
+             detailed_balance={"stationary": True, "commuting_parts": True,
+                               "hermitian_dissipator": True}) for n in (64, 256)),
     blocks("su2", 6),
     blocks("S_N", 6),
-    superradiance("df", 6),
-    superradiance("invariance", 6),
+    registry_model("df", "superradiance", 6),
+    registry_model("invariance", "superradiance", 6),
+    expect(registry_model("df", "private_bath", 6), **EXACT),
+    expect(registry_model("analyze-semigroup", "private_bath", 6), decoherence_free=EXACT),
+    expect(registry_model("invariance", "private_bath", 6), locally_invariant=False,
+           global_residual=0.0),
     # at the cap; each of these exits 1 under 1 GiB (ROADMAP items 1 and 3)
     blocks_random(64),
     df_unitary(64, dephased=False),
     df_unitary(64, dephased=True),
     analyze_channel(64),
-    superradiance("evolve", 6),
+    registry_model("evolve", "superradiance", 6),
 ]
 
 
@@ -158,15 +201,21 @@ def run(case: dict, work_dir: str) -> dict:
         with open(paths[key], "w", encoding="utf-8") as fh:
             json.dump(build(), fh)
     argv = [paths.get(arg, arg) for arg in case["argv"]]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = os.path.join(work_dir, f"{case['case']}-report.json")
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv, "--out", out], env=env,
-                          capture_output=True, text=True)
+    proc = capped(CHILD, *argv, "--out", out)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {
         "exit": proc.returncode, "seconds": None, "peak_rss_mb": None}
-    return {"case": case["case"], "command": " ".join(case["argv"]), **result}
+    line = {"case": case["case"], "command": " ".join(case["argv"]), **result}
+    if result["exit"]:
+        line["error"] = (proc.stderr.strip().splitlines() or [""])[-1]
+    if "expected" in case:
+        report = None
+        if result["exit"] == 0:
+            with open(out, encoding="utf-8") as fh:
+                report = json.load(fh)
+        line["expected"] = _holds(report, case["expected"])
+    return line
 
 
 def main(cases: list) -> list:
