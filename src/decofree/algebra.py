@@ -25,7 +25,6 @@ from .channels import KrausMap, channel_from_superop, compose, reduce_kraus, uni
 from .lindblad import GKLSGenerator
 from .operators import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     FAITHFUL_TOL,
     LiouvilleMetric,
     commutator_norm,
@@ -171,7 +170,7 @@ def full_algebra(n: int) -> MatrixAlgebra:
 def _commuting_part(ops, i, j) -> np.ndarray:
     """Orthonormal coefficient columns x of the X = sum_k x_k E_(i_k j_k) commuting with every op.
 
-    ops is a (k, n, n) stack of unit Frobenius norm, and entry (p, q) of
+    ops is a Frobenius-orthonormal (k, n, n) stack, and entry (p, q) of
     X a - a X has coefficient delta_pi a_jq - a_pi delta_qj on unknown (i, j).
     Each op's rows are built a slab of output rows p at a time, at most
     _SLAB_ENTRIES entries, and folded into the R factor of the QR of all
@@ -196,9 +195,10 @@ def _cluster_eigenvalues(evals: np.ndarray, gap: float):
 
 
 def _random_hermitian_element(basis, rng) -> np.ndarray:
-    # hermitian_part(c b) for complex c = x + iy is x H(b) + y H(ib): real
-    # combinations of hermitian parts stay hermitian AND inside the (*-closed)
-    # span; a complex re-orthonormalization would break hermiticity
+    # basis: orthonormal, of a *-closed span (both callers).  hermitian_part(c b)
+    # for complex c = x + iy is x H(b) + y H(ib): real combinations of hermitian
+    # parts stay hermitian AND inside the span; a complex re-orthonormalization
+    # would break hermiticity
     coeffs = rng.normal(size=(len(basis), 2)) @ np.array([1.0, 1.0j])
     h = hermitian_part(np.tensordot(coeffs, basis, axes=1))
     return h / max(np.linalg.norm(h), 1e-300)
@@ -207,8 +207,12 @@ def _random_hermitian_element(basis, rng) -> np.ndarray:
 def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     """Commutant of a set of matrices (adjoints adjoined, so the result is a *-algebra).
 
-    Every X in it commutes with a hermitian element h of the *-closed set's
-    span, so V† X V is block-diagonal in the eigenspaces of h, V its
+    It depends only on span(S u S†), so one SVD of the stacked vec of the
+    operators and their adjoints, scaled to a largest row norm of 1, gives an
+    orthonormal basis of that span (cut by the rank rule: an operator below
+    NULLSPACE_RTOL of the largest adds nothing), and only that basis is
+    folded.  Every X in the commutant commutes with a hermitian element h of
+    the span, so V† X V is block-diagonal in the eigenspaces of h, V its
     eigenvectors (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010).  With a
     seeded random h one commuting-subspace solve on V† a V takes the matrix
     units of those blocks as unknowns, sum_j m_j^2 for eigenspaces of
@@ -219,18 +223,16 @@ def commutant(ops, dim: int | None = None) -> MatrixAlgebra:
     1e-16/gap of the true ones, far inside the nullspace floor.
     """
     ops = np.asarray(ops, dtype=complex)
-    # unit scale so the rank floor is meaningful; numerically-zero operators
-    # impose no constraint, and normalizing them would amplify rounding dirt
     if ops.size:
-        norms = np.linalg.norm(ops, axis=(1, 2))
-        keep = norms > NULLSPACE_RTOL * norms.max()
-        ops = ops[keep] / norms[keep, None, None]
+        rows = vec(np.concatenate([ops, dag(ops)]))
+        rows /= np.linalg.norm(rows, axis=1).max() or 1.0
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        ops = unvec(vh[:_rank(s)].copy(), ops.shape[-1])
+        del rows, vh  # neither the rows nor the cut part of vh is held through the fold
     if not len(ops):
         if dim is None:
             raise ValueError("dim required for the commutant of the empty set")
         return full_algebra(dim)
-    hermitian = np.max(np.abs(ops - dag(ops)), axis=(1, 2)) <= DEFAULT_TOL
-    ops = np.concatenate([ops, dag(ops[~hermitian])])
     evals, v = np.linalg.eigh(_random_hermitian_element(ops, np.random.default_rng(DEFAULT_SEED)))
     sizes = list(map(len, _cluster_eigenvalues(evals, 1e-5)))
     label = np.repeat(np.arange(len(sizes)), sizes)

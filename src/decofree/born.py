@@ -60,6 +60,13 @@ DEFAULT_FREQ_POINTS = 4001
 TIME_SLACK = 1e-12
 
 
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not 0 < value < math.inf:  # chained comparisons are False for NaN too
+        raise ValueError(f"{what} must be positive and finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Control trajectories
 
@@ -82,22 +89,20 @@ class ControlTrajectory:
     """
 
     def __init__(self, tau: float, segments):
-        if not 0 < tau < math.inf:  # chained comparisons are False for NaN too
-            raise ValueError("tau must be positive and finite")
+        tau = _positive(tau, "tau")
         segs = []
         for d, h in segments:
             h = np.asarray(h, dtype=complex)
-            if not 0 < d < math.inf:
-                raise ValueError("segment durations must be positive and finite")
+            d = _positive(d, "segment durations")
             if not is_hermitian(h):
                 raise ValueError("segment Hamiltonians must be hermitian")
-            segs.append(Segment(float(d), h))
+            segs.append(Segment(d, h))
         if not segs:
             raise ValueError("trajectory needs at least one segment")
         total = sum(s.duration for s in segs)
         if abs(total - 2.0 * tau) > TIME_SLACK * max(1.0, 2.0 * tau):
             raise ValueError(f"segment durations sum to {total}, expected {2 * tau}")
-        self.tau = float(tau)
+        self.tau = tau
         self.segments = tuple(segs)
         self.dim = segs[0].hamiltonian.shape[0]
         bounds = np.concatenate([[0.0], np.cumsum([s.duration for s in segs])]) - tau
@@ -144,18 +149,11 @@ class ControlTrajectory:
         Segments become (lam * duration, H / lam) on [-lam tau, lam tau], so
         the total unitary is unchanged.
         """
-        lam = _rescaling_factor(lam)
+        lam = _positive(lam, "rescaling factor")
         return ControlTrajectory(
             lam * self.tau,
             [(lam * s.duration, s.hamiltonian / lam) for s in self.segments],
         )
-
-
-def _rescaling_factor(lam) -> float:
-    lam = float(lam)
-    if not 0 < lam < math.inf:
-        raise ValueError("rescaling factor must be positive and finite")
-    return lam
 
 
 def constant_trajectory(hamiltonian: np.ndarray, tau: float) -> ControlTrajectory:
@@ -242,7 +240,7 @@ def _coupling_matrix(amplitude, n_ops: int) -> np.ndarray:
 def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
     """R(w) = amplitude * exp(-w^2 / 2 width^2); C(t) = amplitude * width sqrt(2 pi) exp(-width^2 t^2 / 2)."""
     m = _coupling_matrix(amplitude, n_ops)
-    w = float(width)
+    w = _positive(width, "width")
     return Bath(
         n_ops=n_ops,
         label="gaussian",
@@ -255,7 +253,7 @@ def gaussian_bath(amplitude=1.0, width: float = 1.0, n_ops: int = 1) -> Bath:
 def flat_bath(level=1.0, cutoff: float = 50.0, n_ops: int = 1) -> Bath:
     """White spectrum up to a sharp cutoff; C(t) = 2 * level * sin(cutoff t)/t."""
     m = _coupling_matrix(level, n_ops)
-    wc = float(cutoff)
+    wc = _positive(cutoff, "cutoff")
     return Bath(
         n_ops=n_ops,
         label="flat",
@@ -275,7 +273,7 @@ def ohmic_bath(coupling: float = 1.0, exponent: float = 1.0, cutoff: float = 1.0
         raise ValueError("spectral exponent must exceed -1")
     g2 = float(coupling) ** 2
     k = float(exponent)
-    wc = float(cutoff)
+    wc = _positive(cutoff, "cutoff")
     m = _coupling_matrix(1.0, n_ops)
 
     def spec(omega):
@@ -297,7 +295,7 @@ def quartic_gaussian_bath(coupling: float = 1.0, width: float = 1.0, n_ops: int 
     H4(x) = 16 x^4 - 48 x^2 + 12.
     """
     g2 = float(coupling) ** 2
-    w = float(width)
+    w = _positive(width, "width")
     m = _coupling_matrix(1.0, n_ops)
 
     def corr(t):
@@ -768,7 +766,7 @@ def gate_speed_scan(traj: ControlTrajectory, coupling: Coupling, psi: np.ndarray
     lag sums contracted with the bath terms and one bath evaluation serve
     every lambda, which then costs one transform of t channels.
     """
-    lambdas = [_rescaling_factor(lam) for lam in lambdas]
+    lambdas = [_positive(lam, "rescaling factor") for lam in lambdas]
     s_grid, d = _device_lag_sums(traj, coupling, psi, n_time)
     h = s_grid[1] - s_grid[0]
     profiles, channels = _bath_channels(coupling.bath, grid, d)

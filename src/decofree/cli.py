@@ -132,10 +132,9 @@ def cmd_invariance(args) -> dict:
         raise ValidationError(
             f"dimension {dim} is not a {n_sites}-fold tensor power", {"dim": dim}
         )
-    try:  # site_dim 1 and products beyond the size cap are refused here
-        rep = symmetry.build_permutation_rep(n_sites, site_dim)
-    except ValueError as exc:
-        raise ValidationError(str(exc), {"dim": dim}) from exc
+    # site_dim 1 and products beyond the size cap are refused here
+    rep = jsonio._checked(lambda: symmetry.build_permutation_rep(n_sites, site_dim),
+                          details={"dim": dim})
     local = symmetry.local_invariance_check(ops, rep)
     return {
         "dim": dim,
@@ -157,12 +156,8 @@ def _born_inputs(args):
         raise ValidationError("trajectory, coupling and state dimensions disagree")
     if args.time_points < 3 or args.time_points % 2 == 0:
         raise ValidationError("--time-points must be an odd number >= 3")
-    try:
-        grid = born.FrequencyGrid.for_trajectory(
-            traj, n_points=args.grid_points, omega_max=args.grid_omega_max
-        )
-    except ValueError as exc:
-        raise ValidationError(f"bad frequency grid: {exc}") from exc
+    grid = jsonio._checked(lambda: born.FrequencyGrid.for_trajectory(
+        traj, n_points=args.grid_points, omega_max=args.grid_omega_max), "bad frequency grid: ")
     shared = {
         "dim": traj.dim,
         "tau": traj.tau,

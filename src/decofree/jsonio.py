@@ -27,6 +27,7 @@ from .born import (
 from .channels import KrausMap
 from .lindblad import BOHR_TOL, GKLSGenerator, GibbsGenerator, build_gibbs_generator
 from .operators import DEFAULT_TOL, check_density_matrix
+from .symmetry import _check_size, build_private_bath_generator, build_superradiance_generator
 
 
 class ValidationError(ValueError):
@@ -199,8 +200,6 @@ def generator_from_json(obj: Any):
 
 def _model_generator(obj: dict) -> GKLSGenerator:
     """Registry of named N-particle models: superradiance and private_bath."""
-    from .symmetry import _check_size, build_private_bath_generator, build_superradiance_generator
-
     name = obj["model"]
     try:
         if name == "superradiance":

@@ -116,7 +116,7 @@ def build_private_bath_generator(
         raise ValueError("hamiltonian dimension does not match the product space")
     rep = build_permutation_rep(n_sites, d)
     res = max(float(np.max(np.abs(dag(r) @ h @ r - h))) for r in rep.generators)
-    if res > 1e-9:
+    if res > DEFAULT_TOL:
         raise ValueError(f"hamiltonian is not permutation invariant (residual {res:.3e})")
     lindblad = [
         embed_at_site(v, m, n_sites)

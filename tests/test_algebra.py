@@ -657,6 +657,19 @@ class TestSemigroupDF:
         assert group_alg.dim == 2
         assert group_alg.is_subalgebra_of(res)
 
+    def test_thermal_ladder_folds_one_basis_of_the_span(self, monkeypatch):
+        # the Gibbs generator's operators are multiples of L and L†, so span(S u S†)
+        # is two-dimensional: two operators are folded, not the four of S and S†
+        n = 8
+        gen = build_gibbs_generator(np.diag(19.2 * np.arange(n) / n), 1.0,
+                                    [np.diag(np.ones(n - 1), 1)]).generator
+        counts = []
+        solve = algebra._commuting_part
+        monkeypatch.setattr(algebra, "_commuting_part",
+                            lambda ops, i, j: counts.append(len(ops)) or solve(ops, i, j))
+        assert df_algebra_semigroup(gen).dim == 1
+        assert counts == [2]
+
 
 def _ladder(*rates):
     # qutrit with E_0 > E_1 > E_2 and one lowering operator per given rate

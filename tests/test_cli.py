@@ -1051,8 +1051,20 @@ def _one_diagnostic(capsys, argv) -> dict:
     ("coupling", {"bath": {"type": "ohmic", "kappa": -2.0}},
      "bad ohmic bath: spectral exponent must exceed -1"),
     ("coupling", {"S": [matrix_to_json(sm)]}, "coupling operators must be hermitian"),
+    ("coupling", {"bath": {"type": "gaussian", "width": 0.0}},
+     "bad gaussian bath: width must be positive and finite"),
+    ("coupling", {"bath": {"type": "quartic-gaussian", "width": 0.0}},
+     "bad quartic-gaussian bath: width must be positive and finite"),
+    ("coupling", {"bath": {"type": "gaussian", "width": -1.0}},
+     "bad gaussian bath: width must be positive and finite"),
+    ("coupling", {"bath": {"type": "flat", "cutoff": -5.0}},
+     "bad flat bath: cutoff must be positive and finite"),
+    ("coupling", {"bath": {"type": "ohmic", "cutoff": -1.0}},
+     "bad ohmic bath: cutoff must be positive and finite"),
 ], ids=["tau-negative", "dt-zero", "no-segments", "segment-dimensions", "coupling-not-psd",
-        "coupling-shape", "ohmic-kappa", "S-not-hermitian"])
+        "coupling-shape", "ohmic-kappa", "S-not-hermitian", "gaussian-width-zero",
+        "quartic-gaussian-width-zero", "gaussian-width-negative", "flat-cutoff-negative",
+        "ohmic-cutoff-negative"])
 def test_born_input_rule_is_validation_error(workdir, capsys, name, field, message):
     workdir[name].write_text(json.dumps(json.loads(workdir[name].read_text()) | field))
     report = _one_diagnostic(capsys, ["born-error", "--traj", workdir["traj"], "--coupling",

@@ -5,10 +5,11 @@ fixes how each one transforms, with no second implementation to agree with:
 conjugating the input by a unitary V gives V†AV with the same blocks and the
 same recursion length; Gamma (x) id_2 gives A (x) M_2, so the dimension times 4
 and each n_j times 2; H + c 1 and the time rescaling (H, L) -> (sH, sqrt(s) L)
-leave a semigroup's decoherence-free algebra as it was; and permuting or
-rescaling the operators that generate an algebra changes nothing.  The families
-are those of the benchmark's df-structure jobs at small n, and every random
-draw comes from DEFAULT_SEED.
+leave a semigroup's decoherence-free algebra as it was; and permuting,
+rescaling or otherwise relisting the operators that generate an algebra, with
+the same *-closed span, changes nothing.  The families are those of the
+benchmark's df-structure jobs at small n, and every random draw comes from
+DEFAULT_SEED.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from decofree.algebra import (
     block_decompose,
+    commutant,
     df_algebra_discrete,
     df_algebra_semigroup,
     generated_algebra,
@@ -169,3 +171,18 @@ def test_generated_algebra_conjugation_permutation_and_scale(make):
     shuffled = generated_algebra([scales[k] * ops[k] for k in rng.permutation(len(ops))])
     assert _structure(shuffled) == structure
     assert _sine(shuffled.basis, ref.basis) <= SINE_TOL
+
+
+@pytest.mark.parametrize("make", GENERATED.values(), ids=list(GENERATED))
+def test_generated_algebra_depends_on_the_span_only(make):
+    # a zero matrix, a scaled copy, an adjoint and a linear combination add nothing
+    # to span(S u S†), so neither the commutant nor the algebra it gives may move
+    ops = make()
+    n = ops[0].shape[0]
+    padded = ops + [np.zeros((n, n)), 1e3 * ops[0], dag(ops[1]), 0.3 * ops[0] - 2j * ops[1]]
+    comm, padded_comm = commutant(ops, n), commutant(padded, n)
+    assert padded_comm.dim == comm.dim
+    assert _sine(padded_comm.basis, comm.basis) <= SINE_TOL
+    ref, moved = generated_algebra(ops), generated_algebra(padded)
+    assert _structure(moved) == _structure(ref)
+    assert _sine(moved.basis, ref.basis) <= SINE_TOL

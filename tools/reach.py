@@ -177,10 +177,11 @@ CASES = [
     *(expect(thermal_ladder("analyze-semigroup", n), decoherence_free={"dimension": 1},
              detailed_balance={"stationary": True, "commuting_parts": True,
                                "hermitian_dissipator": True}) for n in (64, 256)),
-    blocks("su2", 6),
-    blocks("S_N", 6),
-    registry_model("df", "superradiance", 6),
-    registry_model("invariance", "superradiance", 6),
+    expect(blocks("su2", 6), dimension=84, blocks=[[7, 1], [5, 5], [3, 9], [1, 5]]),
+    *(expect(case, dimension=132, blocks=[[9, 3], [5, 5], [5, 1], [1, 7]])
+      for case in (blocks("S_N", 6), registry_model("df", "superradiance", 6))),
+    expect(registry_model("invariance", "superradiance", 6), locally_invariant=True,
+           group_algebra_inside_commutant=True),
     expect(registry_model("df", "private_bath", 6), **EXACT),
     expect(registry_model("analyze-semigroup", "private_bath", 6), decoherence_free=EXACT),
     expect(registry_model("invariance", "private_bath", 6), locally_invariant=False,
